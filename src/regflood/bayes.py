@@ -1,11 +1,12 @@
 """Regional Bayesian estimation for a POT target site.
 
 The prior on (location, scale, shape) is lognormal-lognormal-normal,
-elicited from the other sites of the region: each donor's rescaled fit is
-transported to the target through its predicted index flood, and the
-hyper-parameters are moment summaries of those pseudo-parameters.  The
-target site's own sample never enters the elicitation; that contract is
-enforced, not just documented.  Posterior sampling is a component-wise
+elicited from donor sites of the region, the sites of the index-flood
+regression: each donor's one at-site fit, rescaled by its index flood, is
+transported to the target through the predicted target index flood, and
+the hyper-parameters are moment summaries of those pseudo-parameters.
+The target site's own sample never enters the elicitation; that contract
+is enforced, not just documented.  Posterior sampling is a component-wise
 random-walk Metropolis in (log mu, log sigma, xi).
 """
 
@@ -13,20 +14,20 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import SHAPE_EPS, GpParams
+from .distributions import SHAPE_EPS, GpParams, gp_rescale
 from .errors import (
     ContractViolationError,
     ElicitationError,
     FitError,
     InputError,
 )
-from .fit import GpFit, gp_fit_mle, log_param_variances
-from .indexflood import AreaRegression, at_site_index_flood, predict_index_flood
+from .fit import log_param_variances
+from .indexflood import AreaRegression, predict_index_flood
 from .pot import PotSeries
 from .regional import Region
 
@@ -70,12 +71,6 @@ class PriorSpec:
         return replace(self, d=(float(d[0]), float(d[1]), float(d[2])))
 
 
-def _donor_fit(pot: PotSeries, index_method: str) -> GpFit:
-    scale_factor = at_site_index_flood(pot, method=index_method).value
-    rescaled = pot.rescaled(1.0 / scale_factor)
-    return gp_fit_mle(rescaled, location="threshold")
-
-
 def elicit_prior(
     region: Region,
     regression: AreaRegression,
@@ -83,16 +78,17 @@ def elicit_prior(
     threshold_cv: float = 0.1,
     index_method: str = "gp-fit",
     add_dispersion: bool = False,
-    fits: Mapping[str, GpFit] | None = None,
 ) -> PriorSpec:
-    """Elicit the prior for the region's target site from the other sites.
+    """Elicit the prior for the region's target site from its donor sites.
 
-    Each donor site is rescaled by its own at-site index flood and fitted
-    by threshold-fixed MLE; the resulting dimensionless parameters times
-    the regression-predicted target index flood form the pseudo-parameter
-    sample behind the hyper-parameters.  Donors whose fit fails are
-    dropped with a warning.  ``fits`` can supply precomputed rescaled-site
-    fits keyed by site code (donor codes only).
+    The donors are the sites of the index-flood regression.  Each donor's
+    one at-site fit (``RegionSite.fit``) is rescaled by the donor's own
+    index flood; the resulting dimensionless parameters times the
+    regression-predicted target index flood form the pseudo-parameter
+    sample behind the hyper-parameters.  The MLE is equivariant under
+    rescaling and the log-scale and shape variances are invariant, so no
+    donor is refitted.  Donors whose fit or index flood fails are dropped
+    with a warning.
 
     The variance terms combine the index-flood prediction variance with
     the mean per-donor estimation variances; ``add_dispersion`` adds the
@@ -105,12 +101,7 @@ def elicit_prior(
             f"index-flood regression was fitted with target site {target}; "
             "the target sample must not inform its own prior"
         )
-    if fits is not None and target in fits:
-        raise ContractViolationError(
-            f"target site {target} found among the donor fits; "
-            "the target sample must not inform its own prior"
-        )
-    donors = region.others()
+    donors = tuple(region.site(code) for code in regression.codes)
     c_pred = predict_index_flood(regression, region.target_site.meta.area_km2)
 
     codes = []
@@ -119,27 +110,21 @@ def elicit_prior(
     for site in donors:
         code = site.meta.code
         try:
-            if fits is not None:
-                if code not in fits:
-                    raise InputError(f"no precomputed fit for donor site {code}")
-                fit = fits[code]
-            else:
-                fit = _donor_fit(site.pot, index_method)
-            vm, vs, _ = log_param_variances(fit, threshold_cv)
+            c = site.index_flood(index_method).value
+            vm, vs, _ = log_param_variances(site.fit, threshold_cv)
         except (FitError, InputError) as exc:
-            if fits is not None and isinstance(exc, InputError):
-                raise
             log.warning("dropping donor site %s from elicitation: %s", code, exc)
             continue
-        if fit.params.location <= 0:
+        params = gp_rescale(site.fit.params, 1.0 / c)
+        if params.location <= 0:
             log.warning(
                 "dropping donor site %s: non-positive rescaled location", code
             )
             continue
         codes.append(code)
-        log_mu.append(math.log(fit.params.location) + math.log(c_pred.value))
-        log_sigma.append(math.log(fit.params.scale) + math.log(c_pred.value))
-        shapes.append(fit.params.shape)
+        log_mu.append(math.log(params.location) + math.log(c_pred.value))
+        log_sigma.append(math.log(params.scale) + math.log(c_pred.value))
+        shapes.append(params.shape)
         v_mu.append(vm)
         v_sigma.append(vs)
 

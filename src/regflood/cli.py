@@ -59,7 +59,7 @@ from .fileio import (
     write_truth_json,
 )
 from .fit import gp_fit_mle, gp_fit_pwm, profile_ci, quantile_variance, return_level
-from .indexflood import at_site_index_flood, fit_area_regression
+from .indexflood import fit_area_regression
 from .pot import IndependenceRule, extract_pot, select_threshold
 from .regional import Region, discordancy, growth_curve, heterogeneity
 
@@ -320,23 +320,22 @@ def _curve_periods(rate: float) -> np.ndarray:
 
 
 def cmd_bayes(args) -> list[str]:
+    burn_in = args.burn_in if args.burn_in is not None else args.iters // 4
+    mc = McmcConfig(chains=args.chains, iterations=args.iters, burn_in=burn_in)
+    retained = mc.chains * len(range(mc.burn_in, mc.iterations, mc.thinning))
+    if retained < 500:  # what posterior_quantiles needs; checked before any work
+        raise InputError(f"need at least 500 retained draws, got {retained}")
     config = load_region_config(args.config)
     region = build_region(config)
     if args.target and args.target != region.target:
         region = dataclasses.replace(region, target=args.target)
     target = region.target
 
-    if args.donors:
-        donor_codes = tuple(tok.strip() for tok in args.donors.split(",") if tok.strip())
-        donors = tuple(region.site(code) for code in donor_codes)
-    else:
-        donors = region.others()
+    donors = region.others()
+    if args.donors:  # the regression's sites are also the elicitation donors
+        donors = tuple(region.site(c.strip()) for c in args.donors.split(",") if c.strip())
     points = [
-        (
-            s.meta.code,
-            s.meta.area_km2,
-            at_site_index_flood(s.pot, config.index_method).value,
-        )
+        (s.meta.code, s.meta.area_km2, s.index_flood(config.index_method).value)
         for s in donors
     ]
     regression = fit_area_regression(points)
@@ -344,8 +343,6 @@ def cmd_bayes(args) -> list[str]:
     if args.flat_prior:
         prior = prior.with_variances((1000.0, 1000.0, 1000.0))
 
-    burn_in = args.burn_in if args.burn_in is not None else args.iters // 4
-    mc = McmcConfig(chains=args.chains, iterations=args.iters, burn_in=burn_in)
     pot = region.target_site.pot
     chains = mcmc_sample(prior, pot, mc, seed=args.seed)
     diag = chain_diagnostics(chains)

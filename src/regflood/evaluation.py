@@ -22,11 +22,7 @@ from .bayes import McmcConfig, elicit_prior, mcmc_sample, posterior_quantiles
 from .distributions import GpParams, gp_quantile, gp_rescale, gp_sample
 from .errors import InputError, NumericalError
 from .fit import gp_fit_mle, gp_fit_pwm, profile_ci, return_level
-from .indexflood import (
-    StationMeta,
-    at_site_index_flood,
-    fit_area_regression,
-)
+from .indexflood import StationMeta, fit_area_regression
 from .lmoments import gp_population_lmoments
 from .pot import (
     DAYS_PER_YEAR,
@@ -506,15 +502,16 @@ class EvalReport:
 
 def _model_estimates(
     name: str,
-    tpot: PotSeries,
+    window: RegionSite,
     periods: Sequence[float],
     curve,
     prior,
     mcmc: McmcConfig,
     mcmc_seed: int,
 ) -> dict[float, float]:
+    tpot = window.pot
     if name == "MLE":
-        params = gp_fit_mle(tpot).params
+        params = window.fit.params
         return {T: return_level(params, tpot.rate, T) for T in periods}
     if name == "PWU":
         params = gp_fit_pwm(tpot, "unbiased").params
@@ -523,7 +520,7 @@ def _model_estimates(
         params = gp_fit_pwm(tpot, "biased").params
         return {T: return_level(params, tpot.rate, T) for T in periods}
     if name == "REG":
-        c = at_site_index_flood(tpot).value
+        c = window.index_flood().value
         out = {}
         for T in periods:
             if tpot.rate * T <= 1.0:
@@ -549,8 +546,9 @@ def run_experiment(
     is truncated to each configured length (one anchored window, or every
     one-year shift when ``sliding``), every model re-estimates the return
     levels, and relative errors against the full-record MLE benchmark are
-    pooled into NBIAS/NRMSE per model and period.  Failures leave missing
-    cells, which shrink the ranking field rather than abort the run.
+    pooled into NBIAS/NRMSE per model and period.  Each record, truncated
+    windows included, is fitted once (``RegionSite.fit``).  Failures leave
+    missing cells, which shrink the ranking field rather than abort the run.
     """
     if (region is None) == (synth is None):
         raise InputError("provide exactly one of region and synth")
@@ -569,9 +567,10 @@ def run_experiment(
         else:
             the_region = region
         target = the_region.target
-        full = the_region.target_site.pot
+        target_site = the_region.target_site
+        full = target_site.pot
 
-        bench_params = gp_fit_mle(full).params
+        bench_params = target_site.fit.params
         bench_q = {
             T: return_level(bench_params, full.rate, T)
             for T in config.return_periods
@@ -585,7 +584,7 @@ def run_experiment(
                 curve = growth_curve(the_region, exclude=target)
             if "BAY" in config.models:
                 points = [
-                    (s.meta.code, s.meta.area_km2, at_site_index_flood(s.pot).value)
+                    (s.meta.code, s.meta.area_km2, s.index_flood().value)
                     for s in the_region.others()
                 ]
                 prior = elicit_prior(
@@ -614,6 +613,7 @@ def run_experiment(
                     missing.append(msg)
                     log.warning("%s", msg)
                     continue
+                window = RegionSite(target_site.meta, tpot)
                 for name in config.models:
                     if name == "REG" and curve is None:
                         continue
@@ -622,7 +622,7 @@ def run_experiment(
                     try:
                         est = _model_estimates(
                             name,
-                            tpot,
+                            window,
                             config.return_periods,
                             curve,
                             prior,

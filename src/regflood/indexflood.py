@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.stats import gaussian_kde
 
-from .distributions import SHAPE_EPS
 from .errors import InputError
-from .fit import gp_fit_mle, return_level
+from .fit import GpFit, gp_fit_mle, quantile_variance, return_level
 from .pot import PotSeries
 
 __all__ = [
@@ -73,27 +72,25 @@ def at_site_index_flood(
     ``gp-fit`` propagates the MLE covariance through the quantile gradient
     (plus the threshold-uncertainty term for the fixed location);
     ``empirical`` uses the sample quantile of the peaks with its
-    asymptotic density-based variance.
+    asymptotic density-based variance.  A region site gives the same
+    value from its one kept fit: ``RegionSite.index_flood``.
     """
+    return _index_flood(pot, lambda: gp_fit_mle(pot), method, threshold_cv)
+
+
+def _index_flood(
+    pot: PotSeries, fit_of: Callable[[], GpFit], method: str, threshold_cv: float
+) -> IndexFlood:
+    # also RegionSite.index_flood; only gp-fit calls fit_of, for the MLE of pot
     rate = pot.rate
     if rate <= 1.0:
         raise InputError(
             f"one-year level needs more than one event per year, got rate {rate!r}"
         )
-    p = 1.0 - 1.0 / rate
     if method == "gp-fit":
-        fit = gp_fit_mle(pot)
+        fit = fit_of()
         c = return_level(fit.params, rate, 1.0)
-        sigma, xi = fit.params.scale, fit.params.shape
-        a = -math.log1p(-p)
-        if abs(xi) < SHAPE_EPS:
-            w, dw = a, a * a / 2.0
-        else:
-            e = math.exp(a * xi)
-            w = (e - 1.0) / xi
-            dw = (a * e * xi - (e - 1.0)) / xi**2
-        grad = np.array([w, sigma * dw])
-        var_q = float(grad @ fit.covariance @ grad) if fit.covariance is not None else 0.0
+        var_q = quantile_variance(fit, rate, 1.0) if fit.covariance is not None else 0.0
         var_q += (threshold_cv * pot.threshold) ** 2
         if c <= 0:
             raise InputError(f"index flood must be positive, got {c!r}")
@@ -104,6 +101,7 @@ def at_site_index_flood(
             raise InputError(
                 f"empirical index flood needs at least 10 events, got {x.size}"
             )
+        p = 1.0 - 1.0 / rate
         c = float(np.quantile(x, p))
         density = float(gaussian_kde(x)(c)[0])
         if density <= 0 or c <= 0:

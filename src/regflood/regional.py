@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +38,8 @@ from .distributions import (
     kappa_sample,
 )
 from .errors import DegenerateSampleError, FitError, InputError, InsufficientDataError
-from .indexflood import StationMeta, at_site_index_flood
+from .fit import GpFit, gp_fit_mle
+from .indexflood import IndexFlood, StationMeta, _index_flood
 from .lmoments import (
     LmomentSet,
     gp_fit_lmom,
@@ -66,9 +67,34 @@ __all__ = [
 log = logging.getLogger("regflood")
 
 
-class RegionSite(NamedTuple):
+@dataclass(frozen=True)
+class RegionSite:
+    """A region member: station descriptors and event series.
+
+    ``fit``, the threshold-fixed MLE of the record, is made on first use and
+    kept, as is a failure to fit; index floods, donor parameters and
+    benchmarks all derive from this one fit.
+    """
+
     meta: StationMeta
     pot: PotSeries
+
+    @cached_property
+    def _fit(self) -> GpFit | FitError | InputError:
+        try:
+            return gp_fit_mle(self.pot)
+        except (FitError, InputError) as exc:
+            return exc
+
+    @property
+    def fit(self) -> GpFit:
+        if isinstance(self._fit, Exception):
+            raise self._fit
+        return self._fit
+
+    def index_flood(self, method: str = "gp-fit") -> IndexFlood:
+        """``at_site_index_flood`` of the record, from ``fit`` for ``gp-fit``."""
+        return _index_flood(self.pot, lambda: self.fit, method, threshold_cv=0.1)
 
 
 @dataclass(frozen=True)
@@ -344,27 +370,20 @@ def growth_curve(
     members = region.sites if exclude is None else region.others(exclude)
     if len(members) < 2:
         raise InputError("growth curve needs at least 2 member sites")
-    lmoms = []
-    lengths = []
-    index_floods = {}
-    for s in members:
-        lmoms.append(sample_lmoments(s.pot.peaks))
-        lengths.append(len(s.pot))
+    lmoms = [sample_lmoments(s.pot.peaks) for s in members]
+    lengths = [len(s.pot) for s in members]
     if rescale == "index":
-        for s in members:
-            index_floods[s.meta.code] = at_site_index_flood(s.pot, method=index_method).value
-        factors = [index_floods[s.meta.code] for s in members]
+        factors = [s.index_flood(index_method).value for s in members]
         avg = regional_average_lmoments(lmoms, lengths, scale_factors=factors)
     else:
-        for s, lm in zip(members, lmoms):
-            index_floods[s.meta.code] = float(lm.l1)
+        factors = [float(lm.l1) for lm in lmoms]
         avg = regional_average_lmoments(lmoms, lengths)
-    params = gp_fit_lmom(avg)
+    codes = tuple(s.meta.code for s in members)
     return GrowthCurve(
-        params=params,
-        members=tuple(s.meta.code for s in members),
+        params=gp_fit_lmom(avg),
+        members=codes,
         rescale=rescale,
-        index_floods=index_floods,
+        index_floods=dict(zip(codes, factors)),
     )
 
 

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from regflood import fit as fit_module
 from regflood.pot import DischargeSeries, PotSeries
 
 
@@ -42,3 +45,23 @@ def daily_series():
 @pytest.fixture
 def spike_series():
     return make_spike_series
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Record every ``gp_fit_mle`` call, whichever regflood module makes it.
+
+    ``from .fit import gp_fit_mle`` binds the function in each importing
+    module, so the counting wrapper replaces every such binding.
+    """
+    original = fit_module.gp_fit_mle
+    calls = []
+
+    def counted(pot, *args, **kwargs):
+        calls.append(pot.station)
+        return original(pot, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "regflood" and getattr(module, "gp_fit_mle", None) is original:
+            monkeypatch.setattr(module, "gp_fit_mle", counted)
+    return calls

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from regflood import regional
 from regflood.bayes import (
     ChainDiagnostics,
     McmcConfig,
@@ -16,7 +19,7 @@ from regflood.bayes import (
     posterior_quantiles,
 )
 from regflood.distributions import GpParams, gp_logpdf, gp_sample
-from regflood.errors import ContractViolationError, ElicitationError, InputError
+from regflood.errors import ContractViolationError, ElicitationError, FitError, InputError
 from regflood.fit import GpFit, gp_fit_mle, return_level
 from regflood.indexflood import (
     AreaRegression,
@@ -206,26 +209,45 @@ def four_site_region(target="S0", seed=7):
     return Region(tuple(sites), target)
 
 
-def test_identical_donors_hit_the_floor():
+@pytest.fixture
+def site_fits(monkeypatch):
+    """Stand-in site fits, keyed by station; a FitError entry is raised."""
+    fits = {}
+
+    def fake_fit(pot):
+        outcome = fits[pot.station]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(regional, "gp_fit_mle", fake_fit)
+    return fits
+
+
+def test_identical_donors_hit_the_floor(site_fits):
     region = four_site_region()
-    fits = {c: constant_fit(0.8, 0.5, 0.12) for c in ("S1", "S2", "S3")}
+    site_fits.update({c: constant_fit(1.0, 0.5, 0.12) for c in ("S1", "S2", "S3")})
     reg = flat_regression(("S1", "S2", "S3"), s2=0.0, excluded="S0")
-    prior = elicit_prior(region, reg, threshold_cv=0.0, fits=fits)
+    prior = elicit_prior(region, reg, threshold_cv=0.0)
     c_pred = 2.0
-    assert prior.gamma[0] == pytest.approx(math.log(0.8 * c_pred), rel=1e-12)
-    assert prior.gamma[1] == pytest.approx(math.log(0.5 * c_pred), rel=1e-12)
+    # each donor is rescaled by its own index flood, the one-year level
+    c = return_level(GpParams(1.0, 0.5, 0.12), 2.0, 1.0)
+    assert prior.gamma[0] == pytest.approx(math.log(c_pred / c), rel=1e-12)
+    assert prior.gamma[1] == pytest.approx(math.log(0.5 * c_pred / c), rel=1e-12)
     assert prior.gamma[2] == pytest.approx(0.12, rel=1e-12)
     assert prior.d == (1e-4, 1e-4, 1e-4)
     assert prior.provenance.sites == ("S1", "S2", "S3")
 
 
-def test_variance_components_add():
+def test_variance_components_add(site_fits):
     # prediction variance 0.02 plus per-site log-scale variance 0.01
     region = four_site_region()
-    fits = {c: constant_fit(0.8, 1.0, 0.1, var_sigma=0.01) for c in ("S1", "S2", "S3")}
+    site_fits.update(
+        {c: constant_fit(1.0, 1.0, 0.1, var_sigma=0.01) for c in ("S1", "S2", "S3")}
+    )
     s2 = 0.02 / (1.0 + 1.0 / 3.0)
     reg = flat_regression(("S1", "S2", "S3"), s2=s2, excluded="S0")
-    prior = elicit_prior(region, reg, threshold_cv=0.0, fits=fits)
+    prior = elicit_prior(region, reg, threshold_cv=0.0)
     assert prior.d[1] == pytest.approx(0.03, rel=1e-12)
     assert prior.d[0] == pytest.approx(0.02, rel=1e-12)
 
@@ -237,20 +259,56 @@ def test_target_in_regression_is_contract_violation():
         elicit_prior(region, reg)
 
 
-def test_target_in_fits_is_contract_violation():
+def test_too_few_donors(site_fits):
     region = four_site_region()
-    fits = {c: constant_fit(0.8, 0.5, 0.1) for c in ("S0", "S1", "S2", "S3")}
-    reg = flat_regression(("S1", "S2", "S3"), excluded="S0")
-    with pytest.raises(ContractViolationError):
-        elicit_prior(region, reg, fits=fits)
+    site_fits.update({c: constant_fit(1.0, 0.5, 0.1) for c in ("S1", "S2")})
+    with pytest.raises(ElicitationError):
+        elicit_prior(region, flat_regression(("S1", "S2"), excluded="S0"))
+    # a donor whose fit fails is dropped, leaving too few again
+    site_fits["S3"] = FitError("MLE did not converge")
+    with pytest.raises(ElicitationError):
+        elicit_prior(region, flat_regression(("S1", "S2", "S3"), excluded="S0"))
 
 
-def test_too_few_donors():
-    region = four_site_region()
-    fits = {c: constant_fit(0.8, 0.5, 0.1) for c in ("S1", "S2")}
-    reg = flat_regression(("S1", "S2"), excluded="S0")
-    with pytest.raises((ElicitationError, InputError)):
-        elicit_prior(region, reg, fits=fits)
+def test_donors_are_the_regression_sites():
+    region, _ = synth_region(n_sites=8, seed=2)
+    points = [
+        (s.meta.code, s.meta.area_km2, s.index_flood().value)
+        for s in region.sites
+        if s.meta.code in ("S2", "S4", "S5", "S7")
+    ]
+    prior = elicit_prior(region, fit_area_regression(points))
+    assert prior.provenance.sites == ("S2", "S4", "S5", "S7")
+
+
+def test_elicitation_fits_each_donor_once(fit_calls):
+    region, _ = synth_region(n_sites=8, seed=5)
+    reg = donor_regression(region)
+    # at_site_index_flood fits a bare record and leaves the sites unfitted
+    fit_calls.clear()
+    elicit_prior(region, reg)
+    assert sorted(fit_calls) == sorted(s.meta.code for s in region.others())
+    elicit_prior(region, reg, add_dispersion=True)
+    assert len(fit_calls) == len(region.others())
+
+
+@pytest.fixture(scope="module")
+def elicited_region():
+    region, _ = synth_region(n_sites=6, seed=21)
+    reg = donor_regression(region)
+    return region, reg, elicit_prior(region, reg)
+
+
+@settings(deadline=None, max_examples=15, derandomize=True)
+@given(factors=st.lists(st.floats(1e-2, 1e2), min_size=5, max_size=5))
+def test_prior_invariant_to_donor_rescaling(elicited_region, factors):
+    region, reg, base = elicited_region
+    sites = [region.target_site] + [
+        RegionSite(s.meta, s.pot.rescaled(f)) for s, f in zip(region.others(), factors)
+    ]
+    rescaled = elicit_prior(Region(tuple(sites), region.target), reg)
+    assert rescaled.gamma == pytest.approx(base.gamma, rel=1e-6, abs=1e-6)
+    assert rescaled.d == pytest.approx(base.d, rel=1e-6, abs=1e-6)
 
 
 def test_leave_target_out_invariance():

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from regflood import cli
 from regflood.cli import main
 from regflood.distributions import GpParams
 from regflood.evaluation import synth_daily_series
@@ -387,6 +388,27 @@ def test_bayes_target_leakage_exits_3(sim_dir, tmp_path, capsys):
     )
     assert code == 3
     assert "must not inform its own prior" in err
+
+
+def test_bayes_donors_restrict_the_prior(sim_dir, tmp_path, capsys):
+    code, stdout, _ = run(capsys, bayes_argv(sim_dir, tmp_path, "--donors", "S1,S2,S3"))
+    assert code == 0
+    assert "donors: S1, S2, S3  (" in stdout
+    assert read_prior_json(tmp_path / "prior.json").provenance.sites == ("S1", "S2", "S3")
+
+
+def test_bayes_too_few_draws_fails_before_sampling(sim_dir, tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("called before the draw count was checked")
+
+    monkeypatch.setattr(cli, "mcmc_sample", must_not_run)
+    monkeypatch.setattr(cli, "elicit_prior", must_not_run)
+    argv = bayes_argv(sim_dir, tmp_path)
+    argv[argv.index("--chains") + 1] = "1"
+    argv[argv.index("--iters") + 1] = "1000"
+    code, _, err = run(capsys, [*argv, "--burn-in", "600"])
+    assert code == 1
+    assert "need at least 500 retained draws, got 400" in err
 
 
 def test_bayes_unknown_target_is_input_error(sim_dir, tmp_path, capsys):

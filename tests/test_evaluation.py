@@ -385,6 +385,18 @@ def test_run_experiment_with_regional_and_bayes():
     assert report.missing == ()
 
 
+def test_run_experiment_fits_each_site_once(fit_calls):
+    spec = SynthSpec(n_sites=14, years=37.0, rate=2.0)
+    region, _ = synth_region(spec, seed=0)
+    cfg = EvalConfig(lengths=(5,), mcmc=McmcConfig(chains=2, iterations=1000, burn_in=250))
+    report = run_experiment(cfg, region=region)
+    # 5 benchmark fits (one plus one per profile interval), the full target
+    # record, 13 donors, one truncated window shared by MLE and REG
+    assert len(fit_calls) == 20, report.missing
+    assert fit_calls.count("S0") == 7
+    assert sorted(set(fit_calls) - {"S0"}) == sorted(f"S{i}" for i in range(1, 14))
+
+
 def test_eval_config_validation():
     with pytest.raises(InputError):
         EvalConfig(replicates=0)

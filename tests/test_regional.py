@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from regflood.distributions import GpParams, gp_quantile, gp_rescale, gp_sample
-from regflood.errors import DegenerateSampleError, InputError, InsufficientDataError
-from regflood.indexflood import StationMeta
+from regflood.errors import (
+    DegenerateSampleError,
+    FitError,
+    InputError,
+    InsufficientDataError,
+)
+from regflood.indexflood import StationMeta, at_site_index_flood
 from regflood.lmoments import LmomentSet
 from regflood.regional import (
     Region,
@@ -68,6 +73,28 @@ def test_region_validation():
     mismatched = RegionSite(meta_for("X1"), region.sites[0].pot)
     with pytest.raises(InputError):
         Region((mismatched, region.sites[1]), target="S1")
+
+
+def test_region_site_fits_once_and_only_when_asked(fit_calls):
+    region = homogeneous_region(6, seed=3)
+    discordancy(region)
+    heterogeneity(region, nsim=60, seed=0)
+    growth_curve(region, index_method="empirical")
+    assert fit_calls == []
+    site = region.sites[2]
+    assert site.fit is site.fit
+    assert site.index_flood() == at_site_index_flood(site.pot)
+    assert fit_calls == ["S2", "S2"]  # the site's fit, then the bare record's
+
+
+def test_region_site_keeps_its_fit_failure(fit_calls):
+    site = RegionSite(meta_for("S0"), make_pot([6.0] * 10, 5.0, 5.0, station="S0"))
+    for _ in range(2):
+        with pytest.raises(FitError):
+            site.fit
+        with pytest.raises(FitError):
+            site.index_flood()
+    assert fit_calls == ["S0"]
 
 
 def test_discordancy_sums_to_site_count():
