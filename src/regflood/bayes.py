@@ -7,7 +7,11 @@ transported to the target through the predicted target index flood, and
 the hyper-parameters are moment summaries of those pseudo-parameters.
 The target site's own sample never enters the elicitation; that contract
 is enforced, not just documented.  Posterior sampling is a component-wise
-random-walk Metropolis in (log mu, log sigma, xi).
+random-walk Metropolis in (log mu, log sigma, xi).  Each chain owns a
+generator stream spawned from the seed and draws its random numbers in
+blocks, one step normal and one acceptance uniform per proposal; a
+proposal recomputes only the prior term and the likelihood pieces its
+coordinate moves.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ from .regional import Region
 log = logging.getLogger("regflood")
 
 _D_FLOOR = 1e-4
+# pooled draws posterior_quantiles needs for its credible intervals
+MIN_RETAINED_DRAWS = 500
+# iterations per block of step normals and acceptance uniforms, per chain
+_BLOCK = 500
 
 
 @dataclass(frozen=True)
@@ -171,25 +179,32 @@ def log_prior(prior: PriorSpec, params: GpParams) -> float:
 def log_posterior(prior: PriorSpec, pot: PotSeries, params: GpParams) -> float:
     """Unnormalized log posterior: log prior plus the GP log likelihood."""
     lp = log_prior(prior, params)
-    if lp == -math.inf:
+    if lp == -math.inf or pot.peaks.size == 0:
         return lp
-    return lp + _gp_loglik(
-        pot.peaks, params.location, params.scale, params.shape
-    )
+    w = (pot.peaks - params.location) / params.scale
+    return lp + _gp_loglik(w, float(w.min()), float(w.max()), params.scale, params.shape)
 
 
-def _gp_loglik(x: np.ndarray, mu: float, sigma: float, xi: float) -> float:
-    if x.size == 0:
+def _gp_loglik(
+    w: np.ndarray, w_min: float, w_max: float, sigma: float, xi: float
+) -> float:
+    """GP log likelihood from the scaled residuals ``w = (x - mu) / sigma``.
+
+    The arithmetic is ``gp_logpdf``'s, and the support is decided on the
+    extremes ``w_min`` and ``w_max``: rounding is monotone, so they decide
+    exactly as the whole array would, and ``log`` never sees a
+    non-positive argument.
+    """
+    n = w.size
+    if n == 0:
         return 0.0
-    y = x - mu
-    if y.min() < 0.0:
+    if w_min < 0.0:
         return -math.inf
     if abs(xi) < SHAPE_EPS:
-        return -x.size * math.log(sigma) - float(y.sum()) / sigma
-    t = 1.0 + xi * y / sigma
-    if t.min() <= 0.0:
+        return -n * math.log(sigma) - float(w.sum())
+    if 1.0 + xi * w_max <= 0.0:
         return -math.inf
-    return -x.size * math.log(sigma) - (1.0 / xi + 1.0) * float(np.log(t).sum())
+    return -n * math.log(sigma) - (1.0 / xi + 1.0) * float(np.log(1.0 + xi * w).sum())
 
 
 @dataclass(frozen=True)
@@ -276,35 +291,46 @@ def mcmc_sample(
     vanish.  Each coordinate gets a Gaussian step with its own scale,
     adapted in windows during burn-in toward acceptance rates in
     [0.2, 0.5] and frozen afterwards.  Chains own independent generator
-    streams spawned from the seed, so results are reproducible and
-    independent of execution order.
+    streams spawned from the seed, so results are reproducible and a
+    chain's draws do not depend on how many chains run beside it.  After
+    the three normals of its start, a chain draws its step normals and
+    acceptance uniforms in blocks of ``_BLOCK`` iterations and spends one
+    normal and one uniform on every proposal, off-support ones included.
+
+    A proposal recomputes one prior term and the likelihood; only a
+    location move recomputes the residuals ``x - mu``, and one that
+    falls above the smallest peak is rejected before any array work.
     """
     x = np.asarray(pot.peaks, dtype=float)
-    gamma = np.asarray(prior.gamma)
-    d = np.asarray(prior.d)
+    g0, g1, g2 = prior.gamma
+    d0, d1, d2 = prior.d
+    # an empty record has no extremes; _gp_loglik returns 0 before using them
+    xmin, xmax = (float(x.min()), float(x.max())) if x.size else (math.inf, -math.inf)
 
     def log_target(z: np.ndarray) -> float:
-        quad = -0.5 * float(((z - gamma) ** 2 / d).sum())
-        return quad + _gp_loglik(x, math.exp(z[0]), math.exp(z[1]), z[2])
+        mu, sigma = math.exp(z[0]), math.exp(z[1])
+        dz = z - np.asarray(prior.gamma)
+        quad = -0.5 * float((dz * dz / np.asarray(prior.d)).sum())
+        w_min, w_max = (xmin - mu) / sigma, (xmax - mu) / sigma
+        return quad + _gp_loglik((x - mu) / sigma, w_min, w_max, sigma, z[2])
 
+    sd = np.sqrt(np.asarray(prior.d))
     if config.initial_scales is not None:
         scales0 = np.asarray(config.initial_scales, dtype=float)
     else:
-        scales0 = 2.4 * np.sqrt(d)
+        scales0 = 2.4 * sd
     base = _initial_state(prior, x)
     if log_target(base) == -math.inf:
         raise FitError("no support-valid starting point for the sampler")
 
-    kept_idx = range(config.burn_in, config.iterations, config.thinning)
-    kept = len(kept_idx)
-    draws = np.empty((config.chains, kept, 3))
+    burn_in, thinning, window = config.burn_in, config.thinning, config.adapt_window
+    draws = np.empty((config.chains, len(range(burn_in, config.iterations, thinning)), 3))
     acceptance = np.empty((config.chains, 3))
     streams = np.random.SeedSequence(seed).spawn(config.chains)
-    post_iters = config.iterations - config.burn_in
 
     for c in range(config.chains):
         rng = np.random.default_rng(streams[c])
-        z = base + 0.1 * np.sqrt(d) * rng.standard_normal(3)
+        z = base + 0.1 * sd * rng.standard_normal(3)
         for _ in range(20):
             if log_target(z) > -math.inf:
                 break
@@ -312,34 +338,78 @@ def mcmc_sample(
         else:
             z = base.copy()
         lt = log_target(z)
+        lm, ls, xi = z.tolist()
+        mu, sigma = math.exp(lm), math.exp(ls)
+        # the prior's quadratic term per coordinate, and the residuals x - mu
+        # with their scaled form; a proposal recomputes only what it moves
+        q0 = (lm - g0) * (lm - g0) / d0
+        q1 = (ls - g1) * (ls - g1) / d1
+        q2 = (xi - g2) * (xi - g2) / d2
+        y = x - mu
+        w = y / sigma
+        w_min, w_max = (xmin - mu) / sigma, (xmax - mu) / sigma
         scales = scales0.copy()
-        window_acc = np.zeros(3)
-        window_n = 0
-        post_acc = np.zeros(3)
-        k = 0
+        s0, s1, s2 = scales.tolist()
+        acc = [0, 0, 0]  # accepted proposals per coordinate in this window
+        post_acc = [0, 0, 0]
+        kept = []
         for it in range(config.iterations):
-            for j in range(3):
-                prop = z.copy()
-                prop[j] += scales[j] * rng.standard_normal()
-                lp = log_target(prop)
-                if lp > -math.inf and math.log(rng.random()) < lp - lt:
-                    z = prop
-                    lt = lp
-                    window_acc[j] += 1
-                    if it >= config.burn_in:
-                        post_acc[j] += 1
-            window_n += 1
-            if it < config.burn_in and window_n == config.adapt_window:
-                rates = window_acc / config.adapt_window
-                factor = np.exp(1.2 * (rates - 0.35))
-                scales *= np.clip(factor, 0.5, 2.0)
-                scales = np.clip(scales, 1e-6, 100.0)
-                window_acc[:] = 0.0
-                window_n = 0
-            if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:
-                draws[c, k] = math.exp(z[0]), math.exp(z[1]), z[2]
-                k += 1
-        acceptance[c] = post_acc / post_iters
+            row = it % _BLOCK
+            if row == 0:
+                steps = rng.standard_normal((_BLOCK, 3)).tolist()
+                log_u = np.log(rng.random((_BLOCK, 3))).tolist()
+            n0, n1, n2 = steps[row]
+            u0, u1, u2 = log_u[row]
+            post = it >= burn_in
+
+            lm_p = lm + s0 * n0
+            mu_p = math.exp(lm_p)
+            q_p = (lm_p - g0) * (lm_p - g0) / d0
+            if xmin - mu_p < 0.0:  # below the smallest peak: off support
+                lp = -math.inf
+            else:
+                y_p = x - mu_p
+                w_p = y_p / sigma
+                w_min_p, w_max_p = (xmin - mu_p) / sigma, (xmax - mu_p) / sigma
+                lp = -0.5 * (q_p + q1 + q2) + _gp_loglik(w_p, w_min_p, w_max_p, sigma, xi)
+            if u0 < lp - lt:
+                lm, mu, q0, lt = lm_p, mu_p, q_p, lp
+                y, w, w_min, w_max = y_p, w_p, w_min_p, w_max_p
+                acc[0] += 1
+                post_acc[0] += post
+
+            ls_p = ls + s1 * n1
+            sigma_p = math.exp(ls_p)
+            q_p = (ls_p - g1) * (ls_p - g1) / d1
+            w_p = y / sigma_p
+            w_min_p, w_max_p = (xmin - mu) / sigma_p, (xmax - mu) / sigma_p
+            lp = -0.5 * (q0 + q_p + q2) + _gp_loglik(w_p, w_min_p, w_max_p, sigma_p, xi)
+            if u1 < lp - lt:
+                ls, sigma, q1, lt = ls_p, sigma_p, q_p, lp
+                w, w_min, w_max = w_p, w_min_p, w_max_p
+                acc[1] += 1
+                post_acc[1] += post
+
+            xi_p = xi + s2 * n2
+            q_p = (xi_p - g2) * (xi_p - g2) / d2
+            lp = -0.5 * (q0 + q1 + q_p) + _gp_loglik(w, w_min, w_max, sigma, xi_p)
+            if u2 < lp - lt:
+                xi, q2, lt = xi_p, q_p, lp
+                acc[2] += 1
+                post_acc[2] += post
+
+            if not post:
+                if (it + 1) % window == 0:
+                    rates = np.asarray(acc, dtype=float) / window
+                    factor = np.exp(1.2 * (rates - 0.35))
+                    scales *= np.clip(factor, 0.5, 2.0)
+                    scales = np.clip(scales, 1e-6, 100.0)
+                    s0, s1, s2 = scales.tolist()
+                    acc = [0, 0, 0]
+            elif (it - burn_in) % thinning == 0:
+                kept.append((mu, sigma, xi))
+        draws[c] = kept
+        acceptance[c] = np.asarray(post_acc, dtype=float) / (config.iterations - burn_in)
 
     warnings = []
     for c in range(config.chains):
@@ -443,9 +513,9 @@ def posterior_quantiles(
     if not 0.0 < level < 1.0:
         raise InputError(f"credible level must lie in (0, 1), got {level!r}")
     pooled = chains.pooled()
-    if pooled.shape[0] < 500:
+    if pooled.shape[0] < MIN_RETAINED_DRAWS:
         raise InputError(
-            f"need at least 500 retained draws, got {pooled.shape[0]}"
+            f"need at least {MIN_RETAINED_DRAWS} retained draws, got {pooled.shape[0]}"
         )
     mu, sigma, xi = pooled[:, 0], pooled[:, 1], pooled[:, 2]
     lo_p = 0.5 * (1.0 - level)

@@ -28,6 +28,7 @@ from scipy.stats import gaussian_kde, lognorm, norm
 
 from . import __version__
 from .bayes import (
+    MIN_RETAINED_DRAWS,
     McmcConfig,
     PriorSpec,
     chain_diagnostics,
@@ -163,7 +164,7 @@ def _fit_quantiles(pot, fit, periods, level, ci_kind):
     for T in periods:
         value = return_level(fit.params, pot.rate, T)
         if ci_kind == "profile":
-            ci = profile_ci(pot, T, level)
+            ci = profile_ci(pot, T, level, fit=fit)
             lower, upper = ci.lower, ci.upper
         elif fit.covariance is not None:
             half = z * math.sqrt(max(quantile_variance(fit, pot.rate, T), 0.0))
@@ -319,12 +320,26 @@ def _curve_periods(rate: float) -> np.ndarray:
     return np.geomspace(t_min, 100.0, 60)
 
 
-def cmd_bayes(args) -> list[str]:
-    burn_in = args.burn_in if args.burn_in is not None else args.iters // 4
-    mc = McmcConfig(chains=args.chains, iterations=args.iters, burn_in=burn_in)
+def _mcmc_config(
+    chains: int, iters: int, burn_in: int | None, *, quantiles: bool
+) -> McmcConfig:
+    """Sampler settings from the CLI flags, burn-in defaulting to a quarter.
+
+    With ``quantiles`` the run must retain the draws ``posterior_quantiles``
+    needs; that is checked here, before any region is read or sampled.
+    """
+    burn = burn_in if burn_in is not None else iters // 4
+    mc = McmcConfig(chains=chains, iterations=iters, burn_in=burn)
     retained = mc.chains * len(range(mc.burn_in, mc.iterations, mc.thinning))
-    if retained < 500:  # what posterior_quantiles needs; checked before any work
-        raise InputError(f"need at least 500 retained draws, got {retained}")
+    if quantiles and retained < MIN_RETAINED_DRAWS:
+        raise InputError(
+            f"need at least {MIN_RETAINED_DRAWS} retained draws, got {retained}"
+        )
+    return mc
+
+
+def cmd_bayes(args) -> list[str]:
+    mc = _mcmc_config(args.chains, args.iters, args.burn_in, quantiles=True)
     config = load_region_config(args.config)
     region = build_region(config)
     if args.target and args.target != region.target:
@@ -426,6 +441,10 @@ def cmd_bayes(args) -> list[str]:
 
 
 def cmd_evaluate(args) -> list[str]:
+    models = tuple(tok.strip().upper() for tok in args.models.split(",") if tok.strip())
+    mcmc = _mcmc_config(
+        args.mcmc_chains, args.mcmc_iters, args.mcmc_burn_in, quantiles="BAY" in models
+    )
     config = load_region_config(args.config)
     region = build_region(config)
     lengths = _ints_arg(args.lengths, "--lengths")
@@ -435,10 +454,6 @@ def cmd_evaluate(args) -> list[str]:
             raise InputError(
                 f"truncation length {m} exceeds the {span:.1f}-year target record"
             )
-    models = tuple(tok.strip().upper() for tok in args.models.split(",") if tok.strip())
-    burn_in = (
-        args.mcmc_burn_in if args.mcmc_burn_in is not None else args.mcmc_iters // 4
-    )
     eval_config = EvalConfig(
         lengths=lengths,
         anchor=args.anchor,
@@ -446,9 +461,7 @@ def cmd_evaluate(args) -> list[str]:
         replicates=args.replicates,
         seed=args.seed,
         sliding=args.sliding,
-        mcmc=McmcConfig(
-            chains=args.mcmc_chains, iterations=args.mcmc_iters, burn_in=burn_in
-        ),
+        mcmc=mcmc,
     )
     report = run_experiment(eval_config, region=region)
     out = args.out

@@ -21,7 +21,7 @@ from scipy.stats import rankdata
 from .bayes import McmcConfig, elicit_prior, mcmc_sample, posterior_quantiles
 from .distributions import GpParams, gp_quantile, gp_rescale, gp_sample
 from .errors import InputError, NumericalError
-from .fit import gp_fit_mle, gp_fit_pwm, profile_ci, return_level
+from .fit import GpFit, gp_fit_mle, gp_fit_pwm, profile_ci, return_level
 from .indexflood import StationMeta, fit_area_regression
 from .lmoments import gp_population_lmoments
 from .pot import (
@@ -127,18 +127,24 @@ def benchmark_pot(
     periods: Sequence[float],
     level: float = 0.90,
     reliable_factor: float = 0.6,
+    *,
+    fit: GpFit | None = None,
 ) -> tuple[BenchmarkEntry, ...]:
     """Full-record MLE return levels with profile intervals.
 
     Periods beyond ``reliable_factor`` times the record length are kept
     but flagged unreliable: the benchmark itself is too uncertain there
-    to anchor error statistics.
+    to anchor error statistics.  ``fit`` is the record's threshold-fixed
+    MLE when the caller already has it (``RegionSite.fit``); the levels
+    and every profile interval then share it instead of refitting, and
+    ``profile_ci`` rejects a fit of another kind with InputError.
     """
-    fit = gp_fit_mle(pot)
+    if fit is None:
+        fit = gp_fit_mle(pot)
     out = []
     for period in periods:
         value = return_level(fit.params, pot.rate, period)
-        ci = profile_ci(pot, period, level)
+        ci = profile_ci(pot, period, level, fit=fit)
         out.append(
             BenchmarkEntry(
                 period_years=float(period),
@@ -576,7 +582,9 @@ def run_experiment(
             for T in config.return_periods
         }
         if r == 0:
-            bench0 = benchmark_pot(full, config.return_periods, level=config.level)
+            bench0 = benchmark_pot(
+                full, config.return_periods, level=config.level, fit=target_site.fit
+            )
 
         curve = prior = None
         try:

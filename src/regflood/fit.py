@@ -438,17 +438,33 @@ def _profile_loglik(pot: PotSeries, p: float, q: float) -> float:
     return -min(float(res.fun), values[i])
 
 
-def profile_ci(pot: PotSeries, period_years: float, level: float = 0.90) -> ProfileCi:
+def profile_ci(
+    pot: PotSeries,
+    period_years: float,
+    level: float = 0.90,
+    *,
+    fit: GpFit | None = None,
+) -> ProfileCi:
     """Profile-likelihood interval for the T-year return level.
 
     Reparameterizes (scale, shape) -> (quantile, shape), profiles out the
     shape, and bisects the deviance 2 * (max - profile) against the chi^2(1)
     cutoff. Search is limited to [q_hat / 10, 10 * q_hat]; not crossing the
     cutoff in there sets the matching unbounded flag.
+
+    ``fit`` is the threshold-fixed ``gp_fit_mle(pot)`` when the caller
+    already has it; without it the record is fitted here.  A fit of
+    another kind or of another record size raises InputError.
     """
     if not 0.0 < level < 1.0:
         raise InputError(f"level must lie in (0, 1), got {level!r}")
-    fit = gp_fit_mle(pot)
+    if fit is None:
+        fit = gp_fit_mle(pot)
+    elif fit.method != "mle" or not fit.location_fixed or fit.n != pot.peaks.size:
+        raise InputError(
+            "profile_ci needs the threshold-fixed MLE of the same record, got a "
+            f"{fit.method} fit of {fit.n} events (location fixed: {fit.location_fixed})"
+        )
     rate = pot.rate
     q_hat = return_level(fit.params, rate, period_years)
     p = 1.0 - 1.0 / (rate * period_years)

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regflood import regional
+from regflood import bayes, regional
 from regflood.bayes import (
     ChainDiagnostics,
     McmcConfig,
@@ -447,6 +448,141 @@ def test_mcmc_scaling_consistency():
     mapped = a * np.array([c, c, 1.0])
     for k in range(3):
         assert ks_2samp(mapped[:, k], b[:, k]).statistic < 0.03
+
+
+def test_mcmc_chain_draws_do_not_depend_on_the_chain_count():
+    pot = make_pot(gp_sample(GpParams(5.0, 2.0, 0.1), 30, seed=8), 5.0, 15.0)
+    two = mcmc_sample(PRIOR, pot, replace(LIGHT, chains=2), seed=7)
+    four = mcmc_sample(PRIOR, pot, replace(LIGHT, chains=4), seed=7)
+    assert np.array_equal(two.draws[0], four.draws[0])
+    assert np.array_equal(two.draws, four.draws[:2])
+    assert np.array_equal(two.acceptance, four.acceptance[:2])
+
+
+def reference_chains(prior, pot, config, seed):
+    """Plain component-wise Metropolis on the full log target.
+
+    Every proposal evaluates ``log_posterior`` plus the log-space Jacobian
+    log mu + log sigma afresh; the random numbers are drawn as the sampler
+    draws them: three start normals, then blocks of step normals and
+    acceptance uniforms.
+    """
+    def log_target(z):
+        params = GpParams(math.exp(z[0]), math.exp(z[1]), float(z[2]))
+        return log_posterior(prior, pot, params) + z[0] + z[1]
+
+    sd = np.sqrt(np.asarray(prior.d))
+    base = bayes._initial_state(prior, pot.peaks)
+    kept = len(range(config.burn_in, config.iterations, config.thinning))
+    draws = np.empty((config.chains, kept, 3))
+    acceptance = np.empty((config.chains, 3))
+    streams = np.random.SeedSequence(seed).spawn(config.chains)
+    for c in range(config.chains):
+        rng = np.random.default_rng(streams[c])
+        z = base + 0.1 * sd * rng.standard_normal(3)
+        for _ in range(20):
+            if log_target(z) > -math.inf:
+                break
+            z = 0.5 * (z + base)
+        else:
+            z = base.copy()
+        lt = log_target(z)
+        scales = 2.4 * sd
+        window_acc = np.zeros(3)
+        post_acc = np.zeros(3)
+        k = 0
+        for it in range(config.iterations):
+            row = it % bayes._BLOCK
+            if row == 0:
+                steps = rng.standard_normal((bayes._BLOCK, 3))
+                uniforms = rng.random((bayes._BLOCK, 3))
+            for j in range(3):
+                prop = z.copy()
+                prop[j] += scales[j] * steps[row, j]
+                lp = log_target(prop)
+                if math.log(uniforms[row, j]) < lp - lt:
+                    z, lt = prop, lp
+                    window_acc[j] += 1
+                    if it >= config.burn_in:
+                        post_acc[j] += 1
+            if it < config.burn_in and (it + 1) % config.adapt_window == 0:
+                factor = np.exp(1.2 * (window_acc / config.adapt_window - 0.35))
+                scales = np.clip(scales * np.clip(factor, 0.5, 2.0), 1e-6, 100.0)
+                window_acc[:] = 0.0
+            if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:
+                draws[c, k] = math.exp(z[0]), math.exp(z[1]), z[2]
+                k += 1
+        acceptance[c] = post_acc / (config.iterations - config.burn_in)
+    return draws, acceptance
+
+
+KERNEL_RUN = McmcConfig(chains=2, iterations=1200, burn_in=400)
+
+
+@pytest.mark.parametrize(
+    "pot, config",
+    [
+        (empty_pot(), KERNEL_RUN),
+        # near the upper endpoint: the support check binds often
+        (make_pot(gp_sample(GpParams(5.0, 2.0, -0.2), 60, seed=10), 5.0, 30.0), KERNEL_RUN),
+        (make_pot(gp_sample(GpParams(5.0, 2.0, 0.3), 60, seed=13), 5.0, 30.0), KERNEL_RUN),
+        (
+            make_pot(gp_sample(GpParams(5.0, 2.0, 0.1), 40, seed=14), 5.0, 20.0),
+            replace(KERNEL_RUN, thinning=2),
+        ),
+    ],
+    ids=["empty", "negative-shape-edge", "positive-shape-60", "thinning-2"],
+)
+def test_mcmc_matches_the_reference_kernel(pot, config):
+    chains = mcmc_sample(PRIOR, pot, config, seed=21)
+    draws, acceptance = reference_chains(PRIOR, pot, config, seed=21)
+    assert np.array_equal(chains.acceptance, acceptance)
+    np.testing.assert_allclose(chains.draws, draws, rtol=1e-12, atol=0.0)
+
+
+EDGE_PEAKS = gp_sample(GpParams(5.0, 2.0, 0.1), 30, seed=15)
+
+
+@st.composite
+def near_edge_params(draw):
+    """(mu, sigma, xi) at and around the support edges of EDGE_PEAKS."""
+    xmin, xmax = float(EDGE_PEAKS.min()), float(EDGE_PEAKS.max())
+    mu = draw(
+        st.one_of(
+            st.sampled_from(
+                [xmin, math.nextafter(xmin, -math.inf), math.nextafter(xmin, math.inf)]
+            ),
+            st.floats(xmin - 3.0, xmin + 0.5),
+        )
+    )
+    sigma = draw(st.floats(0.05, 20.0))
+    # the shape that puts the upper endpoint exactly on the largest peak
+    edge = -sigma / (xmax - mu) if xmax > mu else -1.0
+    xi = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1e-9, -1e-9]),
+            st.sampled_from(
+                [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+            ),
+            st.floats(-2.0, 2.0),
+        )
+    )
+    return mu, sigma, xi
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(near_edge_params())
+def test_residual_loglik_matches_gp_logpdf(params):
+    mu, sigma, xi = params
+    x = EDGE_PEAKS
+    got = bayes._gp_loglik(
+        (x - mu) / sigma, (x.min() - mu) / sigma, (x.max() - mu) / sigma, sigma, xi
+    )
+    want = float(gp_logpdf(GpParams(mu, sigma, xi), x).sum())
+    if math.isfinite(want):
+        assert got == pytest.approx(want, rel=1e-9)
+    else:
+        assert got == -math.inf
 
 
 # -------------------------------------------------------------- diagnostics

@@ -175,6 +175,12 @@ def test_fit_mle_profile_table(pot_file, tmp_path, capsys):
         assert q["lower"] < q["value"] < q["upper"]
 
 
+def test_fit_mle_fits_the_record_once(pot_file, tmp_path, capsys, fit_calls):
+    code, _, _ = run(capsys, ["fit", str(pot_file), "--out", str(tmp_path / "fit.json")])
+    assert code == 0
+    assert len(fit_calls) == 1
+
+
 def test_fit_pwm_flags_asymptotic(pot_file, tmp_path, capsys):
     out = tmp_path / "fit.json"
     code, stdout, _ = run(capsys, ["fit", str(pot_file), "--method", "pwu", "--out", str(out)])
@@ -453,6 +459,30 @@ def test_evaluate_length_beyond_record(sim_dir, capsys):
     ])
     assert code == 1
     assert "99" in err
+
+
+def test_evaluate_too_few_draws_fails_before_reading(sim_dir, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("called before the draw count was checked")
+
+    monkeypatch.setattr(cli, "mcmc_sample", must_not_run)
+    monkeypatch.setattr(cli, "load_region_config", must_not_run)
+    code, _, err = run(capsys, [
+        "evaluate", str(sim_dir / "region.yaml"), "--lengths", "5",
+        "--models", "mle,bay", "--mcmc-chains", "1", "--mcmc-iters", "1000",
+        "--mcmc-burn-in", "600",
+    ])
+    assert code == 1
+    assert "need at least 500 retained draws, got 400" in err
+
+
+def test_evaluate_draw_count_only_binds_bay(sim_dir, tmp_path, capsys):
+    code, _, _ = run(capsys, [
+        "evaluate", str(sim_dir / "region.yaml"), "--lengths", "5",
+        "--models", "mle,pwu", "--mcmc-chains", "1", "--mcmc-iters", "1000",
+        "--mcmc-burn-in", "600", "--out", str(tmp_path / "eval.json"),
+    ])
+    assert code == 0
 
 
 def test_evaluate_unknown_model(sim_dir, capsys):

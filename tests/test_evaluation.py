@@ -108,6 +108,19 @@ def test_benchmark_pot_basic():
     assert [e.reliable for e in entries] == [True, True, True, False]
 
 
+def test_benchmark_pot_reuses_the_callers_fit(fit_calls):
+    pot = make_pot(gp_sample(GpParams(5.0, 3.0, 0.1), 74, seed=5), 5.0, 37.0)
+    periods = (2.0, 10.0, 20.0)
+    fitted_here = benchmark_pot(pot, periods)
+    assert len(fit_calls) == 1  # the levels and every interval share one fit
+    fit = gp_fit_mle(pot)
+    del fit_calls[:]
+    assert benchmark_pot(pot, periods, fit=fit) == fitted_here
+    assert fit_calls == []
+    with pytest.raises(InputError):
+        benchmark_pot(pot, periods, fit=gp_fit_mle(pot, location="free"))
+
+
 def test_benchmark_from_daily_series():
     series = synth_daily_series(GpParams(10.0, 4.0, 0.1), rate=2.0, years=37.0, seed=3)
     entries = benchmark(series, target_rate=2.0, periods=(5.0, 10.0))
@@ -390,10 +403,10 @@ def test_run_experiment_fits_each_site_once(fit_calls):
     region, _ = synth_region(spec, seed=0)
     cfg = EvalConfig(lengths=(5,), mcmc=McmcConfig(chains=2, iterations=1000, burn_in=250))
     report = run_experiment(cfg, region=region)
-    # 5 benchmark fits (one plus one per profile interval), the full target
-    # record, 13 donors, one truncated window shared by MLE and REG
-    assert len(fit_calls) == 20, report.missing
-    assert fit_calls.count("S0") == 7
+    # the full target record (shared by the benchmark and its profile
+    # intervals), 13 donors, one truncated window shared by MLE and REG
+    assert len(fit_calls) == 15, report.missing
+    assert fit_calls.count("S0") == 2
     assert sorted(set(fit_calls) - {"S0"}) == sorted(f"S{i}" for i in range(1, 14))
 
 

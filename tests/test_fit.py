@@ -205,6 +205,26 @@ def test_profile_ci_brackets_estimate():
     assert ci.upper - q10 > q10 - ci.lower
 
 
+def test_profile_ci_reuses_the_callers_fit(fit_calls):
+    pot = sample_pot(GpParams(5.0, 3.0, 0.1), 74, 37.0, seed=51)
+    fit = gp_fit_mle(pot)
+    fitted_here = profile_ci(pot, 10.0)
+    assert len(fit_calls) == 1
+    assert profile_ci(pot, 10.0, fit=fit) == fitted_here
+    assert len(fit_calls) == 1
+
+
+def test_profile_ci_rejects_a_fit_of_another_kind():
+    pot = sample_pot(GpParams(5.0, 3.0, 0.1), 74, 37.0, seed=51)
+    with pytest.raises(InputError):
+        profile_ci(pot, 10.0, fit=gp_fit_pwm(pot))
+    with pytest.raises(InputError):
+        profile_ci(pot, 10.0, fit=gp_fit_mle(pot, location="free"))
+    shorter = make_pot(pot.peaks[:-1], pot.threshold, pot.record_years)
+    with pytest.raises(InputError):
+        profile_ci(pot, 10.0, fit=gp_fit_mle(shorter))
+
+
 def test_profile_ci_narrows_with_record_length():
     params = GpParams(5.0, 3.0, 0.1)
     short = profile_ci(sample_pot(params, 40, 20.0, seed=61), 10.0)
