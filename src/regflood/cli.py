@@ -203,7 +203,7 @@ def cmd_fit(args) -> list[str]:
                 "scale": fit.params.scale,
                 "shape": fit.params.shape,
             },
-            "location_fixed": fit.location_fixed,
+            "boundary": fit.boundary,
             "loglik": fit.loglik,
             "covariance": None if fit.covariance is None else fit.covariance.tolist(),
             "ci_kind": ci_kind,

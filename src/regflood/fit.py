@@ -1,12 +1,11 @@
 """At-site GP parameter estimation and return levels.
 
-Maximum likelihood uses a quasi-Newton search on (log scale, shape) with
-analytic gradients, multi-started from the probability-weighted-moment
-estimate, plus a Newton polish so the gradient norm at the solution is
-certifiably small. The free-location variant constrains the location to
-stay a hair below the smallest observation (the likelihood increases
-monotonically in the location, so that bound is always active; the fit
-reports it as a boundary case).
+Maximum likelihood fixes the GP location at the POT threshold and uses a
+quasi-Newton search on (log scale, shape) with analytic gradients,
+multi-started from the probability-weighted-moment estimate, plus a
+Newton polish so the gradient norm at the solution is certifiably small.
+The polish and the reported covariance share one closed-form observed
+information of (scale, shape).
 
 The PWM fit pairs the L-moment estimator with its published asymptotic
 covariance (valid for shape < 1/2); for heavy estimated shapes (> 0.4) a
@@ -40,46 +39,39 @@ __all__ = [
 ]
 
 _XI_MIN, _XI_MAX = -0.99, 5.0
-_MIN_EVENTS_FIXED = 5
-_MIN_EVENTS_FREE = 8
+_MIN_EVENTS = 5
 
 
 @dataclass(frozen=True)
 class GpFit:
-    """A fitted GP law plus uncertainty bookkeeping.
+    """A fitted GP law, location at the threshold, plus uncertainty bookkeeping.
 
-    ``covariance`` rows/columns follow (scale, shape) for fixed-location
-    fits and (location, scale, shape) otherwise; it is None when the
-    observed information was not positive definite.
+    ``covariance`` rows/columns follow (scale, shape); it is None when the
+    observed information was not positive definite.  ``boundary`` marks an
+    MLE whose shape ended on a search bound.
     """
 
     params: GpParams
     covariance: np.ndarray | None
     loglik: float
     method: str
-    location_fixed: bool
     n: int
     boundary: bool = False
 
 
-def _nll_grad(z: np.ndarray, x: np.ndarray, location: float | None):
-    """Negative log likelihood and gradient in packed coordinates.
+def _nll_grad(z: np.ndarray, x: np.ndarray, location: float):
+    """Negative log likelihood and gradient in (log scale, shape).
 
-    Packed coordinates are (log scale, shape) for fixed location and
-    (location, log scale, shape) otherwise. Off-support or numerically
-    unrepresentable points return a large penalty growing with the
-    violation (zero gradient) so line searches back off.
+    Off-support or numerically unrepresentable points return a large
+    penalty growing with the violation (zero gradient) so line searches
+    back off.
     """
-    if location is None:
-        mu, logs, xi = z
-    else:
-        mu = location
-        logs, xi = z
+    logs, xi = z
     if not np.all(np.isfinite(z)) or abs(logs) >= 700.0:
         mag = abs(logs) if math.isfinite(logs) else 1e6
         return 1e10 * (1.0 + mag), np.zeros_like(z)
     s = math.exp(logs)
-    y = (x - mu) / s
+    y = (x - location) / s
     n = x.size
     if np.any(y < 0.0):
         return 1e10 * (1.0 + float(np.sum(np.maximum(-y, 0.0)))), np.zeros_like(z)
@@ -87,7 +79,6 @@ def _nll_grad(z: np.ndarray, x: np.ndarray, location: float | None):
         f = n * logs + float(np.sum(y))
         g_logs = n - float(np.sum(y))
         g_xi = float(np.sum(y - 0.5 * y * y))
-        g_mu = -n / s
     else:
         t = 1.0 + xi * y
         if np.any(t <= 0.0):
@@ -97,82 +88,64 @@ def _nll_grad(z: np.ndarray, x: np.ndarray, location: float | None):
         w = y / t
         g_logs = n - (1.0 + xi) * float(np.sum(w))
         g_xi = (1.0 + 1.0 / xi) * float(np.sum(w)) - (1.0 / xi**2) * float(np.sum(log_t))
-        g_mu = -(1.0 + xi) / s * float(np.sum(1.0 / t))
-    if location is None:
-        return f, np.array([g_mu, g_logs, g_xi])
     return f, np.array([g_logs, g_xi])
 
 
-def _fd_hessian(grad_fn, z: np.ndarray) -> np.ndarray:
-    dim = z.size
-    hess = np.empty((dim, dim))
-    for i in range(dim):
-        step = 1e-5 * max(1.0, abs(z[i]))
-        zp = z.copy()
-        zp[i] += step
-        zm = z.copy()
-        zm[i] -= step
-        hess[:, i] = (grad_fn(zp) - grad_fn(zm)) / (2.0 * step)
-    return 0.5 * (hess + hess.T)
+def _observed_information(x: np.ndarray, location: float, scale: float, shape: float) -> np.ndarray:
+    """Hessian of the negative log likelihood in (scale, shape), in closed form.
 
-
-def _covariance_from_information(grad_fn, theta: np.ndarray) -> np.ndarray | None:
-    hess = _fd_hessian(grad_fn, theta)
-    try:
-        eigvals = np.linalg.eigvalsh(hess)
-        if np.any(eigvals <= 0.0):
-            return None
-        return np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def gp_fit_mle(pot: PotSeries, location: str = "threshold") -> GpFit:
-    """Maximum-likelihood GP fit to event peaks.
-
-    ``location="threshold"`` (default) fixes the GP location at the POT
-    threshold; ``location="free"`` estimates it, up against the constraint
-    location <= min(peak) - 1e-6 * scale.
+    With y = (x - location) / scale, a = shape * y and t = 1 + a, it needs
+    every t > 0; |shape| < SHAPE_EPS is the exponential law, as in
+    ``_nll_grad``.  The shape-shape term is y**3 * phi(a) - (y / t)**2 per
+    peak, phi(a) = (2 log(1 + a) / a - 2 / t - a / t**2) / a**2.  That form
+    cancels to rounding noise for small |a|, so below 1e-3 phi's Taylor
+    series (2/3 at a = 0) takes over.
     """
-    if location not in ("threshold", "free"):
-        raise InputError(f"location must be 'threshold' or 'free', got {location!r}")
+    xi = 0.0 if abs(shape) < SHAPE_EPS else shape
+    y = (x - location) / scale
+    a = xi * y
+    t = 1.0 + a
+    w = y / t
+    phi = np.empty_like(a)
+    small = np.abs(a) < 1e-3
+    b = a[small]
+    phi[small] = 2.0 / 3.0 + b * (-1.5 + b * (2.4 + b * (-10.0 / 3.0 + b * 30.0 / 7.0)))
+    b, tb = a[~small], t[~small]
+    phi[~small] = (2.0 * np.log1p(b) / b - 2.0 / tb - b / tb**2) / b**2
+    h_ss = ((1.0 + xi) * float(np.sum(w + w / t)) - x.size) / scale**2
+    h_sx = float(np.sum(w * (y - 1.0) / t)) / scale
+    h_xx = float(np.sum(y**3 * phi - w * w))
+    return np.array([[h_ss, h_sx], [h_sx, h_xx]])
+
+
+def gp_fit_mle(pot: PotSeries) -> GpFit:
+    """Maximum-likelihood GP fit to event peaks, location at the POT threshold.
+
+    ``boundary`` is set when the shape ends on its search bound
+    (short-tailed samples pile up at -0.99).
+    """
     x = pot.peaks
-    fixed = location == "threshold"
-    minimum = _MIN_EVENTS_FIXED if fixed else _MIN_EVENTS_FREE
-    if x.size < minimum:
+    u = pot.threshold
+    if x.size < _MIN_EVENTS:
         raise InsufficientDataError(
-            f"need at least {minimum} events for a {location}-location fit, got {x.size}"
+            f"need at least {_MIN_EVENTS} events for a threshold-location fit, got {x.size}"
         )
     if np.ptp(x) == 0.0:
         raise FitError("event peaks are all equal; no GP fit exists")
-    lmom = sample_lmoments(x)
-    if fixed:
-        try:
-            start = gp_fit_lmom(lmom, location=pot.threshold)
-            s0, xi0 = start.scale, start.shape
-        except FitError:
-            s0, xi0 = float(np.mean(x - pot.threshold)), 0.5
-        z0 = np.array([math.log(s0), xi0])
-        bounds = [(z0[0] - 12.0, z0[0] + 12.0), (_XI_MIN, _XI_MAX)]
-        loc_arg = pot.threshold
-    else:
-        try:
-            start = gp_fit_lmom(lmom)
-            mu0, s0, xi0 = start.location, start.scale, start.shape
-        except (FitError, InputError):
-            mu0, s0, xi0 = float(np.min(x)), float(np.std(x)), 0.1
-        mu_cap = float(np.min(x)) - 1e-6 * s0
-        mu0 = min(mu0, mu_cap - 0.01 * s0)
-        z0 = np.array([mu0, math.log(s0), xi0])
-        bounds = [(None, mu_cap), (z0[1] - 12.0, z0[1] + 12.0), (_XI_MIN, _XI_MAX)]
-        loc_arg = None
+    try:
+        start = gp_fit_lmom(sample_lmoments(x), location=u)
+        s0, xi0 = start.scale, start.shape
+    except FitError:
+        s0, xi0 = float(np.mean(x - u)), 0.5
+    z0 = np.array([math.log(s0), xi0])
+    bounds = [(z0[0] - 12.0, z0[0] + 12.0), (_XI_MIN, _XI_MAX)]
 
     delta = max(0.2 * abs(xi0), 0.1)
     starts = []
     for fs, fx in ((1.0, 0.0), (0.8, -delta), (1.2, delta), (0.8, delta), (1.2, -delta)):
         z = z0.copy()
-        z[-2] += math.log(fs)
-        z[-1] = float(np.clip(z[-1] + fx, _XI_MIN + 0.01, _XI_MAX - 0.01))
+        z[0] += math.log(fs)
+        z[1] = float(np.clip(z[1] + fx, _XI_MIN + 0.01, _XI_MAX - 0.01))
         starts.append(z)
 
     best = None
@@ -180,7 +153,7 @@ def gp_fit_mle(pot: PotSeries, location: str = "threshold") -> GpFit:
         res = optimize.minimize(
             _nll_grad,
             z,
-            args=(x, loc_arg),
+            args=(x, u),
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
@@ -190,91 +163,66 @@ def gp_fit_mle(pot: PotSeries, location: str = "threshold") -> GpFit:
             best = res
     z = np.asarray(best.x, dtype=float)
 
-    # Newton polish on the unconstrained coordinates until the projected
-    # gradient is certifiably small; when the optimum sits on a shape
-    # bound (short-tailed samples pile up at _XI_MIN) the outward shape
-    # component is projected away and the step works on the rest
-    free_idx = np.arange(z.size) if fixed else np.array([1, 2])
-    boundary = (not fixed) and z[0] >= bounds[0][1] - 1e-12
-
+    # Newton polish until the projected gradient is certifiably small;
+    # when the optimum sits on a shape bound the outward shape component
+    # is projected away and the step works on log scale alone
     def proj_grad(zv, g):
         g = np.asarray(g, dtype=float).copy()
-        if (zv[-1] <= _XI_MIN + 1e-9 and g[-1] > 0.0) or (
-            zv[-1] >= _XI_MAX - 1e-9 and g[-1] < 0.0
-        ):
-            g[-1] = 0.0
+        if (zv[1] <= _XI_MIN + 1e-9 and g[1] > 0.0) or (zv[1] >= _XI_MAX - 1e-9 and g[1] < 0.0):
+            g[1] = 0.0
         return g
 
-    f_val, g_full = _nll_grad(z, x, loc_arg)
+    f_val, g_full = _nll_grad(z, x, u)
     tol = 1e-8 * max(1.0, abs(f_val))
     for _ in range(40):
         g_proj = proj_grad(z, g_full)
-        if float(np.max(np.abs(g_proj[free_idx]))) <= tol:
+        g_norm = float(np.max(np.abs(g_proj)))
+        if g_norm <= tol:
             break
-        shape_pinned = g_proj[-1] == 0.0 and g_full[-1] != 0.0
-        work_idx = free_idx[:-1] if shape_pinned else free_idx
-        if work_idx.size == 0:
-            break
-
-        def grad_work(zw, idx=work_idx):
-            full = z.copy()
-            full[idx] = zw
-            return _nll_grad(full, x, loc_arg)[1][idx]
-
-        hess = _fd_hessian(grad_work, z[work_idx])
+        work = [0] if g_proj[1] == 0.0 and g_full[1] != 0.0 else [0, 1]
+        # chain rule from (scale, shape) to (log scale, shape)
+        sigma = math.exp(z[0])
+        hess = _observed_information(x, u, sigma, z[1]) * np.outer([sigma, 1.0], [sigma, 1.0])
+        hess[0, 0] += g_full[0]
         try:
-            step = np.linalg.solve(hess, -g_proj[work_idx])
+            step = np.linalg.solve(hess[np.ix_(work, work)], -g_proj[work])
         except np.linalg.LinAlgError:
             break
         norm = float(np.max(np.abs(step)))
         if norm > 10.0:  # near-singular hessians propose absurd steps
             step *= 10.0 / norm
         scale = 1.0
-        g_norm = float(np.max(np.abs(g_proj[free_idx])))
         for _ in range(30):
             z_try = z.copy()
-            z_try[work_idx] = z[work_idx] + scale * step
-            z_try[-1] = float(np.clip(z_try[-1], _XI_MIN, _XI_MAX))
-            f_try, g_try = _nll_grad(z_try, x, loc_arg)
-            g_try_norm = float(np.max(np.abs(proj_grad(z_try, g_try)[free_idx])))
-            if f_try < 1e9 and g_try_norm < g_norm:
+            z_try[work] = z[work] + scale * step
+            z_try[1] = float(np.clip(z_try[1], _XI_MIN, _XI_MAX))
+            f_try, g_try = _nll_grad(z_try, x, u)
+            if f_try < 1e9 and float(np.max(np.abs(proj_grad(z_try, g_try)))) < g_norm:
                 z, f_val, g_full = z_try, f_try, g_try
                 break
             scale *= 0.5
         else:
             break
-    g_final = float(np.max(np.abs(proj_grad(z, g_full)[free_idx])))
+    g_final = float(np.max(np.abs(proj_grad(z, g_full))))
     if g_final > max(tol, 1e-6):
         raise FitError(f"MLE did not converge (gradient norm {g_final:.2e})")
-    boundary = boundary or z[-1] <= _XI_MIN + 1e-9 or z[-1] >= _XI_MAX - 1e-9
 
-    if fixed:
-        params = GpParams(pot.threshold, math.exp(z[0]), z[1])
-        theta = np.array([params.scale, params.shape])
-
-        def grad_nat(th):
-            zz = np.array([math.log(th[0]), th[1]])
-            g = _nll_grad(zz, x, loc_arg)[1]
-            return np.array([g[0] / th[0], g[1]])
-
-    else:
-        params = GpParams(z[0], math.exp(z[1]), z[2])
-        theta = np.array([params.location, params.scale, params.shape])
-
-        def grad_nat(th):
-            zz = np.array([th[0], math.log(th[1]), th[2]])
-            g = _nll_grad(zz, x, loc_arg)[1]
-            return np.array([g[0], g[1] / th[1], g[2]])
-
-    covariance = _covariance_from_information(grad_nat, theta)
+    params = GpParams(u, math.exp(z[0]), float(z[1]))
+    covariance = None
+    # a fit left on the penalty (f_val >= 1e9) lies off the support, where
+    # the information does not exist
+    if f_val < 1e9:
+        info = _observed_information(x, u, params.scale, params.shape)
+        det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
+        if info[0, 0] > 0.0 and det > 0.0:
+            covariance = np.array([[info[1, 1], -info[0, 1]], [-info[0, 1], info[0, 0]]]) / det
     return GpFit(
         params=params,
         covariance=covariance,
         loglik=-f_val,
         method="mle",
-        location_fixed=fixed,
         n=x.size,
-        boundary=boundary,
+        boundary=bool(z[1] <= _XI_MIN + 1e-9 or z[1] >= _XI_MAX - 1e-9),
     )
 
 
@@ -300,9 +248,9 @@ def gp_fit_pwm(
     theory is unreliable.
     """
     x = pot.peaks
-    if x.size < _MIN_EVENTS_FIXED:
+    if x.size < _MIN_EVENTS:
         raise InsufficientDataError(
-            f"need at least {_MIN_EVENTS_FIXED} events for a PWM fit, got {x.size}"
+            f"need at least {_MIN_EVENTS} events for a PWM fit, got {x.size}"
         )
     params = gp_fit_lmom(sample_lmoments(x, variant), location=pot.threshold)
     if params.shape <= 0.4:
@@ -327,9 +275,17 @@ def gp_fit_pwm(
         covariance=covariance,
         loglik=loglik,
         method="pwm",
-        location_fixed=True,
         n=x.size,
     )
+
+
+def _check_rate_period(rate: float, period_years: float) -> None:
+    if not math.isfinite(rate) or rate <= 0:
+        raise InputError(f"event rate must be positive, got {rate!r}")
+    if not math.isfinite(period_years) or rate * period_years <= 1.0:
+        raise InputError(
+            f"return period {period_years!r} needs rate * T > 1 (rate {rate!r})"
+        )
 
 
 def return_level(params: GpParams, rate: float, period_years: float) -> float:
@@ -338,12 +294,7 @@ def return_level(params: GpParams, rate: float, period_years: float) -> float:
     With ``rate`` events per year, the T-year level is the GP quantile at
     non-exceedance probability 1 - 1/(rate * T); requires rate * T > 1.
     """
-    if not math.isfinite(rate) or rate <= 0:
-        raise InputError(f"event rate must be positive, got {rate!r}")
-    if not math.isfinite(period_years) or rate * period_years <= 1.0:
-        raise InputError(
-            f"return period {period_years!r} needs rate * T > 1 (rate {rate!r})"
-        )
+    _check_rate_period(rate, period_years)
     return float(gp_quantile(params, 1.0 - 1.0 / (rate * period_years)))
 
 
@@ -351,17 +302,12 @@ def quantile_variance(fit: GpFit, rate: float, period_years: float) -> float:
     """Delta-method variance of the T-year level under the fit covariance.
 
     The gradient of mu + sigma * (e**(a*xi) - 1) / xi with a = -log(1-p)
-    is propagated through the covariance; for fixed-location fits the
-    location coordinate drops out.
+    in (sigma, xi) is propagated through the covariance; the location is
+    the fixed threshold.
     """
     if fit.covariance is None:
         raise FitError("fit has no covariance; cannot derive a quantile variance")
-    if not math.isfinite(rate) or rate <= 0:
-        raise InputError(f"event rate must be positive, got {rate!r}")
-    if not math.isfinite(period_years) or rate * period_years <= 1.0:
-        raise InputError(
-            f"return period {period_years!r} needs rate * T > 1 (rate {rate!r})"
-        )
+    _check_rate_period(rate, period_years)
     sigma, xi = fit.params.scale, fit.params.shape
     a = math.log(rate * period_years)
     if abs(xi) < SHAPE_EPS:
@@ -370,10 +316,7 @@ def quantile_variance(fit: GpFit, rate: float, period_years: float) -> float:
         e = math.exp(a * xi)
         w = (e - 1.0) / xi
         dw = (a * e * xi - (e - 1.0)) / xi**2
-    if fit.location_fixed:
-        grad = np.array([w, sigma * dw])
-    else:
-        grad = np.array([1.0, w, sigma * dw])
+    grad = np.array([w, sigma * dw])
     return float(grad @ fit.covariance @ grad)
 
 
@@ -385,23 +328,10 @@ def log_param_variances(fit: GpFit, threshold_cv: float = 0.1) -> tuple[float, f
     """
     if fit.covariance is None:
         raise FitError("fit has no covariance; cannot derive log-parameter variances")
-    mu = fit.params.location
-    sigma = fit.params.scale
-    if fit.location_fixed:
-        if not 0.0 <= threshold_cv < 1.0:
-            raise InputError(f"threshold_cv must lie in [0, 1), got {threshold_cv!r}")
-        var_log_mu = threshold_cv**2
-        var_log_sigma = float(fit.covariance[0, 0]) / sigma**2
-        var_shape = float(fit.covariance[1, 1])
-    else:
-        if mu <= 0:
-            raise InputError(
-                f"log-location variance needs a positive location, got {mu!r}"
-            )
-        var_log_mu = float(fit.covariance[0, 0]) / mu**2
-        var_log_sigma = float(fit.covariance[1, 1]) / sigma**2
-        var_shape = float(fit.covariance[2, 2])
-    return var_log_mu, var_log_sigma, var_shape
+    if not 0.0 <= threshold_cv < 1.0:
+        raise InputError(f"threshold_cv must lie in [0, 1), got {threshold_cv!r}")
+    var_log_sigma = float(fit.covariance[0, 0]) / fit.params.scale**2
+    return threshold_cv**2, var_log_sigma, float(fit.covariance[1, 1])
 
 
 class ProfileCi(NamedTuple):
@@ -452,7 +382,7 @@ def profile_ci(
     cutoff. Search is limited to [q_hat / 10, 10 * q_hat]; not crossing the
     cutoff in there sets the matching unbounded flag.
 
-    ``fit`` is the threshold-fixed ``gp_fit_mle(pot)`` when the caller
+    ``fit`` is ``gp_fit_mle(pot)`` when the caller
     already has it; without it the record is fitted here.  A fit of
     another kind or of another record size raises InputError.
     """
@@ -460,10 +390,10 @@ def profile_ci(
         raise InputError(f"level must lie in (0, 1), got {level!r}")
     if fit is None:
         fit = gp_fit_mle(pot)
-    elif fit.method != "mle" or not fit.location_fixed or fit.n != pot.peaks.size:
+    elif fit.method != "mle" or fit.n != pot.peaks.size:
         raise InputError(
-            "profile_ci needs the threshold-fixed MLE of the same record, got a "
-            f"{fit.method} fit of {fit.n} events (location fixed: {fit.location_fixed})"
+            "profile_ci needs the MLE of the same record, got a "
+            f"{fit.method} fit of {fit.n} events"
         )
     rate = pot.rate
     q_hat = return_level(fit.params, rate, period_years)

@@ -153,7 +153,7 @@ def test_log_posterior_off_support():
 def test_flat_prior_grid_argmax_matches_mle():
     rng = np.random.default_rng(11)
     pot = make_pot(gp_sample(GpParams(5.0, 2.0, 0.15), 400, rng), 5.0, 100.0)
-    fit = gp_fit_mle(pot, location="threshold")
+    fit = gp_fit_mle(pot)
     flat = PRIOR.with_variances((1e6, 1e6, 1e6))
     sigmas = np.linspace(1.2, 3.2, 41)
     xis = np.linspace(-0.25, 0.55, 41)
@@ -178,7 +178,6 @@ def constant_fit(mu, sigma, xi, var_sigma=0.0, var_xi=0.0):
         covariance=cov,
         loglik=0.0,
         method="mle",
-        location_fixed=True,
         n=50,
     )
 

@@ -18,11 +18,12 @@ from regflood.fileio import (
     read_prior_json,
     read_truth_json,
     write_metadata_csv,
+    write_pot_json,
     write_region_config,
     write_series_csv,
 )
 from regflood.indexflood import StationMeta
-from regflood.pot import DischargeSeries
+from regflood.pot import DischargeSeries, PotSeries
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,7 @@ def test_fit_mle_profile_table(pot_file, tmp_path, capsys):
     obj = read_json(out, "fit-report")
     assert obj["method"] == "mle"
     assert obj["ci_kind"] == "profile"
+    assert obj["boundary"] is False
     assert [q["period_years"] for q in obj["quantiles"]] == [2.0, 5.0, 10.0, 20.0]
     for q in obj["quantiles"]:
         assert q["lower"] < q["value"] < q["upper"]
@@ -179,6 +181,19 @@ def test_fit_mle_fits_the_record_once(pot_file, tmp_path, capsys, fit_calls):
     code, _, _ = run(capsys, ["fit", str(pot_file), "--out", str(tmp_path / "fit.json")])
     assert code == 0
     assert len(fit_calls) == 1
+
+
+def test_fit_report_marks_a_shape_bound_fit(tmp_path, capsys):
+    peaks = np.linspace(1.0, 10.0, 12)
+    times = np.datetime64("1970-01-01T00:00:00", "s") + np.arange(12) * np.timedelta64(150, "D")
+    pot_path, out = tmp_path / "short.pot.json", tmp_path / "fit.json"
+    write_pot_json(pot_path, PotSeries("S9", 0.0, times, peaks, 6.0))
+    code, _, _ = run(capsys, ["fit", str(pot_path), "--out", str(out)])
+    assert code == 0
+    obj = read_json(out, "fit-report")
+    assert obj["boundary"] is True
+    assert obj["params"]["shape"] == -0.99
+    assert obj["covariance"] is None
 
 
 def test_fit_pwm_flags_asymptotic(pot_file, tmp_path, capsys):

@@ -20,7 +20,7 @@ from regflood.evaluation import (
     truncate_pot,
     truncate_record,
 )
-from regflood.fit import gp_fit_mle, return_level
+from regflood.fit import gp_fit_mle, gp_fit_pwm, return_level
 from regflood.pot import extract_pot, select_threshold
 from regflood.regional import heterogeneity
 
@@ -118,7 +118,7 @@ def test_benchmark_pot_reuses_the_callers_fit(fit_calls):
     assert benchmark_pot(pot, periods, fit=fit) == fitted_here
     assert fit_calls == []
     with pytest.raises(InputError):
-        benchmark_pot(pot, periods, fit=gp_fit_mle(pot, location="free"))
+        benchmark_pot(pot, periods, fit=gp_fit_pwm(pot))
 
 
 def test_benchmark_from_daily_series():
