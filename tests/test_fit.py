@@ -1,17 +1,22 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
+from regflood import fit as fit_module
 from regflood.cli import main
-from regflood.distributions import GpParams, gp_logpdf, gp_quantile, gp_sample
+from regflood.distributions import SHAPE_EPS, GpParams, gp_logpdf, gp_quantile, gp_sample
 from regflood.errors import FitError, InputError, InsufficientDataError
 from regflood.fileio import read_pot_json
 from regflood.fit import (
+    ProfileCi,
     _nll_grad,
     _observed_information,
+    _profile_loglik,
     gp_fit_mle,
     gp_fit_pwm,
     log_param_variances,
@@ -118,8 +123,9 @@ def test_observed_information_matches_gradient_differences(point):
 
     d_scale = derivative(lambda e: grad(scale + e, shape), 0.01 * margin * scale)
     d_shape = derivative(lambda e: grad(scale, shape + e), 0.01 * margin / y_max)
-    # the mixed term comes from the scale gradient: the shape gradient
-    # cancels to rounding noise at shapes just above SHAPE_EPS
+    # the mixed term comes from the scale gradient: the shape gradient's
+    # closed form cancels to rounding noise at small shapes once some peak
+    # has |shape * y| >= 1e-3
     numeric = np.array([[d_scale[0], d_shape[0]], [d_shape[0], d_shape[1]]])
     info = _observed_information(x, 0.0, scale, shape)
     assert info[0, 1] == info[1, 0]
@@ -134,6 +140,20 @@ def test_observed_information_is_continuous_where_the_series_takes_over():
         below = _observed_information(x, 0.0, 1.0, edge * (1.0 - 1e-9))
         above = _observed_information(x, 0.0, 1.0, edge * (1.0 + 1e-9))
         np.testing.assert_allclose(below, above, rtol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [2e-8, 1e-7, 1e-6, 1e-5])
+def test_shape_gradient_is_accurate_at_small_shapes(shape):
+    # exponential peaks at scale 1; the reference is the gradient's
+    # expansion in shape up to the shape**2 term
+    y = gp_sample(GpParams(0.0, 1.0, 0.0), 50, seed=3)
+    series = (
+        np.sum(y - y * y / 2.0)
+        + shape * np.sum(2.0 * y**3 / 3.0 - y * y)
+        + shape**2 * np.sum(y**3 - 0.75 * y**4)
+    )
+    g = _nll_grad(np.array([0.0, shape]), y, 0.0)[1]
+    assert g[1] == pytest.approx(series, rel=1e-9)
 
 
 def test_mle_at_the_shape_bound_has_no_covariance():
@@ -316,3 +336,116 @@ def test_profile_ci_coverage():
         if ci.lower <= true_q10 <= ci.upper:
             hits += 1
     assert hits >= 22  # 90% nominal; binomial slack for 30 draws
+
+
+def _oracle_neg_ll(pot, p, q, xi):
+    """The profile's negative log likelihood at one shape, from gp_logpdf."""
+    u = pot.threshold
+    # Brent passes numpy scalars, which warn where a scale overflows to inf
+    with np.errstate(over="ignore"):
+        if abs(xi) < SHAPE_EPS:
+            s = (q - u) / (-math.log1p(-p))
+        else:
+            s = (q - u) * xi / (math.expm1(-xi * math.log1p(-p)))
+    if s <= 0 or not math.isfinite(s):
+        return 1e12
+    val = float(np.sum(gp_logpdf(GpParams(u, s, xi), pot.peaks)))
+    return -val if math.isfinite(val) else 1e12
+
+
+def _oracle_profile_loglik(pot, p, q):
+    """The profile as it was computed before its vectorized form: one
+    gp_logpdf call per grid shape and per Brent step."""
+    grid = np.linspace(-0.99, 2.0, 31)
+    values = [_oracle_neg_ll(pot, p, q, float(g)) for g in grid]
+    i = int(np.argmin(values))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, grid.size - 1)]
+    res = optimize.minimize_scalar(
+        lambda xi: _oracle_neg_ll(pot, p, q, xi),
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-8},
+    )
+    return -min(float(res.fun), values[i])
+
+
+@st.composite
+def profile_points(draw):
+    """Random peaks, a quantile level and a quantile q, plus a shape.
+
+    q is near the true quantile (an interior optimum), far from it (an
+    optimum at an end of the grid, where the grid's own value is returned),
+    puts the largest peak at a negative grid shape's endpoint (to the last
+    ulp), or makes every scale non-positive or overflow to inf.
+    """
+    u = draw(st.floats(-10.0, 100.0))
+    params = GpParams(u, draw(st.floats(0.1, 50.0)), draw(st.floats(-0.45, 0.7)))
+    n = draw(st.integers(5, 80))
+    pot = make_pot(gp_sample(params, n, seed=draw(st.integers(0, 10_000))), u, n / 2.0)
+    p = 1.0 - 1.0 / draw(st.sampled_from([1.5, 2.0, 10.0, 20.0, 100.0, 1000.0]))
+    log_p = math.log1p(-p)
+    # for a negative shape xi, this q puts the endpoint at the largest peak
+    d_max = float(pot.peaks.max()) - u
+    edge = st.sampled_from(fit_module._PROFILE_GRID[:10].tolist()).map(
+        lambda xi: u - d_max * math.expm1(-xi * log_p)
+    )
+    q = draw(
+        st.one_of(
+            st.one_of(st.floats(0.5, 2.0), st.sampled_from([0.02, 0.1, 10.0, 100.0, 1e4])).map(
+                lambda f: u + f * (float(gp_quantile(params, p)) - u)
+            ),
+            edge.flatmap(
+                lambda e: st.sampled_from([e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)])
+            ),
+            st.sampled_from([u, u - 1.0, math.nextafter(u, -math.inf), 1.7e308]),
+        )
+    )
+    xi = draw(st.one_of(st.sampled_from([0.0, 1e-9, -1e-9, 2e-8]), st.floats(-0.99, 2.0)))
+    return pot, p, q, xi
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(profile_points())
+def test_profile_loglik_equals_the_gp_logpdf_profile(point):
+    pot, p, q, xi = point
+    brent = []
+    minimize_scalar = optimize.minimize_scalar
+
+    def spy(fun, **kwargs):
+        brent.append(fun)
+        return minimize_scalar(fun, **kwargs)
+
+    with mock.patch.object(optimize, "minimize_scalar", spy):
+        got = _profile_loglik(pot, p, q)
+    assert got == _oracle_profile_loglik(pot, p, q)
+    # the scalar Brent step, at shapes Brent rarely visits: the grid, the
+    # exponential branch and anywhere on [-0.99, 2]
+    (neg_ll,) = brent
+    for shape in fit_module._PROFILE_GRID.tolist() + [xi]:
+        assert neg_ll(shape) == _oracle_neg_ll(pot, p, q, shape)
+
+
+def test_profile_grid_has_no_exponential_row():
+    # _profile_loglik scores every grid row with the shape != 0 form
+    assert np.min(np.abs(fit_module._PROFILE_GRID)) >= SHAPE_EPS
+
+
+@pytest.mark.parametrize(
+    "params, n, seed, period, expected",
+    [
+        (GpParams(5.0, 3.0, 0.1), 74, 51, 10.0,
+         ProfileCi(15.308863175510211, 26.81435997873895, False, False)),
+        (GpParams(0.0, 1.0, -0.3), 40, 7, 50.0,
+         ProfileCi(2.2028621819751986, 4.648715856009942, False, False)),
+        (GpParams(100.0, 40.0, 0.25), 150, 3, 100.0,
+         ProfileCi(304.6915622962089, 479.9692591764832, False, False)),
+        (GpParams(2.0, 1.0, 0.5), 8, 11, 100.0,
+         ProfileCi(6.219753118482023, 602.9270006769093, False, True)),
+    ],
+)
+def test_profile_ci_is_pinned(params, n, seed, period, expected):
+    # bounds of the gp_logpdf-based profile; the vectorized one must
+    # reproduce them exactly
+    pot = sample_pot(params, n, n / 2.0, seed=seed)
+    assert profile_ci(pot, period) == expected
