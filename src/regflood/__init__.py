@@ -52,7 +52,6 @@ from .evaluation import (
     RankScore,
     RegionTruth,
     SynthSpec,
-    benchmark,
     benchmark_pot,
     nbias_nrmse,
     rank_scores,
@@ -60,7 +59,6 @@ from .evaluation import (
     synth_daily_series,
     synth_region,
     truncate_pot,
-    truncate_record,
 )
 from .fileio import (
     RegionConfig,

@@ -85,7 +85,6 @@ def elicit_prior(
     *,
     threshold_cv: float = 0.1,
     index_method: str = "gp-fit",
-    add_dispersion: bool = False,
 ) -> PriorSpec:
     """Elicit the prior for the region's target site from its donor sites.
 
@@ -98,10 +97,10 @@ def elicit_prior(
     donor is refitted.  Donors whose fit or index flood fails are dropped
     with a warning.
 
-    The variance terms combine the index-flood prediction variance with
-    the mean per-donor estimation variances; ``add_dispersion`` adds the
-    empirical spread of the pseudo-values themselves on top (off by
-    default).  All variances are floored at 1e-4.
+    The location and scale variances combine the index-flood prediction
+    variance with the mean per-donor estimation variances; the shape
+    variance is the spread of the donor shapes.  All variances are floored
+    at 1e-4.
     """
     target = region.target
     if target in regression.codes:
@@ -148,9 +147,6 @@ def elicit_prior(
     d1 = c_pred.var_log + float(np.mean(v_mu))
     d2 = c_pred.var_log + float(np.mean(v_sigma))
     d3 = float(np.sum((np.asarray(shapes) - g3) ** 2)) / (m - 1)
-    if add_dispersion:
-        d1 += float(np.sum((np.asarray(log_mu) - g1) ** 2)) / (m - 1)
-        d2 += float(np.sum((np.asarray(log_sigma) - g2) ** 2)) / (m - 1)
     d = tuple(max(v, _D_FLOOR) for v in (d1, d2, d3))
     return PriorSpec(
         gamma=(g1, g2, g3),
@@ -215,7 +211,6 @@ class McmcConfig:
     iterations: int = 20000
     burn_in: int = 5000
     thinning: int = 1
-    initial_scales: tuple[float, float, float] | None = None
     adapt_window: int = 50
 
     def __post_init__(self) -> None:
@@ -234,13 +229,6 @@ class McmcConfig:
         if self.adapt_window < 10:
             raise InputError(
                 f"adaptation window must be >= 10, got {self.adapt_window}"
-            )
-        if self.initial_scales is not None and (
-            len(self.initial_scales) != 3
-            or any(s <= 0 for s in self.initial_scales)
-        ):
-            raise InputError(
-                f"initial_scales must be 3 positive numbers, got {self.initial_scales!r}"
             )
 
 
@@ -315,10 +303,6 @@ def mcmc_sample(
         return quad + _gp_loglik((x - mu) / sigma, w_min, w_max, sigma, z[2])
 
     sd = np.sqrt(np.asarray(prior.d))
-    if config.initial_scales is not None:
-        scales0 = np.asarray(config.initial_scales, dtype=float)
-    else:
-        scales0 = 2.4 * sd
     base = _initial_state(prior, x)
     if log_target(base) == -math.inf:
         raise FitError("no support-valid starting point for the sampler")
@@ -348,7 +332,7 @@ def mcmc_sample(
         y = x - mu
         w = y / sigma
         w_min, w_max = (xmin - mu) / sigma, (xmax - mu) / sigma
-        scales = scales0.copy()
+        scales = 2.4 * sd
         s0, s1, s2 = scales.tolist()
         acc = [0, 0, 0]  # accepted proposals per coordinate in this window
         post_acc = [0, 0, 0]

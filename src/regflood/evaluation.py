@@ -27,10 +27,7 @@ from .lmoments import gp_population_lmoments
 from .pot import (
     DAYS_PER_YEAR,
     DischargeSeries,
-    IndependenceRule,
     PotSeries,
-    extract_pot,
-    select_threshold,
 )
 from .regional import Region, RegionSite, growth_curve, index_flood_quantile
 
@@ -38,32 +35,6 @@ log = logging.getLogger("regflood")
 
 
 # ------------------------------------------------------------- truncation
-
-
-def truncate_record(
-    series: DischargeSeries, m: int, anchor: str = "first"
-) -> DischargeSeries:
-    """Keep the first or last m calendar years of a daily record."""
-    if anchor not in ("first", "last"):
-        raise InputError(f"anchor must be 'first' or 'last', got {anchor!r}")
-    if m < 1:
-        raise InputError(f"truncation length must be >= 1 year, got {m}")
-    years = series.times.astype("datetime64[Y]")
-    distinct = np.unique(years)
-    if m > distinct.size:
-        raise InputError(
-            f"cannot truncate to {m} years: record covers {distinct.size} "
-            f"calendar years"
-        )
-    if m == distinct.size:
-        return series
-    window = distinct[:m] if anchor == "first" else distinct[-m:]
-    mask = (years >= window[0]) & (years <= window[-1])
-    return DischargeSeries(
-        station=series.station,
-        times=series.times[mask],
-        discharge=series.discharge[mask],
-    )
 
 
 def truncate_pot(
@@ -126,13 +97,12 @@ def benchmark_pot(
     pot: PotSeries,
     periods: Sequence[float],
     level: float = 0.90,
-    reliable_factor: float = 0.6,
     *,
     fit: GpFit | None = None,
 ) -> tuple[BenchmarkEntry, ...]:
     """Full-record MLE return levels with profile intervals.
 
-    Periods beyond ``reliable_factor`` times the record length are kept
+    Periods beyond 0.6 times the record length are kept
     but flagged unreliable: the benchmark itself is too uncertain there
     to anchor error statistics.  ``fit`` is the record's threshold-fixed
     MLE when the caller already has it (``RegionSite.fit``); the levels
@@ -151,24 +121,10 @@ def benchmark_pot(
                 value=value,
                 lower=ci.lower,
                 upper=ci.upper,
-                reliable=period <= reliable_factor * pot.record_years,
+                reliable=period <= 0.6 * pot.record_years,
             )
         )
     return tuple(out)
-
-
-def benchmark(
-    series: DischargeSeries,
-    target_rate: float = 2.0,
-    periods: Sequence[float] = (2.0, 5.0, 10.0, 20.0),
-    level: float = 0.90,
-    reliable_factor: float = 0.6,
-    rule: IndependenceRule = IndependenceRule(),
-) -> tuple[BenchmarkEntry, ...]:
-    """Extract the full record at the target rate and benchmark it by MLE."""
-    selection = select_threshold(series, target_rate, rule)
-    pot = extract_pot(series, selection.threshold, rule)
-    return benchmark_pot(pot, periods, level=level, reliable_factor=reliable_factor)
 
 
 # --------------------------------------------------------- error indices

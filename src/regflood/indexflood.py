@@ -179,21 +179,18 @@ def fit_area_regression(
 def predict_index_flood(
     regression: AreaRegression,
     area_km2: float,
-    include_residual: bool = True,
 ) -> IndexFlood:
     """Index flood predicted from area, with its log-scale variance.
 
     The variance follows the standard OLS prediction formula
-    s2 * (1/n + (log A - mean)^2 / Sxx), plus s2 itself when predicting a
-    new site (the default); without the residual term it describes the
-    curve only.
+    for a new site, s2 * (1 + 1/n + (log A - mean)^2 / Sxx).
     """
     if not math.isfinite(area_km2) or area_km2 <= 0:
         raise InputError(f"area must be positive, got {area_km2!r}")
     z = math.log(area_km2)
-    var_log = regression.s2 * (
-        1.0 / regression.n + (z - regression.mean_log_area) ** 2 / regression.sxx
+    var_log = (
+        regression.s2
+        * (1.0 / regression.n + (z - regression.mean_log_area) ** 2 / regression.sxx)
+        + regression.s2
     )
-    if include_residual:
-        var_log += regression.s2
     return IndexFlood(regression.a * area_km2**regression.b, var_log)

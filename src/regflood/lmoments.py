@@ -12,9 +12,14 @@ with x_(1) <= ... <= x_(n). The first four L-moments follow as
 
 and the dimensionless ratios are t = l2/l1, t3 = l3/l2, t4 = l4/l2.
 
-Float arrays go through a vectorized numpy path. Sequences of exact
-numbers (int, fractions.Fraction) are computed in exact rational
-arithmetic instead, so rational samples produce exactly rational results.
+Float arrays go through one vectorized PWM kernel, ``_pwm_float``, that
+works on a single sorted sample or on a stack of them, and one helper,
+``_lmoments_from_pwm``, turns PWMs into L-moments. The observed site
+ratios and the simulated ratios of the heterogeneity test
+(``regional._sim_ratio_table``) share this one estimator. Sequences of
+exact numbers (int, fractions.Fraction) are computed in exact rational
+arithmetic instead, through the same algebra helper, so rational samples
+produce exactly rational results.
 """
 
 from __future__ import annotations
@@ -97,16 +102,36 @@ def _pwm_exact(values: list, r: int, variant: str) -> Fraction:
     return total / n
 
 
-def _pwm_float(xs: np.ndarray, r: int, variant: str) -> float:
-    n = xs.size
+def _pwm_float(xs: np.ndarray, r_max: int, variant: str) -> np.ndarray:
+    """PWMs b_0 ... b_r_max of sorted samples along the last axis.
+
+    ``xs`` is one sorted sample or a stack of them, ``(..., n)``; the
+    result has shape ``(..., r_max + 1)``. A stacked row gets exactly the
+    arithmetic of the same sample on its own, so observed and simulated
+    samples share one estimator.
+    """
+    n = xs.shape[-1]
     j = np.arange(1, n + 1, dtype=float)
+    b = [np.mean(xs, axis=-1)]
     if variant == "unbiased":
         w = np.ones(n)
-        for i in range(1, r + 1):
-            w *= (j - i) / (n - i)
-        return float(np.mean(w * xs))
-    p = (j - 0.35) / n
-    return float(np.mean(p**r * xs))
+        for i in range(1, r_max + 1):
+            w = w * ((j - i) / (n - i))
+            b.append(np.mean(w * xs, axis=-1))
+    else:
+        p = (j - 0.35) / n
+        b.extend(np.mean(p**r * xs, axis=-1) for r in range(1, r_max + 1))
+    return np.stack(b, axis=-1)
+
+
+def _lmoments_from_pwm(b0, b1, b2, b3):
+    """L-moments l1 ... l4 from PWMs: Fractions, floats or arrays alike."""
+    return (
+        b0,
+        2 * b1 - b0,
+        6 * b2 - 6 * b1 + b0,
+        20 * b3 - 30 * b2 + 12 * b1 - b0,
+    )
 
 
 def sample_pwm(sample, r: int, variant: str = "unbiased"):
@@ -128,7 +153,7 @@ def sample_pwm(sample, r: int, variant: str = "unbiased"):
     xs = np.sort(np.asarray(sample, dtype=float))
     if not np.all(np.isfinite(xs)):
         raise InputError("sample values must be finite")
-    return _pwm_float(xs, r, variant)
+    return float(_pwm_float(xs, r, variant)[r])
 
 
 def sample_lmoments(sample, variant: str = "unbiased") -> LmomentSet:
@@ -153,11 +178,8 @@ def sample_lmoments(sample, variant: str = "unbiased") -> LmomentSet:
             raise InputError("sample values must be finite")
         if xs[-1] == xs[0]:
             raise DegenerateSampleError("constant sample has no L-moment ratios")
-        b = [_pwm_float(xs, r, variant) for r in range(4)]
-    l1 = b[0]
-    l2 = 2 * b[1] - b[0]
-    l3 = 6 * b[2] - 6 * b[1] + b[0]
-    l4 = 20 * b[3] - 30 * b[2] + 12 * b[1] - b[0]
+        b = _pwm_float(xs, 3, variant).tolist()
+    l1, l2, l3, l4 = _lmoments_from_pwm(*b)
     if l2 == 0:
         raise DegenerateSampleError("zero L-scale; ratios undefined")
     if l1 == 0:

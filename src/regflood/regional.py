@@ -42,6 +42,8 @@ from .fit import GpFit, gp_fit_mle
 from .indexflood import IndexFlood, StationMeta, _index_flood
 from .lmoments import (
     LmomentSet,
+    _lmoments_from_pwm,
+    _pwm_float,
     gp_fit_lmom,
     kappa_fit_lmom,
     regional_average_lmoments,
@@ -159,18 +161,18 @@ class DiscordancyReport:
     flagged: tuple[str, ...]
 
 
-def _site_ratios(region: Region) -> tuple[np.ndarray, np.ndarray]:
-    ratios = []
-    lengths = []
+def _site_ratios(region: Region) -> tuple[list[LmomentSet], np.ndarray, np.ndarray]:
+    """Each site's sample L-moments, its (t, t3, t4) row and its length."""
+    lmoms = []
     for s in region.sites:
         if len(s.pot) < 4:
             raise InsufficientDataError(
                 f"site {s.meta.code} has {len(s.pot)} events; need at least 4"
             )
-        lm = sample_lmoments(s.pot.peaks)
-        ratios.append([lm.t, lm.t3, lm.t4])
-        lengths.append(len(s.pot))
-    return np.asarray(ratios, dtype=float), np.asarray(lengths, dtype=float)
+        lmoms.append(sample_lmoments(s.pot.peaks))
+    ratios = np.array([[lm.t, lm.t3, lm.t4] for lm in lmoms], dtype=float)
+    lengths = np.array([len(s.pot) for s in region.sites], dtype=float)
+    return lmoms, ratios, lengths
 
 
 def discordancy(region: Region) -> DiscordancyReport:
@@ -179,7 +181,7 @@ def discordancy(region: Region) -> DiscordancyReport:
         raise InputError(
             f"discordancy needs at least 4 sites, got {len(region.sites)}"
         )
-    u, _ = _site_ratios(region)
+    _, u, _ = _site_ratios(region)
     n = u.shape[0]
     dev = u - u.mean(axis=0)
     s_mat = dev.T @ dev
@@ -253,27 +255,27 @@ def classify_h1(h1: float) -> str:
     return "definitively heterogeneous"
 
 
-def _v_statistics(ratios: np.ndarray, weights: np.ndarray, regional: np.ndarray) -> np.ndarray:
-    """V1..V3 for ratio matrix columns (t, t3, t4); weights sum to anything."""
-    w = weights / weights.sum()
-    v1 = math.sqrt(float(w @ (ratios[..., 0] - regional[0]) ** 2))
-    v2 = float(
-        w
-        @ np.sqrt(
-            (ratios[..., 0] - regional[0]) ** 2 + (ratios[..., 1] - regional[1]) ** 2
-        )
-    )
-    v3 = float(
-        w
-        @ np.sqrt(
-            (ratios[..., 1] - regional[1]) ** 2 + (ratios[..., 2] - regional[2]) ** 2
-        )
-    )
-    return np.array([v1, v2, v3])
+def _v_statistics(table: np.ndarray, w: np.ndarray, regional: np.ndarray) -> np.ndarray:
+    """V1..V3 of each row of a (rows, sites, 3) table of (t, t3, t4).
+
+    ``w`` holds the site weights, summing to 1, and ``regional`` the
+    (rows, 3) weighted average ratios. The observed region is a table of
+    one row, so observed and simulated V statistics share one formula.
+    """
+    d = table - regional[:, None, :]
+    v1 = np.sqrt(d[..., 0] ** 2 @ w)
+    v2 = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2) @ w
+    v3 = np.sqrt(d[..., 1] ** 2 + d[..., 2] ** 2) @ w
+    return np.stack([v1, v2, v3], axis=-1)
 
 
 def _sim_ratio_table(parent, kind: str, lengths: np.ndarray, nsim: int, rng) -> np.ndarray:
-    """Simulated (nsim, n_sites, 3) table of (t, t3, t4) under the parent."""
+    """Simulated (nsim, n_sites, 3) table of (t, t3, t4) under the parent.
+
+    Each sorted simulated sample goes through ``sample_lmoments``' own
+    kernel (``_pwm_float`` and ``_lmoments_from_pwm``), so a row equals the
+    ratios of that sample computed like an observed site's.
+    """
     out = np.empty((nsim, lengths.size, 3))
     for i, n in enumerate(lengths.astype(int)):
         if kind == "kappa":
@@ -281,18 +283,7 @@ def _sim_ratio_table(parent, kind: str, lengths: np.ndarray, nsim: int, rng) -> 
         else:
             x = gp_sample(parent, nsim * n, rng).reshape(nsim, n)
         x.sort(axis=1)
-        j = np.arange(1, n + 1, dtype=float)
-        w1 = (j - 1.0) / (n - 1.0)
-        w2 = w1 * (j - 2.0) / (n - 2.0)
-        w3 = w2 * (j - 3.0) / (n - 3.0)
-        b0 = x.mean(axis=1)
-        b1 = (x * w1).mean(axis=1)
-        b2 = (x * w2).mean(axis=1)
-        b3 = (x * w3).mean(axis=1)
-        l1 = b0
-        l2 = 2.0 * b1 - b0
-        l3 = 6.0 * b2 - 6.0 * b1 + b0
-        l4 = 20.0 * b3 - 30.0 * b2 + 12.0 * b1 - b0
+        l1, l2, l3, l4 = _lmoments_from_pwm(*_pwm_float(x, 3, "unbiased").T)
         out[:, i, 0] = l2 / l1
         out[:, i, 1] = l3 / l2
         out[:, i, 2] = l4 / l2
@@ -300,28 +291,22 @@ def _sim_ratio_table(parent, kind: str, lengths: np.ndarray, nsim: int, rng) -> 
 
 
 def heterogeneity(region: Region, nsim: int = 500, seed: int = 0) -> HeterogeneityReport:
-    """Hosking-Wallis style heterogeneity screening of the region."""
+    """Hosking-Wallis style heterogeneity screening of the region.
+
+    The observed site ratios and the simulated ones come from one
+    L-moment estimator, and one ``_v_statistics`` scores both.
+    """
     if nsim < 50:
         raise InputError(f"nsim must be at least 50, got {nsim!r}")
-    ratios, lengths = _site_ratios(region)
-    if np.any(lengths < 4):
-        raise InsufficientDataError("every site needs at least 4 events")
-    lmoms = [sample_lmoments(s.pot.peaks) for s in region.sites]
+    lmoms, ratios, lengths = _site_ratios(region)
     regional = regional_average_lmoments(lmoms, lengths)
     reg_vec = np.array([regional.t, regional.t3, regional.t4])
-    v_obs = _v_statistics(ratios, lengths, reg_vec)
+    w = lengths / lengths.sum()
+    v_obs = _v_statistics(ratios[None], w, reg_vec[None])[0]
     parent, kind = fit_simulation_parent(regional)
     rng = as_generator(seed)
     table = _sim_ratio_table(parent, kind, lengths, nsim, rng)
-    w = lengths / lengths.sum()
-    reg_sim = np.einsum("s,rsk->rk", w, table)
-    v_sim = np.empty((nsim, 3))
-    diff_t = table[..., 0] - reg_sim[:, None, 0]
-    diff_t3 = table[..., 1] - reg_sim[:, None, 1]
-    diff_t4 = table[..., 2] - reg_sim[:, None, 2]
-    v_sim[:, 0] = np.sqrt(np.einsum("s,rs->r", w, diff_t**2))
-    v_sim[:, 1] = np.einsum("s,rs->r", w, np.sqrt(diff_t**2 + diff_t3**2))
-    v_sim[:, 2] = np.einsum("s,rs->r", w, np.sqrt(diff_t3**2 + diff_t4**2))
+    v_sim = _v_statistics(table, w, np.einsum("s,rsk->rk", w, table))
     sim_mean = v_sim.mean(axis=0)
     sim_std = v_sim.std(axis=0, ddof=1)
     if np.any(sim_std == 0):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from regflood import fit as fit_module
+from regflood import lmoments as lmoments_module
 from regflood.pot import DischargeSeries, PotSeries
 
 
@@ -47,21 +48,32 @@ def spike_series():
     return make_spike_series
 
 
-@pytest.fixture
-def fit_calls(monkeypatch):
-    """Record every ``gp_fit_mle`` call, whichever regflood module makes it.
+def _record_calls(monkeypatch, original, record):
+    """Log ``record(first argument)`` of every call of a regflood function.
 
     ``from .fit import gp_fit_mle`` binds the function in each importing
     module, so the counting wrapper replaces every such binding.
     """
-    original = fit_module.gp_fit_mle
     calls = []
 
-    def counted(pot, *args, **kwargs):
-        calls.append(pot.station)
-        return original(pot, *args, **kwargs)
+    def counted(arg, *args, **kwargs):
+        calls.append(record(arg))
+        return original(arg, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "regflood" and getattr(module, "gp_fit_mle", None) is original:
-            monkeypatch.setattr(module, "gp_fit_mle", counted)
+    name = original.__name__
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "regflood" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """The station of every ``gp_fit_mle`` call, whichever regflood module makes it."""
+    return _record_calls(monkeypatch, fit_module.gp_fit_mle, lambda pot: pot.station)
+
+
+@pytest.fixture
+def lmoment_calls(monkeypatch):
+    """The sample size of every ``sample_lmoments`` call, whichever module makes it."""
+    return _record_calls(monkeypatch, lmoments_module.sample_lmoments, len)

@@ -288,8 +288,6 @@ def test_elicitation_fits_each_donor_once(fit_calls):
     fit_calls.clear()
     elicit_prior(region, reg)
     assert sorted(fit_calls) == sorted(s.meta.code for s in region.others())
-    elicit_prior(region, reg, add_dispersion=True)
-    assert len(fit_calls) == len(region.others())
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,6 @@ from regflood.evaluation import (
     EvalConfig,
     RegionTruth,
     SynthSpec,
-    benchmark,
     benchmark_pot,
     nbias_nrmse,
     rank_scores,
@@ -18,50 +17,15 @@ from regflood.evaluation import (
     synth_daily_series,
     synth_region,
     truncate_pot,
-    truncate_record,
 )
 from regflood.fit import gp_fit_mle, gp_fit_pwm, return_level
 from regflood.pot import extract_pot, select_threshold
 from regflood.regional import heterogeneity
 
-from conftest import make_daily_series, make_pot
-
-
-def daily_span(start_year, end_year, seed=0):
-    n = (
-        np.datetime64(f"{end_year + 1}-01-01")
-        - np.datetime64(f"{start_year}-01-01")
-    ).astype(int)
-    rng = np.random.default_rng(seed)
-    return make_daily_series(
-        1.0 + rng.random(int(n)), start=f"{start_year}-01-01"
-    )
+from conftest import make_pot
 
 
 # -------------------------------------------------------------- truncation
-
-
-def test_truncate_record_first_window():
-    series = daily_span(1969, 2003)
-    short = truncate_record(series, 5, "first")
-    years = short.times.astype("datetime64[Y]").astype(int) + 1970
-    assert years.min() == 1969 and years.max() == 1973
-
-
-def test_truncate_record_last_window():
-    series = daily_span(1969, 2003)
-    short = truncate_record(series, 15, "last")
-    years = short.times.astype("datetime64[Y]").astype(int) + 1970
-    assert years.min() == 1989 and years.max() == 2003
-
-
-def test_truncate_record_identity_and_errors():
-    series = daily_span(1990, 1999)
-    assert truncate_record(series, 10, "first") is series
-    with pytest.raises(InputError):
-        truncate_record(series, 11, "first")
-    with pytest.raises(InputError):
-        truncate_record(series, 5, "middle")
 
 
 def test_truncate_pot_windows():
@@ -105,6 +69,7 @@ def test_benchmark_pot_basic():
     entries = benchmark_pot(pot, (2.0, 10.0, 20.0, 50.0))
     for e in entries:
         assert e.lower < e.value < e.upper
+    assert [e.value for e in entries] == sorted(e.value for e in entries)
     assert [e.reliable for e in entries] == [True, True, True, False]
 
 
@@ -119,15 +84,6 @@ def test_benchmark_pot_reuses_the_callers_fit(fit_calls):
     assert fit_calls == []
     with pytest.raises(InputError):
         benchmark_pot(pot, periods, fit=gp_fit_pwm(pot))
-
-
-def test_benchmark_from_daily_series():
-    series = synth_daily_series(GpParams(10.0, 4.0, 0.1), rate=2.0, years=37.0, seed=3)
-    entries = benchmark(series, target_rate=2.0, periods=(5.0, 10.0))
-    assert len(entries) == 2
-    assert entries[0].value < entries[1].value
-    for e in entries:
-        assert e.lower < e.value < e.upper
 
 
 def test_benchmark_covers_truth():

@@ -67,8 +67,10 @@ def test_area_regression_hand_computed_case():
     pred = predict_index_flood(reg, 1.0)
     assert pred.value == pytest.approx(math.exp(7.0 / 3.0))
     assert pred.var_log == pytest.approx((1.0 / 6.0) * (1.0 + 1.0 / 3.0))
-    curve_only = predict_index_flood(reg, 1.0, include_residual=False)
-    assert curve_only.var_log == pytest.approx((1.0 / 6.0) / 3.0)
+    # the OLS variance of a new site's prediction, s2 (1 + 1/n + (z - z_bar)^2 / Sxx)
+    far = predict_index_flood(reg, math.e**2)
+    assert reg.mean_log_area == pytest.approx(0.0, abs=1e-15)
+    assert far.var_log == pytest.approx((1.0 / 6.0) * (1.0 + 1.0 / 3.0 + 2.0**2 / 2.0))
 
 
 def test_area_regression_exclude():

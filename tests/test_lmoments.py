@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regflood.distributions import GpParams, KappaParams, gp_sample
 from regflood.errors import (
@@ -70,6 +72,31 @@ def test_sample_lmoments_float_matches_exact():
     assert approx.l2 == pytest.approx(float(exact.l2), rel=1e-14)
     assert approx.t3 == pytest.approx(float(exact.t3), rel=1e-12)
     assert approx.t4 == pytest.approx(float(exact.t4), rel=1e-12)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    st.lists(st.integers(0, 10**6), min_size=4, max_size=80).filter(
+        lambda v: max(v) > min(v)
+    )
+)
+def test_float_path_matches_exact_on_integer_samples(vals):
+    # the float kernel and the rational path share the PWM-to-L-moment
+    # algebra; a generated l2 or t3 can sit near zero, so errors are bounded
+    # relative to the sample's magnitude, and a ratio's to that magnitude
+    # over its divisor
+    scale = max(vals)
+    for variant in ("unbiased", "biased"):
+        exact = sample_lmoments(vals, variant)
+        approx = sample_lmoments(np.array(vals, dtype=float), variant)
+        for r in range(4):
+            b = sample_pwm(vals, r, variant)
+            assert abs(sample_pwm(np.array(vals, dtype=float), r, variant) - b) <= 1e-12 * b
+        assert abs(approx.l1 - exact.l1) <= 1e-12 * scale
+        assert abs(approx.l2 - exact.l2) <= 1e-12 * scale
+        assert abs(approx.t - exact.t) <= 1e-12 * scale / exact.l1
+        assert abs(approx.t3 - exact.t3) <= 1e-12 * scale / exact.l2
+        assert abs(approx.t4 - exact.t4) <= 1e-12 * scale / exact.l2
 
 
 def test_sample_lmoments_errors():

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from regflood.distributions import GpParams, gp_quantile, gp_rescale, gp_sample
+from regflood.distributions import (
+    GpParams,
+    KappaParams,
+    gp_quantile,
+    gp_rescale,
+    gp_sample,
+    kappa_sample,
+)
 from regflood.errors import (
     DegenerateSampleError,
     FitError,
@@ -9,7 +16,7 @@ from regflood.errors import (
     InsufficientDataError,
 )
 from regflood.indexflood import StationMeta, at_site_index_flood
-from regflood.lmoments import LmomentSet
+from regflood.lmoments import LmomentSet, sample_lmoments
 from regflood.regional import (
     Region,
     RegionSite,
@@ -20,6 +27,7 @@ from regflood.regional import (
     growth_curve,
     heterogeneity,
     index_flood_quantile,
+    _sim_ratio_table,
 )
 
 from conftest import make_pot
@@ -217,6 +225,32 @@ def test_heterogeneity_deterministic_in_seed():
     assert a.h1 != c.h1
     with pytest.raises(InputError):
         heterogeneity(region, nsim=10, seed=0)
+
+
+def test_heterogeneity_takes_each_sites_lmoments_once(lmoment_calls):
+    region = homogeneous_region(6, seed=13)
+    heterogeneity(region, nsim=60, seed=0)
+    assert lmoment_calls == [len(s.pot) for s in region.sites]
+
+
+@pytest.mark.parametrize(
+    "parent, kind, draw",
+    [
+        (KappaParams(0.2, 0.7, -0.1, 0.3), "kappa", kappa_sample),
+        (GpParams(0.1, 0.9, 0.15), "gp", gp_sample),
+    ],
+)
+def test_sim_ratio_table_rows_are_sample_lmoments(parent, kind, draw):
+    # simulated and observed ratios come from one estimator, bit for bit
+    lengths = np.array([4.0, 5.0, 137.0])
+    nsim = 100
+    table = _sim_ratio_table(parent, kind, lengths, nsim, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    for i, n in enumerate(lengths.astype(int)):
+        x = np.sort(draw(parent, nsim * n, rng).reshape(nsim, n), axis=1)
+        for r in range(nsim):
+            lm = sample_lmoments(x[r])
+            assert (lm.t, lm.t3, lm.t4) == tuple(table[r, i])
 
 
 def test_fit_simulation_parent_fallback():
