@@ -69,6 +69,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _SERIES_HEADER = ["datetime", "discharge_m3s"]
+_SERIES_HEADER_LINE = ",".join(_SERIES_HEADER) + "\n"
 _META_HEADER = ["code", "name", "area_km2", "x_km", "y_km", "record_start", "record_end"]
 
 
@@ -82,19 +83,73 @@ def _num(x) -> float | None:
 
 
 def write_series_csv(path, series: DischargeSeries) -> None:
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_SERIES_HEADER)
-        for t, q in zip(series.times, series.discharge):
-            w.writerow([str(t), repr(float(q))])
+    """Write a discharge record: ISO times to the second, shortest round-trip floats."""
+    times = np.datetime_as_string(series.times, unit="s").tolist()
+    values = map(repr, series.discharge.tolist())
+    rows = "".join(f"{t},{q}\n" for t, q in zip(times, values))
+    Path(path).write_text(_SERIES_HEADER_LINE + rows, encoding="utf-8", newline="")
 
 
 def read_series_csv(path, station: str | None = None) -> DischargeSeries:
-    """Read a two-column discharge record; errors name the data row."""
+    """Read a two-column discharge record; errors name the data row.
+
+    The file is read once and split into fields; the time column is
+    converted by one ``np.array`` call and the discharge column by
+    ``float``.  Input that this bulk pass cannot vouch for (quotes,
+    carriage returns, a line without exactly one comma, an unparseable,
+    missing, non-finite or negative value) goes to the row-by-row
+    reader, which raises the row-numbered error or returns the same
+    series.
+    """
     path = Path(path)
     if station is None:
         station = path.stem
+    columns = _series_columns(path)
+    if columns is None:
+        columns = _series_rows(path)
+    try:
+        return DischargeSeries(station, *columns)
+    except InputError as exc:
+        raise InputError(f"{path.name}: {exc}") from exc
+
+
+def _series_columns(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
+    """Times and discharges of a well-formed record in bulk; None otherwise."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    if not text.startswith(_SERIES_HEADER_LINE) or '"' in text or "\r" in text:
+        return None
+    # separators must alternate comma, newline, comma, ...: exactly one
+    # comma on every line, no blank line, and nothing after a final newline
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    seps = raw[(raw == ord(",")) | (raw == ord("\n"))]
+    del raw  # each copy of the text goes as soon as it is used
+    final_newline = text.endswith("\n")
+    if not (
+        np.all(seps[0::2] == ord(","))
+        and np.all(seps[1::2] == ord("\n"))
+        and final_newline == (seps.size % 2 == 0)
+    ):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    del text
+    if final_newline:
+        fields.pop()
+    n = len(fields) // 2 - 1
+    if n < 1:
+        return None
+    try:
+        times = np.array(fields[2::2], dtype="datetime64[s]")
+        values = np.fromiter(map(float, fields[3::2]), dtype=float, count=n)
+    except ValueError:
+        return None
+    if np.any(np.isnat(times)) or not np.all(np.isfinite(values)) or np.any(values < 0):
+        return None
+    return times, values
+
+
+def _series_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Times and discharges parsed row by row, raising on the first bad row."""
     times: list[np.datetime64] = []
     values: list[float] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -133,12 +188,7 @@ def read_series_csv(path, station: str | None = None) -> DischargeSeries:
             values.append(q)
     if not times:
         raise InputError(f"{path.name}: no data rows")
-    try:
-        return DischargeSeries(
-            station, np.array(times, dtype="datetime64[s]"), np.array(values)
-        )
-    except InputError as exc:
-        raise InputError(f"{path.name}: {exc}") from exc
+    return np.array(times, dtype="datetime64[s]"), np.array(values)
 
 
 def write_metadata_csv(path, metas: Sequence[StationMeta]) -> None:

@@ -3,7 +3,9 @@
 Maximum likelihood fixes the GP location at the POT threshold and uses a
 quasi-Newton search on (log scale, shape) with analytic gradients,
 multi-started from the probability-weighted-moment estimate, plus a
-Newton polish so the gradient norm at the solution is certifiably small.
+Newton polish so the gradient norm at the solution is certifiably small;
+a search that cannot certify its optimum runs once more around a point
+inside the data's support.
 The polish and the reported covariance share one closed-form observed
 information of (scale, shape).
 
@@ -128,28 +130,14 @@ def _observed_information(x: np.ndarray, location: float, scale: float, shape: f
     return np.array([[h_ss, h_sx], [h_sx, h_xx]])
 
 
-def gp_fit_mle(pot: PotSeries) -> GpFit:
-    """Maximum-likelihood GP fit to event peaks, location at the POT threshold.
+def _search_from(s0: float, xi0: float, x: np.ndarray, u: float):
+    """Newton-polished best L-BFGS-B optimum from five starts around (s0, xi0).
 
-    ``boundary`` is set when the shape ends on its search bound
-    (short-tailed samples pile up at -0.99).
+    Returns (log scale, shape), the negative log likelihood there, whether
+    the projected gradient is certifiably small, and that gradient's norm.
     """
-    x = pot.peaks
-    u = pot.threshold
-    if x.size < _MIN_EVENTS:
-        raise InsufficientDataError(
-            f"need at least {_MIN_EVENTS} events for a threshold-location fit, got {x.size}"
-        )
-    if np.ptp(x) == 0.0:
-        raise FitError("event peaks are all equal; no GP fit exists")
-    try:
-        start = gp_fit_lmom(sample_lmoments(x), location=u)
-        s0, xi0 = start.scale, start.shape
-    except FitError:
-        s0, xi0 = float(np.mean(x - u)), 0.5
     z0 = np.array([math.log(s0), xi0])
     bounds = [(z0[0] - 12.0, z0[0] + 12.0), (_XI_MIN, _XI_MAX)]
-
     delta = max(0.2 * abs(xi0), 0.1)
     starts = []
     for fs, fx in ((1.0, 0.0), (0.8, -delta), (1.2, delta), (0.8, delta), (1.2, -delta)):
@@ -214,7 +202,40 @@ def gp_fit_mle(pot: PotSeries) -> GpFit:
         else:
             break
     g_final = float(np.max(np.abs(proj_grad(z, g_full))))
-    if g_final > max(tol, 1e-6):
+    return z, f_val, g_final <= max(tol, 1e-6), g_final
+
+
+def gp_fit_mle(pot: PotSeries) -> GpFit:
+    """Maximum-likelihood GP fit to event peaks, location at the POT threshold.
+
+    L-BFGS-B runs from five starts around the PWM estimate, and the best
+    optimum is Newton-polished.  When that polish cannot certify the
+    optimum, the search runs once more around a point inside the support
+    (shape at least -0.98, scale at least 1.1 |PWM shape| times the largest
+    exceedance); fits that converge at the first search are untouched.
+    ``boundary`` is set when the shape ends on its search bound
+    (short-tailed samples pile up at -0.99).
+    """
+    x = pot.peaks
+    u = pot.threshold
+    if x.size < _MIN_EVENTS:
+        raise InsufficientDataError(
+            f"need at least {_MIN_EVENTS} events for a threshold-location fit, got {x.size}"
+        )
+    if np.ptp(x) == 0.0:
+        raise FitError("event peaks are all equal; no GP fit exists")
+    try:
+        start = gp_fit_lmom(sample_lmoments(x), location=u)
+        s0, xi0 = start.scale, start.shape
+    except FitError:
+        s0, xi0 = float(np.mean(x - u)), 0.5
+    z, f_val, converged, g_final = _search_from(s0, xi0, x, u)
+    if not converged:
+        # starts off the support sit on the penalty, which has no slope to
+        # follow: search once more around a point where every peak has density
+        s_on = max(s0, 1.1 * abs(xi0) * float(np.max(x) - u))
+        z, f_val, converged, g_final = _search_from(s_on, max(xi0, -0.98), x, u)
+    if not converged:
         raise FitError(f"MLE did not converge (gradient norm {g_final:.2e})")
 
     params = GpParams(u, math.exp(z[0]), float(z[1]))

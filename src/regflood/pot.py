@@ -179,7 +179,13 @@ def extract_pot(
     threshold: float,
     rule: IndependenceRule = IndependenceRule(),
 ) -> PotSeries:
-    """Decluster the series into independent event peaks above a threshold."""
+    """Decluster the series into independent event peaks above a threshold.
+
+    The trough between each pair of consecutive candidate peaks comes from
+    one ``np.minimum.reduceat`` over their (start, end) index pairs; the
+    merge sweep then runs over Python floats.  Times enter only through
+    the candidates' day offsets.
+    """
     if not math.isfinite(threshold):
         raise InputError(f"threshold must be finite, got {threshold!r}")
     q = series.discharge
@@ -188,36 +194,36 @@ def extract_pot(
         raise InsufficientDataError(
             f"no exceedances above threshold {threshold!r} for station {series.station}"
         )
-    days = series.day_offsets()
+    # interleaved (start, end) pairs: the even segments are the gaps, and
+    # each gap ends at the next candidate rather than at the end of the
+    # record, as reduceat's last segment would.  No gap is empty: a
+    # candidate exceeds its right neighbour, which is therefore no candidate
+    bounds = np.empty(2 * (cand.size - 1), dtype=np.intp)
+    bounds[0::2] = cand[:-1] + 1
+    bounds[1::2] = cand[1:]
+    troughs = np.minimum.reduceat(q, bounds)[0::2].tolist()
+    peaks = q[cand].tolist()
+    days = ((series.times[cand] - series.times[0]) / np.timedelta64(1, "D")).tolist()
+    min_gap, fraction = rule.min_gap_days, rule.trough_fraction
     kept: list[int] = []
-    cur = int(cand[0])
-    cur_val = q[cur]
-    trough = np.inf
+    cur = 0
+    cur_val = peaks[0]
+    trough = math.inf
     for j in range(1, cand.size):
-        idx = int(cand[j])
-        prev = int(cand[j - 1])
-        if idx > prev + 1:
-            trough = min(trough, float(np.min(q[prev + 1 : idx])))
-        separated = (
-            days[idx] - days[cur] >= rule.min_gap_days
-            and trough < rule.trough_fraction * min(cur_val, q[idx])
-        )
-        if separated:
+        trough = min(trough, troughs[j - 1])
+        val = peaks[j]
+        if days[j] - days[cur] >= min_gap and trough < fraction * min(cur_val, val):
             kept.append(cur)
-            cur = idx
-            cur_val = q[idx]
-            trough = np.inf
-        elif q[idx] > cur_val:
-            cur = idx
-            cur_val = q[idx]
-            trough = np.inf
+            cur, cur_val, trough = j, val, math.inf
+        elif val > cur_val:
+            cur, cur_val, trough = j, val, math.inf
     kept.append(cur)
-    kept_arr = np.asarray(kept, dtype=int)
+    events = cand[kept]
     return PotSeries(
         station=series.station,
         threshold=float(threshold),
-        times=series.times[kept_arr],
-        peaks=q[kept_arr],
+        times=series.times[events],
+        peaks=q[events],
         record_years=record_years(series, rule.max_missing_gap_days),
     )
 
@@ -237,7 +243,9 @@ def select_threshold(
 
     The grid spans the 50th to 99.99th percentiles of the discharge values;
     the event rate is non-increasing in the threshold, so a binary search
-    (with a small linear sweep around the crossing) finds the answer.
+    (with a small linear sweep around the crossing) finds the answer.  Each
+    probed threshold costs one ``extract_pot`` call; its rate is the event
+    count over the record length, which the search computes once.
     """
     if not math.isfinite(target_rate) or target_rate <= 0:
         raise InputError(f"target rate must be positive, got {target_rate!r}")
@@ -246,9 +254,11 @@ def select_threshold(
     levels = np.linspace(0.5, 0.9999, grid_size)
     grid = np.unique(np.quantile(series.discharge, levels))
 
+    years = record_years(series, rule.max_missing_gap_days)
+
     def rate_at(threshold: float) -> float:
         try:
-            return extract_pot(series, threshold, rule).rate
+            return len(extract_pot(series, threshold, rule)) / years
         except InsufficientDataError:
             return 0.0
 

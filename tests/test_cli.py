@@ -467,6 +467,20 @@ def test_evaluate_two_model_degenerate_scores(sim_dir, tmp_path, capsys):
     assert sorted(obj["r_s"]) == [0.0, 1.0]
 
 
+def test_evaluate_readme_region_loses_no_cells(tmp_path, capsys):
+    # the README's region, whose 5-year window once failed the MLE (and REG
+    # with it) with "MLE did not converge"
+    assert main(["simulate", str(tmp_path / "region"), "--seed", "11"]) == 0
+    out = tmp_path / "eval.json"
+    code, stdout, _ = run(capsys, [
+        "evaluate", str(tmp_path / "region" / "region.yaml"), "--models", "mle,reg",
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert "failed cells" not in stdout
+    assert read_json(out, "eval-report")["missing"] == []
+
+
 def test_evaluate_length_beyond_record(sim_dir, capsys):
     code, _, err = run(capsys, [
         "evaluate", str(sim_dir / "region.yaml"), "--lengths", "5,99",

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -16,6 +18,8 @@ from regflood.evaluation import (
     synth_region,
 )
 from regflood.fileio import (
+    _series_columns,
+    _series_rows,
     RegionConfig,
     RunReport,
     SiteEntry,
@@ -42,7 +46,7 @@ from regflood.fileio import (
     write_truth_json,
 )
 from regflood.indexflood import StationMeta
-from regflood.pot import IndependenceRule
+from regflood.pot import DischargeSeries, IndependenceRule
 from regflood.regional import GrowthCurve
 
 
@@ -96,6 +100,83 @@ def test_series_csv_bad_rows_name_the_row(tmp_path):
     path.write_text("datetime,discharge_m3s\n,1.0\n")
     with pytest.raises(InputError, match="row 1"):
         read_series_csv(path)
+
+
+_ROWS = ["1970-01-01T00:00:00,1.5", "1970-01-02T00:00:00,2.25", "1970-01-03T00:00:00,0.5"]
+
+
+def _record(*rows, end="\n"):
+    return "\n".join(["datetime,discharge_m3s", *rows]) + end
+
+
+# (case, file text, whether the bulk pass vouches for it)
+_READER_CASES = [
+    ("plain", _record(*_ROWS), True),
+    ("crlf", _record(*_ROWS).replace("\n", "\r\n"), False),
+    ("quoted fields", _record('"1970-01-01T00:00:00","1.5"', *_ROWS[1:]), False),
+    ("trailing blank line", _record(*_ROWS, end="\n\n"), False),
+    ("no final newline", _record(*_ROWS, end=""), True),
+    ("whitespace around numbers", _record(*_ROWS[:2], "1970-01-03T00:00:00, 0.5 "), True),
+    ("whitespace around a time", _record(*_ROWS[:2], " 1970-01-03T00:00:00,0.5"), True),
+    ("nan", _record(*_ROWS[:2], "1970-01-03T00:00:00,nan"), False),
+    ("inf", _record(*_ROWS[:2], "1970-01-03T00:00:00,inf"), False),
+    ("negative", _record(*_ROWS[:2], "1970-01-03T00:00:00,-1"), False),
+    ("exponent", _record(*_ROWS[:2], "1970-01-03T00:00:00,1e3"), True),
+    ("empty time", _record(*_ROWS[:2], ",0.5"), False),
+    ("date-only time", _record(*_ROWS[:2], "1970-01-03,0.5"), True),
+    ("NaT", _record(*_ROWS[:2], "NaT,0.5"), False),
+    ("third field", _record(*_ROWS[:2], "1970-01-03T00:00:00,0.5,7"), False),
+    ("blank middle line", _record(_ROWS[0], "", *_ROWS[1:]), False),
+    ("line without a comma", _record(*_ROWS, "1970-01-04T00:00:00"), False),
+    ("last line without a comma", _record(*_ROWS, "1970-01-04T00:00:00", end=""), False),
+    # one comma short on one line and one too many on the next: every
+    # field still parses, as a year or a number
+    ("comma moved to the next line", _record(_ROWS[0], "1971", "1972,1973,0.5"), False),
+    ("one data row", _record(_ROWS[0]), True),
+    ("no data rows", _record(), False),
+    ("times out of order", _record(_ROWS[1], _ROWS[0]), True),
+]
+
+
+def _outcome(read, path):
+    try:
+        series = read(path)
+    except InputError as exc:
+        return "error", str(exc)
+    return series.station, series.times.dtype, series.times.tolist(), series.discharge.tolist()
+
+
+def _read_by_rows(path):
+    columns = _series_rows(path)
+    try:
+        return DischargeSeries(path.stem, *columns)
+    except InputError as exc:
+        raise InputError(f"{path.name}: {exc}") from exc
+
+
+@pytest.mark.parametrize("case,text,bulk", _READER_CASES, ids=[c[0] for c in _READER_CASES])
+def test_series_csv_reader_matches_the_row_loop(tmp_path, case, text, bulk):
+    path = tmp_path / "S1.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(read_series_csv, path) == _outcome(_read_by_rows, path)
+    assert (_series_columns(path) is not None) == bulk
+
+
+def test_series_csv_writer_matches_csv_writer(tmp_path):
+    times = np.array(
+        ["1850-03-01T06:00:00", "1969-12-31T23:59:59", "1970-01-01T00:00:00",
+         "2038-01-19T03:14:08", "2100-02-28T12:30:00"],
+        dtype="datetime64[s]",
+    )
+    series = DischargeSeries("S1", times, np.array([1e-300, 0.1, 1e16, 0.0, 123.456789]))
+    path = tmp_path / "S1.csv"
+    write_series_csv(path, series)
+    oracle = io.StringIO(newline="")
+    w = csv.writer(oracle, lineterminator="\n")
+    w.writerow(["datetime", "discharge_m3s"])
+    for t, q in zip(series.times, series.discharge):
+        w.writerow([str(t), repr(float(q))])
+    assert path.read_bytes() == oracle.getvalue().encode("utf-8")
 
 
 def test_series_csv_rejects_wrong_header_and_empty(tmp_path):

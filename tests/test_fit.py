@@ -181,6 +181,20 @@ def test_mle_stays_on_the_support(tmp_path):
     assert fit.loglik == pytest.approx(float(np.sum(logpdf)), rel=1e-9)
 
 
+def test_mle_restarts_inside_the_support():
+    # the README region's (simulate --seed 11) 5-year evaluation window: the
+    # PWM shape is -1.13, so every start puts the upper endpoint below the
+    # largest peak and the first search ends on the penalty
+    peaks = [183.246, 142.167, 179.789, 310.593, 215.606, 178.539, 194.295,
+             221.711, 154.927, 240.689, 215.607]
+    fit = gp_fit_mle(make_pot(peaks, 122.636, 5.0))
+    assert fit.params.scale == pytest.approx(136.335, rel=1e-5)
+    assert fit.params.shape == pytest.approx(-0.68674, abs=1e-5)
+    assert fit.loglik == pytest.approx(-57.5121, abs=1e-4)
+    assert not fit.boundary
+    assert fit.covariance is not None
+
+
 def test_mle_errors():
     with pytest.raises(InsufficientDataError):
         gp_fit_mle(make_pot([1.1, 1.2, 1.3], 1.0, 2.0))

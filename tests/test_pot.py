@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regflood.errors import InputError, InsufficientDataError, SelectionError
 from regflood.pot import (
     DischargeSeries,
     IndependenceRule,
     PotSeries,
+    _candidate_peaks,
     extract_pot,
     record_years,
     select_threshold,
@@ -110,6 +113,81 @@ def test_event_count_monotone_in_threshold(seed):
         except InsufficientDataError:
             counts.append(0)
     assert all(a >= b for a, b in zip(counts[:-1], counts[1:]))
+
+
+def _declustered_by_loop(series, threshold, rule):
+    """Event indices by the per-gap loop that ``extract_pot`` replaced: the oracle."""
+    q = series.discharge
+    cand = _candidate_peaks(q, threshold)
+    if cand.size == 0:
+        return None
+    days = series.day_offsets()
+    kept = []
+    cur = int(cand[0])
+    cur_val = q[cur]
+    trough = np.inf
+    for j in range(1, cand.size):
+        idx = int(cand[j])
+        prev = int(cand[j - 1])
+        if idx > prev + 1:
+            trough = min(trough, float(np.min(q[prev + 1 : idx])))
+        separated = (
+            days[idx] - days[cur] >= rule.min_gap_days
+            and trough < rule.trough_fraction * min(cur_val, q[idx])
+        )
+        if separated:
+            kept.append(cur)
+            cur = idx
+            cur_val = q[idx]
+            trough = np.inf
+        elif q[idx] > cur_val:
+            cur = idx
+            cur_val = q[idx]
+            trough = np.inf
+    kept.append(cur)
+    return np.asarray(kept, dtype=int)
+
+
+@st.composite
+def _records(draw):
+    """A short record of small integer levels (plateaus, ties) with time gaps."""
+    n = draw(st.integers(2, 120))
+    levels = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # a deep trough after the last candidate, where reduceat's last
+        # segment would reach if the gaps were not closed
+        levels[-1] = 0
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 1, 2, 3, 12, 45]), min_size=n - 1, max_size=n - 1))
+    t0 = np.datetime64("1970-01-01T00:00:00", "s")
+    offsets = np.concatenate([[0], np.cumsum(steps)]) * 86400
+    times = t0 + offsets.astype("timedelta64[s]")
+    q = np.asarray(levels, dtype=float) * draw(st.sampled_from([1.0, 0.1, 3.7]))
+    return DischargeSeries("S1", times, q)
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(
+    series=_records(),
+    level=st.floats(0.0, 1.0),
+    rule=st.builds(
+        IndependenceRule,
+        min_gap_days=st.sampled_from([0.0, 1.0, 2.5, 10.0]),
+        trough_fraction=st.sampled_from([0.25, 2.0 / 3.0, 1.0]),
+        max_missing_gap_days=st.sampled_from([5.0, 30.0]),
+    ),
+)
+def test_extract_pot_equals_the_per_gap_loop(series, level, rule):
+    # thresholds on the levels themselves make plateaus and ties bite
+    threshold = float(np.quantile(series.discharge, level, method="lower"))
+    kept = _declustered_by_loop(series, threshold, rule)
+    if kept is None:
+        with pytest.raises(InsufficientDataError):
+            extract_pot(series, threshold, rule)
+        return
+    pot = extract_pot(series, threshold, rule)
+    assert np.array_equal(pot.times, series.times[kept])
+    assert np.array_equal(pot.peaks, series.discharge[kept])
+    assert pot.record_years == record_years(series, rule.max_missing_gap_days)
 
 
 def test_select_threshold_matches_linear_scan():
