@@ -30,7 +30,7 @@ from .errors import (
     FitError,
     InputError,
 )
-from .fit import log_param_variances
+from .fit import _check_rate_period, log_param_variances
 from .indexflood import AreaRegression, predict_index_flood
 from .pot import PotSeries
 from .regional import Region
@@ -42,6 +42,8 @@ _D_FLOOR = 1e-4
 MIN_RETAINED_DRAWS = 500
 # iterations per block of step normals and acceptance uniforms, per chain
 _BLOCK = 500
+# burn-in iterations per step-size adaptation
+_ADAPT_WINDOW = 50
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,6 @@ def elicit_prior(
     region: Region,
     regression: AreaRegression,
     *,
-    threshold_cv: float = 0.1,
     index_method: str = "gp-fit",
 ) -> PriorSpec:
     """Elicit the prior for the region's target site from its donor sites.
@@ -98,7 +99,8 @@ def elicit_prior(
     with a warning.
 
     The location and scale variances combine the index-flood prediction
-    variance with the mean per-donor estimation variances; the shape
+    variance with the mean per-donor estimation variances, whose location
+    term is the squared threshold CV ``fit.THRESHOLD_CV``; the shape
     variance is the spread of the donor shapes.  All variances are floored
     at 1e-4.
     """
@@ -118,7 +120,7 @@ def elicit_prior(
         code = site.meta.code
         try:
             c = site.index_flood(index_method).value
-            vm, vs, _ = log_param_variances(site.fit, threshold_cv)
+            vm, vs, _ = log_param_variances(site.fit)
         except (FitError, InputError) as exc:
             log.warning("dropping donor site %s from elicitation: %s", code, exc)
             continue
@@ -205,13 +207,12 @@ def _gp_loglik(
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sampler settings; adaptation only ever runs during burn-in."""
+    """Sampler settings; adaptation runs every 50 burn-in iterations, never after."""
 
     chains: int = 4
     iterations: int = 20000
     burn_in: int = 5000
     thinning: int = 1
-    adapt_window: int = 50
 
     def __post_init__(self) -> None:
         if self.chains < 1:
@@ -226,10 +227,6 @@ class McmcConfig:
             )
         if self.thinning < 1:
             raise InputError(f"thinning must be >= 1, got {self.thinning}")
-        if self.adapt_window < 10:
-            raise InputError(
-                f"adaptation window must be >= 10, got {self.adapt_window}"
-            )
 
 
 @dataclass(frozen=True)
@@ -307,7 +304,7 @@ def mcmc_sample(
     if log_target(base) == -math.inf:
         raise FitError("no support-valid starting point for the sampler")
 
-    burn_in, thinning, window = config.burn_in, config.thinning, config.adapt_window
+    burn_in, thinning, window = config.burn_in, config.thinning, _ADAPT_WINDOW
     draws = np.empty((config.chains, len(range(burn_in, config.iterations, thinning)), 3))
     acceptance = np.empty((config.chains, 3))
     streams = np.random.SeedSequence(seed).spawn(config.chains)
@@ -505,10 +502,7 @@ def posterior_quantiles(
     lo_p = 0.5 * (1.0 - level)
     out = []
     for period in periods:
-        if rate * period <= 1.0:
-            raise InputError(
-                f"return period {period} y needs rate*period > 1, got rate {rate}"
-            )
+        _check_rate_period(rate, period)
         y = -math.log1p(-(1.0 - 1.0 / (rate * period)))
         small = np.abs(xi) < SHAPE_EPS
         safe = np.where(small, 1.0, xi)

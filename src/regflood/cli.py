@@ -518,7 +518,6 @@ def cmd_simulate(args) -> list[str]:
     root = np.random.SeedSequence(args.seed)
     streams = root.spawn(spec.n_sites + 1)
     region, truth = synth_region(spec, seed=streams[0])
-    years = spec.site_years()
 
     entries = []
     meta_path = out_dir / "metadata.csv"
@@ -527,7 +526,7 @@ def cmd_simulate(args) -> list[str]:
         series = synth_daily_series(
             truth.site_params[code],
             rate=spec.rate,
-            years=years[i],
+            years=spec.years,
             seed=streams[i + 1],
             station=code,
         )

@@ -21,7 +21,7 @@ from scipy.stats import rankdata
 from .bayes import McmcConfig, elicit_prior, mcmc_sample, posterior_quantiles
 from .distributions import GpParams, gp_quantile, gp_rescale, gp_sample
 from .errors import InputError, NumericalError
-from .fit import GpFit, gp_fit_mle, gp_fit_pwm, profile_ci, return_level
+from .fit import GpFit, _check_rate_period, gp_fit_mle, gp_fit_pwm, profile_ci, return_level
 from .indexflood import StationMeta, fit_area_regression
 from .lmoments import gp_population_lmoments
 from .pot import (
@@ -32,6 +32,14 @@ from .pot import (
 from .regional import Region, RegionSite, growth_curve, index_flood_quantile
 
 log = logging.getLogger("regflood")
+
+# return periods every experiment scores, and the ones its ranking uses
+_RETURN_PERIODS = (2.0, 5.0, 10.0, 20.0)
+_RANK_PERIODS = (5.0, 10.0, 20.0)
+# synthetic regions: the dimensionless growth curve, whose location is the
+# dimensionless threshold, and the first year of every synthetic record
+_CURVE = GpParams(1.0, 0.55, 0.1)
+_START_YEAR = 1970
 
 
 # ------------------------------------------------------------- truncation
@@ -96,11 +104,10 @@ class BenchmarkEntry:
 def benchmark_pot(
     pot: PotSeries,
     periods: Sequence[float],
-    level: float = 0.90,
     *,
     fit: GpFit | None = None,
 ) -> tuple[BenchmarkEntry, ...]:
-    """Full-record MLE return levels with profile intervals.
+    """Full-record MLE return levels with 90 % profile intervals.
 
     Periods beyond 0.6 times the record length are kept
     but flagged unreliable: the benchmark itself is too uncertain there
@@ -114,7 +121,7 @@ def benchmark_pot(
     out = []
     for period in periods:
         value = return_level(fit.params, pot.rate, period)
-        ci = profile_ci(pot, period, level, fit=fit)
+        ci = profile_ci(pot, period, fit=fit)
         out.append(
             BenchmarkEntry(
                 period_years=float(period),
@@ -222,21 +229,17 @@ def rank_scores(
 class SynthSpec:
     """Blueprint of a synthetic region.
 
-    Sites share the dimensionless growth curve (its location is the
-    dimensionless threshold); per-site scale factors follow the area law
-    a * A**b with lognormal scatter.  ``lcv_dispersion`` spreads the
-    site L-CVs over that factor (1 = homogeneous) by shifting locations.
+    Sites share the dimensionless GP growth curve (1.0, 0.55, 0.1), whose
+    location is the dimensionless threshold, and every site records
+    ``years`` years.  Basin areas are log-uniform on [30, 800] km2, and the
+    per-site scale factors follow the area law 0.9 * A**0.8 times a
+    lognormal scatter of log-sd 0.08.  ``lcv_dispersion`` spreads the site
+    L-CVs over that factor (1 = homogeneous) by shifting locations.
     """
 
     n_sites: int = 14
-    years: float | tuple[float, ...] = 37.0
+    years: float = 37.0
     rate: float = 2.0
-    curve: GpParams = GpParams(1.0, 0.55, 0.1)
-    index_a: float = 0.9
-    index_b: float = 0.8
-    index_noise_sd: float = 0.08
-    area_range: tuple[float, float] = (30.0, 800.0)
-    areas: tuple[float, ...] | None = None
     lcv_dispersion: float = 1.0
     target: str = "S0"
 
@@ -249,24 +252,10 @@ class SynthSpec:
             raise InputError(
                 f"L-CV dispersion factor must be >= 1, got {self.lcv_dispersion}"
             )
-        if self.areas is not None and len(self.areas) != self.n_sites:
-            raise InputError(
-                f"got {len(self.areas)} areas for {self.n_sites} sites"
-            )
-        years = self.site_years()
-        if min(years) <= 0:
+        if self.years <= 0:
             raise InputError("record lengths must be positive")
-        if round(self.rate * min(years)) < 5:
+        if round(self.rate * self.years) < 5:
             raise InputError("records too short: fewer than 5 events per site")
-
-    def site_years(self) -> tuple[float, ...]:
-        if isinstance(self.years, (int, float)):
-            return (float(self.years),) * self.n_sites
-        if len(self.years) != self.n_sites:
-            raise InputError(
-                f"got {len(self.years)} record lengths for {self.n_sites} sites"
-            )
-        return tuple(float(y) for y in self.years)
 
 
 @dataclass(frozen=True)
@@ -279,8 +268,8 @@ class RegionTruth:
     index_floods: dict[str, float]
 
 
-def _even_times(n: int, years: float, start_year: int = 1970) -> np.ndarray:
-    t0 = np.datetime64(f"{start_year}-01-01T00:00:00", "s")
+def _even_times(n: int, years: float) -> np.ndarray:
+    t0 = np.datetime64(f"{_START_YEAR}-01-01T00:00:00", "s")
     step = years * DAYS_PER_YEAR * 86400.0 / (n + 1)
     return t0 + ((1 + np.arange(n)) * step).astype(np.int64).astype("timedelta64[s]")
 
@@ -288,27 +277,18 @@ def _even_times(n: int, years: float, start_year: int = 1970) -> np.ndarray:
 def synth_region(spec: SynthSpec, seed=0) -> tuple[Region, RegionTruth]:
     """Draw a synthetic region and its ground truth, deterministically."""
     rng = np.random.default_rng(seed)
-    years = spec.site_years()
-    base = gp_population_lmoments(spec.curve)
+    years = float(spec.years)
+    base = gp_population_lmoments(_CURVE)
     t_base = base.l2 / base.l1
-    tail = spec.curve.scale / (1.0 - spec.curve.shape)
-    if spec.n_sites > 1:
-        spread = np.linspace(-0.5, 0.5, spec.n_sites)
-    else:
-        spread = np.zeros(1)
+    tail = _CURVE.scale / (1.0 - _CURVE.shape)
+    spread = np.linspace(-0.5, 0.5, spec.n_sites)
     sites = []
     site_params, scale_factors, index_floods = {}, {}, {}
     p1 = 1.0 - 1.0 / spec.rate
     for i in range(spec.n_sites):
         code = f"S{i}"
-        if spec.areas is not None:
-            area = float(spec.areas[i])
-        else:
-            lo, hi = spec.area_range
-            area = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-        factor = spec.index_a * area**spec.index_b
-        if spec.index_noise_sd > 0:
-            factor *= float(np.exp(rng.normal(0.0, spec.index_noise_sd)))
+        area = float(np.exp(rng.uniform(np.log(30.0), np.log(800.0))))
+        factor = 0.9 * area**0.8 * float(np.exp(rng.normal(0.0, 0.08)))
         t_i = t_base * spec.lcv_dispersion ** spread[i]
         loc_i = base.l2 / t_i - tail
         if loc_i <= 0:
@@ -316,16 +296,16 @@ def synth_region(spec: SynthSpec, seed=0) -> tuple[Region, RegionTruth]:
                 f"L-CV dispersion {spec.lcv_dispersion} pushes site {code} "
                 "to a non-positive location"
             )
-        dimless = GpParams(loc_i, spec.curve.scale, spec.curve.shape)
+        dimless = GpParams(loc_i, _CURVE.scale, _CURVE.shape)
         params = gp_rescale(dimless, factor)
-        n = int(round(spec.rate * years[i]))
+        n = int(round(spec.rate * years))
         peaks = gp_sample(params, n, rng)
         pot = PotSeries(
             station=code,
             threshold=params.location,
-            times=_even_times(n, years[i]),
+            times=_even_times(n, years),
             peaks=np.maximum(peaks, params.location),
-            record_years=years[i],
+            record_years=years,
         )
         meta = StationMeta(
             code=code,
@@ -333,8 +313,8 @@ def synth_region(spec: SynthSpec, seed=0) -> tuple[Region, RegionTruth]:
             area_km2=area,
             x_km=float(rng.uniform(0.0, 100.0)),
             y_km=float(rng.uniform(0.0, 100.0)),
-            record_start=1970,
-            record_end=1970 + int(round(years[i])),
+            record_start=_START_YEAR,
+            record_end=_START_YEAR + int(round(years)),
         )
         sites.append(RegionSite(meta, pot))
         site_params[code] = params
@@ -342,7 +322,7 @@ def synth_region(spec: SynthSpec, seed=0) -> tuple[Region, RegionTruth]:
         index_floods[code] = float(gp_quantile(params, p1))
     region = Region(tuple(sites), spec.target)
     truth = RegionTruth(
-        curve=spec.curve,
+        curve=_CURVE,
         site_params=site_params,
         scale_factors=scale_factors,
         index_floods=index_floods,
@@ -356,13 +336,13 @@ def synth_daily_series(
     years: float = 37.0,
     seed=0,
     station: str = "SYN",
-    start_year: int = 1970,
 ) -> DischargeSeries:
     """Daily discharge series whose flood peaks follow the given GP law.
 
-    Baseline flow stays well below the GP location (the natural POT
-    threshold); events are isolated few-day hydrographs whose peaks are
-    exact GP draws, so extraction at that threshold recovers them.
+    The series starts on 1 January 1970.  Baseline flow stays well below
+    the GP location (the natural POT threshold); events are isolated
+    few-day hydrographs whose peaks are exact GP draws, so extraction at
+    that threshold recovers them.
     """
     if rate <= 0:
         raise InputError(f"event rate must be positive, got {rate}")
@@ -389,7 +369,7 @@ def synth_daily_series(
         q[day - 1] = max(q[day - 1], rise)
         q[day + 1] = max(q[day + 1], fall)
         q[day + 2] = max(q[day + 2], 0.5 * fall)
-    t0 = np.datetime64(f"{start_year}-01-01T00:00:00", "s")
+    t0 = np.datetime64(f"{_START_YEAR}-01-01T00:00:00", "s")
     times = t0 + np.arange(n_days) * np.timedelta64(86400, "s")
     return DischargeSeries(station=station, times=times, discharge=q)
 
@@ -399,18 +379,18 @@ def synth_daily_series(
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Settings of one model-comparison experiment."""
+    """Settings of one model-comparison experiment.
+
+    Every experiment scores the return periods 2, 5, 10 and 20 years with
+    90 % benchmark intervals, and ranks the models on 5, 10 and 20 years.
+    """
 
     lengths: tuple[int, ...] = (5,)
     anchor: str = "first"
-    return_periods: tuple[float, ...] = (2.0, 5.0, 10.0, 20.0)
-    rank_periods: tuple[float, ...] = (5.0, 10.0, 20.0)
     models: tuple[str, ...] = ("MLE", "PWU", "PWB", "REG", "BAY")
     replicates: int = 1
     seed: int = 0
-    level: float = 0.90
     sliding: bool = False
-    threshold_cv: float = 0.1
     mcmc: McmcConfig = field(
         default_factory=lambda: McmcConfig(chains=2, iterations=6000, burn_in=1500)
     )
@@ -427,11 +407,6 @@ class EvalConfig:
         unknown = set(self.models) - {"MLE", "PWU", "PWB", "REG", "BAY"}
         if unknown:
             raise InputError(f"unknown models {sorted(unknown)!r}")
-        missing = set(self.rank_periods) - set(self.return_periods)
-        if missing:
-            raise InputError(
-                f"rank periods {sorted(missing)} not among return periods"
-            )
 
 
 @dataclass(frozen=True)
@@ -485,8 +460,7 @@ def _model_estimates(
         c = window.index_flood().value
         out = {}
         for T in periods:
-            if tpot.rate * T <= 1.0:
-                raise InputError(f"rate {tpot.rate} too low for period {T}")
+            _check_rate_period(tpot.rate, T)
             out[T] = index_flood_quantile(curve, c, 1.0 - 1.0 / (tpot.rate * T))
         return out
     if name == "BAY":
@@ -517,7 +491,7 @@ def run_experiment(
     root = np.random.SeedSequence(config.seed)
     rep_streams = root.spawn(max(config.replicates, 1))
     rels: dict[tuple[str, float], list[float]] = {
-        (m, T): [] for m in config.models for T in config.return_periods
+        (m, T): [] for m in config.models for T in _RETURN_PERIODS
     }
     missing: list[str] = []
     bench0: tuple[BenchmarkEntry, ...] = ()
@@ -535,12 +509,10 @@ def run_experiment(
         bench_params = target_site.fit.params
         bench_q = {
             T: return_level(bench_params, full.rate, T)
-            for T in config.return_periods
+            for T in _RETURN_PERIODS
         }
         if r == 0:
-            bench0 = benchmark_pot(
-                full, config.return_periods, level=config.level, fit=target_site.fit
-            )
+            bench0 = benchmark_pot(full, _RETURN_PERIODS, fit=target_site.fit)
 
         curve = prior = None
         try:
@@ -551,11 +523,7 @@ def run_experiment(
                     (s.meta.code, s.meta.area_km2, s.index_flood().value)
                     for s in the_region.others()
                 ]
-                prior = elicit_prior(
-                    the_region,
-                    fit_area_regression(points),
-                    threshold_cv=config.threshold_cv,
-                )
+                prior = elicit_prior(the_region, fit_area_regression(points))
         except (InputError, NumericalError) as exc:
             msg = f"replicate {r}: regional preparation failed: {exc}"
             missing.append(msg)
@@ -587,7 +555,7 @@ def run_experiment(
                         est = _model_estimates(
                             name,
                             window,
-                            config.return_periods,
+                            _RETURN_PERIODS,
                             curve,
                             prior,
                             config.mcmc,
@@ -598,16 +566,16 @@ def run_experiment(
                         missing.append(msg)
                         log.warning("%s", msg)
                         continue
-                    for T in config.return_periods:
+                    for T in _RETURN_PERIODS:
                         rels[(name, T)].append((est[T] - bench_q[T]) / bench_q[T])
 
     n_models = len(config.models)
-    n_periods = len(config.return_periods)
+    n_periods = len(_RETURN_PERIODS)
     nbias = np.full((n_models, n_periods), math.nan)
     nrmse = np.full((n_models, n_periods), math.nan)
     counts = np.zeros((n_models, n_periods), dtype=int)
     for i, name in enumerate(config.models):
-        for j, T in enumerate(config.return_periods):
+        for j, T in enumerate(_RETURN_PERIODS):
             errs = np.asarray(rels[(name, T)])
             counts[i, j] = errs.size
             if errs.size:
@@ -618,11 +586,11 @@ def run_experiment(
         table = {}
         for i, name in enumerate(config.models):
             row = []
-            for T in config.rank_periods:
-                j = config.return_periods.index(T)
+            for T in _RANK_PERIODS:
+                j = _RETURN_PERIODS.index(T)
                 row.extend((nbias[i, j], nrmse[i, j]))
             table[name] = row
-        flags = [True, False] * len(config.rank_periods)
+        flags = [True, False] * len(_RANK_PERIODS)
         scores = rank_scores(table, absolute=flags)
         r_o = tuple(scores[name].r_o for name in config.models)
         r_s = tuple(scores[name].r_s for name in config.models)
@@ -632,8 +600,8 @@ def run_experiment(
 
     return EvalReport(
         models=config.models,
-        periods=config.return_periods,
-        rank_periods=config.rank_periods,
+        periods=_RETURN_PERIODS,
+        rank_periods=_RANK_PERIODS,
         lengths=config.lengths,
         replicates=config.replicates,
         seed=config.seed,

@@ -16,6 +16,7 @@ seeded bootstrap replaces the asymptotics.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,6 +31,7 @@ from .lmoments import gp_fit_lmom, sample_lmoments
 from .pot import PotSeries
 
 __all__ = [
+    "THRESHOLD_CV",
     "GpFit",
     "ProfileCi",
     "gp_fit_mle",
@@ -40,8 +42,14 @@ __all__ = [
     "return_level",
 ]
 
+log = logging.getLogger("regflood")
+
 _XI_MIN, _XI_MAX = -0.99, 5.0
 _MIN_EVENTS = 5
+# coefficient of variation of a POT threshold, the uncertainty that stands in
+# for the fixed location's in index-flood and prior variances
+THRESHOLD_CV = 0.1
+_BOOTSTRAP_SIZE = 500
 # shapes on which _profile_loglik starts its search
 _PROFILE_GRID = np.linspace(_XI_MIN, 2.0, 31)
 
@@ -195,7 +203,13 @@ def _search_from(s0: float, xi0: float, x: np.ndarray, u: float):
             z_try[work] = z[work] + scale * step
             z_try[1] = float(np.clip(z_try[1], _XI_MIN, _XI_MAX))
             f_try, g_try = _nll_grad(z_try, x, u)
-            if f_try < 1e9 and float(np.max(np.abs(proj_grad(z_try, g_try)))) < g_norm:
+            # a step must lower the gradient norm without raising the
+            # objective beyond rounding
+            if (
+                f_try < 1e9
+                and f_try <= f_val + 1e-12 * max(1.0, abs(f_val))
+                and float(np.max(np.abs(proj_grad(z_try, g_try)))) < g_norm
+            ):
                 z, f_val, g_full = z_try, f_try, g_try
                 break
             scale *= 0.5
@@ -214,7 +228,8 @@ def gp_fit_mle(pot: PotSeries) -> GpFit:
     (shape at least -0.98, scale at least 1.1 |PWM shape| times the largest
     exceedance); fits that converge at the first search are untouched.
     ``boundary`` is set when the shape ends on its search bound
-    (short-tailed samples pile up at -0.99).
+    (short-tailed samples pile up at -0.99).  A fit left off the data's
+    support is returned with a WARNING on the ``regflood`` logger.
     """
     x = pot.peaks
     u = pot.threshold
@@ -247,6 +262,13 @@ def gp_fit_mle(pot: PotSeries) -> GpFit:
         det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
         if info[0, 0] > 0.0 and det > 0.0:
             covariance = np.array([[info[1, 1], -info[0, 1]], [-info[0, 1], info[0, 0]]]) / det
+    else:
+        log.warning(
+            "MLE of %d events at station %s lies off the data's support; its "
+            "likelihood, covariance and intervals are not usable",
+            x.size,
+            pot.station,
+        )
     return GpFit(
         params=params,
         covariance=covariance,
@@ -266,17 +288,13 @@ def _pwm_asymptotic_covariance(scale: float, shape: float, n: int) -> np.ndarray
     return np.array([[vss, -vsk], [-vsk, vkk]]) / n
 
 
-def gp_fit_pwm(
-    pot: PotSeries,
-    variant: str = "unbiased",
-    bootstrap_seed: int = 0,
-    bootstrap_size: int = 500,
-) -> GpFit:
+def gp_fit_pwm(pot: PotSeries, variant: str = "unbiased") -> GpFit:
     """Probability-weighted-moment GP fit with the location at the threshold.
 
     The covariance is the asymptotic PWM matrix for estimated shape <= 0.4
-    and a seeded nonparametric bootstrap beyond that, where the asymptotic
-    theory is unreliable.
+    and beyond that, where the asymptotic theory is unreliable, that of a
+    nonparametric bootstrap of 500 resamples with generator seed 0; with
+    fewer than 250 valid resamples there is no covariance.
     """
     x = pot.peaks
     if x.size < _MIN_EVENTS:
@@ -287,16 +305,16 @@ def gp_fit_pwm(
     if params.shape <= 0.4:
         covariance = _pwm_asymptotic_covariance(params.scale, params.shape, x.size)
     else:
-        rng = np.random.default_rng(bootstrap_seed)
+        rng = np.random.default_rng(0)
         draws = []
-        for _ in range(bootstrap_size):
+        for _ in range(_BOOTSTRAP_SIZE):
             resample = rng.choice(x, size=x.size, replace=True)
             try:
                 p = gp_fit_lmom(sample_lmoments(resample, variant), location=pot.threshold)
             except (FitError, InputError):
                 continue
             draws.append((p.scale, p.shape))
-        if len(draws) < bootstrap_size // 2:
+        if len(draws) < _BOOTSTRAP_SIZE // 2:
             covariance = None
         else:
             covariance = np.cov(np.asarray(draws).T)
@@ -351,18 +369,17 @@ def quantile_variance(fit: GpFit, rate: float, period_years: float) -> float:
     return float(grad @ fit.covariance @ grad)
 
 
-def log_param_variances(fit: GpFit, threshold_cv: float = 0.1) -> tuple[float, float, float]:
+def log_param_variances(fit: GpFit) -> tuple[float, float, float]:
     """Variances of (log location, log scale, shape) for prior elicitation.
 
     Delta method on the fit covariance; a fixed location carries no
-    estimation variance, so a threshold-uncertainty CV stands in for it.
+    estimation variance, so the squared threshold CV ``THRESHOLD_CV``
+    stands in for it.
     """
     if fit.covariance is None:
         raise FitError("fit has no covariance; cannot derive log-parameter variances")
-    if not 0.0 <= threshold_cv < 1.0:
-        raise InputError(f"threshold_cv must lie in [0, 1), got {threshold_cv!r}")
     var_log_sigma = float(fit.covariance[0, 0]) / fit.params.scale**2
-    return threshold_cv**2, var_log_sigma, float(fit.covariance[1, 1])
+    return THRESHOLD_CV**2, var_log_sigma, float(fit.covariance[1, 1])
 
 
 class ProfileCi(NamedTuple):

@@ -7,8 +7,8 @@ growth curve; each site's curve scales by its index flood.
 
 For ungauged or weakly gauged targets the index flood is predicted from
 basin area through the log-log regression C = a * A**b; the prediction
-variance on the log scale carries both the curve uncertainty and (by
-default) the residual site-to-site scatter.
+variance on the log scale carries both the curve uncertainty and the
+residual site-to-site scatter.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from scipy.stats import gaussian_kde
 
 from .errors import InputError
-from .fit import GpFit, gp_fit_mle, quantile_variance, return_level
+from .fit import THRESHOLD_CV, GpFit, gp_fit_mle, quantile_variance, return_level
 from .pot import PotSeries
 
 __all__ = [
@@ -62,25 +62,20 @@ class IndexFlood(NamedTuple):
     var_log: float
 
 
-def at_site_index_flood(
-    pot: PotSeries,
-    method: str = "gp-fit",
-    threshold_cv: float = 0.1,
-) -> IndexFlood:
+def at_site_index_flood(pot: PotSeries, method: str = "gp-fit") -> IndexFlood:
     """One-year return level of a site with its log-scale variance.
 
-    ``gp-fit`` propagates the MLE covariance through the quantile gradient
-    (plus the threshold-uncertainty term for the fixed location);
+    ``gp-fit`` propagates the MLE covariance through the quantile gradient,
+    plus the threshold-uncertainty term (``THRESHOLD_CV`` times the
+    threshold, squared) for the fixed location;
     ``empirical`` uses the sample quantile of the peaks with its
     asymptotic density-based variance.  A region site gives the same
     value from its one kept fit: ``RegionSite.index_flood``.
     """
-    return _index_flood(pot, lambda: gp_fit_mle(pot), method, threshold_cv)
+    return _index_flood(pot, lambda: gp_fit_mle(pot), method)
 
 
-def _index_flood(
-    pot: PotSeries, fit_of: Callable[[], GpFit], method: str, threshold_cv: float
-) -> IndexFlood:
+def _index_flood(pot: PotSeries, fit_of: Callable[[], GpFit], method: str) -> IndexFlood:
     # also RegionSite.index_flood; only gp-fit calls fit_of, for the MLE of pot
     rate = pot.rate
     if rate <= 1.0:
@@ -91,7 +86,7 @@ def _index_flood(
         fit = fit_of()
         c = return_level(fit.params, rate, 1.0)
         var_q = quantile_variance(fit, rate, 1.0) if fit.covariance is not None else 0.0
-        var_q += (threshold_cv * pot.threshold) ** 2
+        var_q += (THRESHOLD_CV * pot.threshold) ** 2
         if c <= 0:
             raise InputError(f"index flood must be positive, got {c!r}")
         return IndexFlood(c, var_q / c**2)
@@ -123,26 +118,17 @@ class AreaRegression:
     mean_log_area: float
     sxx: float
     codes: tuple[str, ...]
-    excluded: str | None = None
 
 
-def fit_area_regression(
-    points: Sequence[tuple[str, float, float]],
-    exclude: str | None = None,
-) -> AreaRegression:
+def fit_area_regression(points: Sequence[tuple[str, float, float]]) -> AreaRegression:
     """Fit the area scaling law from (code, area_km2, index_flood) triples.
 
-    ``exclude`` drops one site (the usual leave-target-out step) before
-    fitting; at least three sites must remain.
+    Every point enters the fit, so a leave-target-out regression is given
+    the points of the other sites only; at least three sites are needed.
     """
     codes = [p[0] for p in points]
     if len(set(codes)) != len(codes):
         raise InputError("duplicate station codes in regression points")
-    if exclude is not None:
-        if exclude not in codes:
-            raise InputError(f"excluded code {exclude!r} is not among the points")
-        points = [p for p in points if p[0] != exclude]
-        codes = [p[0] for p in points]
     if len(points) < 3:
         raise InputError(f"need at least 3 sites for the regression, got {len(points)}")
     areas = np.array([p[1] for p in points], dtype=float)
@@ -172,7 +158,6 @@ def fit_area_regression(
         mean_log_area=z_bar,
         sxx=sxx,
         codes=tuple(codes),
-        excluded=exclude,
     )
 
 

@@ -294,6 +294,9 @@ def _kappa_ratios(k: float, h: float) -> tuple[float, float]:
     return lm.t3, lm.t4
 
 
+_KAPPA_MAX_ITER = 100
+
+
 def _kappa_in_region(k: float, h: float) -> bool:
     if k <= -1.0 + 1e-9:
         return False
@@ -302,11 +305,12 @@ def _kappa_in_region(k: float, h: float) -> bool:
     return abs(k) <= 20.0 and abs(h) <= 50.0
 
 
-def kappa_fit_lmom(lmom: LmomentSet, tol: float = 1e-8, max_iter: int = 100) -> KappaParams:
+def kappa_fit_lmom(lmom: LmomentSet) -> KappaParams:
     """Fit kappa parameters by matching (l1, l2, t3, t4).
 
     Newton iteration on (shape_k, shape_h) with a finite-difference
-    Jacobian and step halving, started from the GP sub-family (h = 1).
+    Jacobian and step halving, started from the GP sub-family (h = 1), to
+    a largest ratio residual below 1e-8 in at most 100 steps.
     Location and scale then follow linearly from l1 and l2.
     """
     l1 = float(lmom.l1)
@@ -330,8 +334,8 @@ def kappa_fit_lmom(lmom: LmomentSet, tol: float = 1e-8, max_iter: int = 100) -> 
     h = 1.0
     f = residual(k, h)
     norm = float(np.max(np.abs(f)))
-    for _ in range(max_iter):
-        if norm < tol:
+    for _ in range(_KAPPA_MAX_ITER):
+        if norm < 1e-8:
             break
         jac = np.empty((2, 2))
         dk = 1e-6 * max(1.0, abs(k))
@@ -366,7 +370,7 @@ def kappa_fit_lmom(lmom: LmomentSet, tol: float = 1e-8, max_iter: int = 100) -> 
     else:
         if norm >= 1e-6:
             raise FitError(
-                f"kappa fit did not converge within {max_iter} iterations "
+                f"kappa fit did not converge within {_KAPPA_MAX_ITER} iterations "
                 f"(residual {norm:.3e})"
             )
     unit = kappa_population_lmoments(KappaParams(0.0, 1.0, k, h))

@@ -237,11 +237,11 @@ def select_threshold(
     series: DischargeSeries,
     target_rate: float,
     rule: IndependenceRule = IndependenceRule(),
-    grid_size: int = 200,
 ) -> ThresholdSelection:
     """Largest quantile-grid threshold whose event rate meets the target.
 
-    The grid spans the 50th to 99.99th percentiles of the discharge values;
+    The grid takes 200 levels from the 50th to the 99.99th percentile of
+    the discharge values;
     the event rate is non-increasing in the threshold, so a binary search
     (with a small linear sweep around the crossing) finds the answer.  Each
     probed threshold costs one ``extract_pot`` call; its rate is the event
@@ -249,9 +249,7 @@ def select_threshold(
     """
     if not math.isfinite(target_rate) or target_rate <= 0:
         raise InputError(f"target rate must be positive, got {target_rate!r}")
-    if grid_size < 2:
-        raise InputError(f"grid_size must be at least 2, got {grid_size!r}")
-    levels = np.linspace(0.5, 0.9999, grid_size)
+    levels = np.linspace(0.5, 0.9999, 200)
     grid = np.unique(np.quantile(series.discharge, levels))
 
     years = record_years(series, rule.max_missing_gap_days)

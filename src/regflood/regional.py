@@ -96,7 +96,7 @@ class RegionSite:
 
     def index_flood(self, method: str = "gp-fit") -> IndexFlood:
         """``at_site_index_flood`` of the record, from ``fit`` for ``gp-fit``."""
-        return _index_flood(self.pot, lambda: self.fit, method, threshold_cv=0.1)
+        return _index_flood(self.pot, lambda: self.fit, method)
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,7 @@ def constant_fit(mu, sigma, xi, var_sigma=0.0, var_xi=0.0):
     )
 
 
-def flat_regression(codes, s2=0.0, excluded=None):
+def flat_regression(codes, s2=0.0):
     # mean_log_area chosen so predictions at area e^3 sit on the mean line
     return AreaRegression(
         a=2.0,
@@ -193,7 +193,6 @@ def flat_regression(codes, s2=0.0, excluded=None):
         mean_log_area=3.0,
         sxx=10.0,
         codes=tuple(codes),
-        excluded=excluded,
     )
 
 
@@ -227,15 +226,16 @@ def site_fits(monkeypatch):
 def test_identical_donors_hit_the_floor(site_fits):
     region = four_site_region()
     site_fits.update({c: constant_fit(1.0, 0.5, 0.12) for c in ("S1", "S2", "S3")})
-    reg = flat_regression(("S1", "S2", "S3"), s2=0.0, excluded="S0")
-    prior = elicit_prior(region, reg, threshold_cv=0.0)
+    reg = flat_regression(("S1", "S2", "S3"), s2=0.0)
+    prior = elicit_prior(region, reg)
     c_pred = 2.0
     # each donor is rescaled by its own index flood, the one-year level
     c = return_level(GpParams(1.0, 0.5, 0.12), 2.0, 1.0)
     assert prior.gamma[0] == pytest.approx(math.log(c_pred / c), rel=1e-12)
     assert prior.gamma[1] == pytest.approx(math.log(0.5 * c_pred / c), rel=1e-12)
     assert prior.gamma[2] == pytest.approx(0.12, rel=1e-12)
-    assert prior.d == (1e-4, 1e-4, 1e-4)
+    # the location variance is the threshold CV's 0.1**2; the others hit the floor
+    assert prior.d == pytest.approx((0.01, 1e-4, 1e-4), rel=1e-12)
     assert prior.provenance.sites == ("S1", "S2", "S3")
 
 
@@ -246,10 +246,11 @@ def test_variance_components_add(site_fits):
         {c: constant_fit(1.0, 1.0, 0.1, var_sigma=0.01) for c in ("S1", "S2", "S3")}
     )
     s2 = 0.02 / (1.0 + 1.0 / 3.0)
-    reg = flat_regression(("S1", "S2", "S3"), s2=s2, excluded="S0")
-    prior = elicit_prior(region, reg, threshold_cv=0.0)
+    reg = flat_regression(("S1", "S2", "S3"), s2=s2)
+    prior = elicit_prior(region, reg)
     assert prior.d[1] == pytest.approx(0.03, rel=1e-12)
-    assert prior.d[0] == pytest.approx(0.02, rel=1e-12)
+    # prediction variance 0.02 plus the threshold CV's 0.01
+    assert prior.d[0] == pytest.approx(0.03, rel=1e-12)
 
 
 def test_target_in_regression_is_contract_violation():
@@ -263,11 +264,11 @@ def test_too_few_donors(site_fits):
     region = four_site_region()
     site_fits.update({c: constant_fit(1.0, 0.5, 0.1) for c in ("S1", "S2")})
     with pytest.raises(ElicitationError):
-        elicit_prior(region, flat_regression(("S1", "S2"), excluded="S0"))
+        elicit_prior(region, flat_regression(("S1", "S2")))
     # a donor whose fit fails is dropped, leaving too few again
     site_fits["S3"] = FitError("MLE did not converge")
     with pytest.raises(ElicitationError):
-        elicit_prior(region, flat_regression(("S1", "S2", "S3"), excluded="S0"))
+        elicit_prior(region, flat_regression(("S1", "S2", "S3")))
 
 
 def test_donors_are_the_regression_sites():
@@ -502,8 +503,8 @@ def reference_chains(prior, pot, config, seed):
                     window_acc[j] += 1
                     if it >= config.burn_in:
                         post_acc[j] += 1
-            if it < config.burn_in and (it + 1) % config.adapt_window == 0:
-                factor = np.exp(1.2 * (window_acc / config.adapt_window - 0.35))
+            if it < config.burn_in and (it + 1) % bayes._ADAPT_WINDOW == 0:
+                factor = np.exp(1.2 * (window_acc / bayes._ADAPT_WINDOW - 0.35))
                 scales = np.clip(scales * np.clip(factor, 0.5, 2.0), 1e-6, 100.0)
                 window_acc[:] = 0.0
             if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:

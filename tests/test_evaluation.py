@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from regflood.bayes import McmcConfig
+from regflood.bayes import McmcConfig, PosteriorChains, posterior_quantiles
 from regflood.distributions import GpParams, gp_quantile, gp_sample
 from regflood.errors import InputError
 from regflood.evaluation import (
+    _model_estimates,
     EvalConfig,
     RegionTruth,
     SynthSpec,
@@ -20,7 +21,7 @@ from regflood.evaluation import (
 )
 from regflood.fit import gp_fit_mle, gp_fit_pwm, return_level
 from regflood.pot import extract_pot, select_threshold
-from regflood.regional import heterogeneity
+from regflood.regional import growth_curve, heterogeneity
 
 from conftest import make_pot
 
@@ -217,7 +218,7 @@ def test_synth_region_truth_is_consistent():
         assert 30.0 <= site.meta.area_km2 <= 800.0
         want = gp_quantile(params, 1.0 - 1.0 / spec.rate)
         assert truth.index_floods[site.meta.code] == pytest.approx(want)
-        assert params.shape == spec.curve.shape
+        assert params.shape == truth.curve.shape
 
 
 def test_synth_region_homogeneous_vs_dispersed():
@@ -245,8 +246,6 @@ def test_synth_region_validation():
         SynthSpec(n_sites=1)
     with pytest.raises(InputError):
         SynthSpec(lcv_dispersion=0.5)
-    with pytest.raises(InputError):
-        SynthSpec(areas=(10.0, 20.0), n_sites=3)
     with pytest.raises(InputError):
         SynthSpec(years=1.0)
 
@@ -286,16 +285,15 @@ def test_run_experiment_fixed_region_local_models():
     cfg = EvalConfig(
         lengths=(10, 20),
         models=("MLE", "PWU", "PWB"),
-        return_periods=(2.0, 5.0, 10.0),
-        rank_periods=(5.0, 10.0),
     )
     report = run_experiment(cfg, region=region)
     assert report.models == ("MLE", "PWU", "PWB")
+    assert report.periods == (2.0, 5.0, 10.0, 20.0)
     for i in range(3):
-        for j in range(3):
+        for j in range(4):
             assert report.k[i][j] == 2
             assert report.nrmse[i][j] >= abs(report.nbias[i][j]) - 1e-15
-    assert len(report.benchmark) == 3
+    assert len(report.benchmark) == 4
     assert all(e.lower < e.value < e.upper for e in report.benchmark)
     for s in report.r_s:
         assert 0.0 <= s <= 1.0
@@ -307,7 +305,6 @@ def test_run_experiment_deterministic():
         models=("MLE", "PWU"),
         replicates=2,
         seed=9,
-        rank_periods=(5.0, 10.0),
     )
     spec = fixed_region_spec()
     a = run_experiment(cfg, synth=spec)
@@ -319,7 +316,7 @@ def test_run_experiment_deterministic():
 
 def test_run_experiment_single_model_has_no_scores():
     region, _ = synth_region(fixed_region_spec(), seed=5)
-    cfg = EvalConfig(lengths=(20,), models=("MLE",), rank_periods=(5.0,))
+    cfg = EvalConfig(lengths=(20,), models=("MLE",))
     report = run_experiment(cfg, region=region)
     assert math.isnan(report.r_s[0])
     assert report.k[0][0] == 1
@@ -331,7 +328,6 @@ def test_run_experiment_sliding_multiplies_cells():
         lengths=(30,),
         models=("MLE", "PWU"),
         sliding=True,
-        rank_periods=(5.0,),
     )
     report = run_experiment(cfg, region=region)
     assert report.k[0][0] == 8  # offsets 0..7 on a 37-year record
@@ -343,7 +339,6 @@ def test_run_experiment_with_regional_and_bayes():
         models=("MLE", "REG", "BAY"),
         replicates=1,
         seed=3,
-        rank_periods=(5.0, 10.0),
         mcmc=McmcConfig(chains=2, iterations=1500, burn_in=500),
     )
     report = run_experiment(cfg, synth=SynthSpec(n_sites=10, years=37.0))
@@ -366,13 +361,27 @@ def test_run_experiment_fits_each_site_once(fit_calls):
     assert sorted(set(fit_calls) - {"S0"}) == sorted(f"S{i}" for i in range(1, 14))
 
 
+def test_return_periods_share_one_rule():
+    # a period with rate * T <= 1 has no return level, whichever model asks
+    region, _ = synth_region(fixed_region_spec(), seed=5)
+    window = region.target_site  # two events a year
+    curve = growth_curve(region, exclude=window.meta.code)
+    rule = r"return period 0\.5 needs rate \* T > 1"
+    with pytest.raises(InputError, match=rule):
+        _model_estimates("REG", window, (0.5,), curve, None, McmcConfig(), 0)
+    with pytest.raises(InputError, match=rule):
+        _model_estimates("MLE", window, (0.5,), curve, None, McmcConfig(), 0)
+    draws = np.tile([10.0, 5.0, 0.1], (1, 500, 1))
+    chains = PosteriorChains(draws, np.full((1, 3), 0.3), burn_in=0, thinning=1, seed=0)
+    with pytest.raises(InputError, match=rule):
+        posterior_quantiles(chains, 2.0, (5.0, 0.5))
+
+
 def test_eval_config_validation():
     with pytest.raises(InputError):
         EvalConfig(replicates=0)
     with pytest.raises(InputError):
         EvalConfig(models=("MLE", "XXX"))
-    with pytest.raises(InputError):
-        EvalConfig(rank_periods=(7.0,))
     with pytest.raises(InputError):
         EvalConfig(lengths=())
     with pytest.raises(InputError):

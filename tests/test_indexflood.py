@@ -75,14 +75,6 @@ def test_area_regression_hand_computed_case():
 
 def test_area_regression_exclude():
     points = [("A", 30.0, 4.0), ("B", 100.0, 11.0), ("C", 300.0, 40.0), ("D", 600.0, 70.0)]
-    full = fit_area_regression(points)
-    left_out = fit_area_regression(points, exclude="B")
-    assert left_out.n == 3
-    assert left_out.excluded == "B"
-    assert "B" not in left_out.codes
-    assert left_out.b != full.b
-    with pytest.raises(InputError):
-        fit_area_regression(points, exclude="Z")
     with pytest.raises(InputError):
         fit_area_regression(points[:2])
     with pytest.raises(InputError):
