@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import gaussian_kde, lognorm, norm
+from scipy.special import ndtri
 
 from . import __version__
 from .bayes import (
@@ -36,6 +36,7 @@ from .bayes import (
     mcmc_sample,
     posterior_quantiles,
 )
+from .distributions import _kde_pdf
 from .errors import ContractViolationError, InputError, NumericalError
 from .evaluation import EvalConfig, SynthSpec, run_experiment, synth_daily_series, synth_region
 from .fileio import (
@@ -69,6 +70,7 @@ __all__ = ["main"]
 log = logging.getLogger("regflood")
 
 _MIN_RECOMMENDED_NSIM = 100
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,7 +161,7 @@ _FIT_METHODS = {
 
 
 def _fit_quantiles(pot, fit, periods, level, ci_kind):
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     rows = []
     for T in periods:
         value = return_level(fit.params, pot.rate, T)
@@ -295,7 +297,14 @@ def cmd_region(args) -> list[str]:
 
 
 def _density_grids(prior: PriorSpec, pooled: np.ndarray):
-    """Closed-form prior and KDE posterior marginals on shared grids."""
+    """Closed-form prior and KDE posterior marginals on shared grids.
+
+    The prior pdfs, lognormal for location and scale and normal for shape,
+    follow ``scipy.stats``' order of operations, so they equal its
+    ``lognorm.pdf`` and ``norm.pdf`` bit for bit.  The posterior is
+    ``distributions._kde_pdf`` of the pooled draws (Scott's bandwidth),
+    which agrees with ``scipy.stats.gaussian_kde`` at rounding level.
+    """
     grids = []
     for j, name in enumerate(("mu", "sigma", "xi")):
         x = pooled[:, j]
@@ -307,10 +316,14 @@ def _density_grids(prior: PriorSpec, pooled: np.ndarray):
         grid = np.linspace(lo, hi, 201)
         sd = math.sqrt(prior.d[j])
         if j < 2:
-            prior_pdf = lognorm.pdf(grid, sd, scale=math.exp(prior.gamma[j]))
+            scale = math.exp(prior.gamma[j])
+            y = grid / scale
+            log_pdf = -np.log(y) ** 2 / (2 * sd**2) - np.log(sd * y * _SQRT_2PI)
+            prior_pdf = np.exp(log_pdf) / scale
         else:
-            prior_pdf = norm.pdf(grid, prior.gamma[j], sd)
-        post_pdf = gaussian_kde(x)(grid)
+            y = (grid - prior.gamma[j]) / sd
+            prior_pdf = np.exp(-(y**2) / 2.0) / _SQRT_2PI / sd
+        post_pdf = _kde_pdf(x, grid)
         grids.append((name, grid, prior_pdf, post_pdf))
     return grids
 

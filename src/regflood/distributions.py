@@ -18,6 +18,9 @@ h = 0, k = 0. It is used as the simulation parent for heterogeneity tests.
 
 All evaluators switch to the analytic shape -> 0 limit when |shape| falls
 below ``SHAPE_EPS`` so quantiles and densities are continuous in shape.
+
+A Gaussian kernel density estimate of a sample (``_kde_pdf``) serves the
+posterior density output and the empirical index flood.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DegenerateSampleError, InputError
 
 __all__ = [
     "SHAPE_EPS",
@@ -46,6 +49,15 @@ __all__ = [
 # Below this magnitude the shape is treated as exactly zero (exponential /
 # Gumbel branch); keeps quantiles continuous and avoids 1/shape blowups.
 SHAPE_EPS = 1e-8
+# Values per temporary array in blocked array work. 15,000 float64 values
+# stay under glibc's default 128 KiB mmap threshold, so such temporaries are
+# reused heap memory instead of fresh mmapped pages, whose page faults cost
+# more than the arithmetic; far smaller blocks pay numpy's per-call overhead.
+_BLOCK_VALUES = 15_000
+# a Gaussian kernel farther than this many bandwidths is exp(-760.5), which
+# underflows to exactly 0.0, so leaving such draws out changes no sum; it
+# also spares np.exp its slow path for underflowing arguments
+_KDE_REACH = 39.0
 
 
 def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -175,7 +187,8 @@ def gp_quantile(params: GpParams, p):
     arr = np.asarray(p, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr >= 1.0):
+    # NaN and infinities fail a comparison, so no isfinite pass is needed
+    if not np.all((arr >= 0.0) & (arr < 1.0)):
         raise InputError("probabilities must lie in [0, 1)")
     xi = params.shape
     if abs(xi) < SHAPE_EPS:
@@ -217,7 +230,8 @@ def kappa_quantile(params: KappaParams, p):
     arr = np.asarray(p, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    # NaN and infinities fail a comparison, so no isfinite pass is needed
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise InputError("probabilities must lie in (0, 1)")
     y = _kappa_y(params, arr)
     k = params.shape_k
@@ -257,6 +271,46 @@ def kappa_cdf(params: KappaParams, x):
     return _maybe_scalar(np.clip(out, 0.0, 1.0), scalar)
 
 
+def _kde_pdf(sample: np.ndarray, points) -> np.ndarray:
+    """Gaussian kernel density estimate of a 1-D sample at ``points``.
+
+    The bandwidth is Scott's rule: the ``ddof=1`` standard deviation times
+    n ** (-1/5), as in ``scipy.stats.gaussian_kde``, with which it agrees at
+    rounding level.  The kernel sums run over blocks of at most
+    ``_BLOCK_VALUES`` (point, draw) pairs in one reused buffer, so no
+    (points, n) matrix is ever built.  A sample without spread has no
+    bandwidth and raises DegenerateSampleError.
+    """
+    x = np.asarray(sample, dtype=float)
+    n = x.size
+    var = float(np.var(x, ddof=1))
+    if not var > 0.0:
+        raise DegenerateSampleError("sample has no spread; no kernel density estimate")
+    h = math.sqrt(var) * n**-0.2
+    # in bandwidth units, as gaussian_kde whitens both sides; sorted, so the
+    # draws within _KDE_REACH of a point are one slice
+    xw = np.sort(x) / h
+    pw = np.atleast_1d(np.asarray(points, dtype=float)) / h
+    first = np.searchsorted(xw, pw - _KDE_REACH)
+    stop = np.searchsorted(xw, pw + _KDE_REACH, side="right")
+    cols = min(n, _BLOCK_VALUES)
+    rows = min(pw.size, max(1, _BLOCK_VALUES // cols))
+    buf = np.empty((rows, cols))
+    sums = np.zeros(pw.size)
+    for r0 in range(0, pw.size, rows):
+        p = pw[r0 : r0 + rows, None]
+        c_first = int(first[r0 : r0 + rows].min())
+        c_stop = int(stop[r0 : r0 + rows].max())
+        for c0 in range(c_first, c_stop, cols):
+            block = buf[: p.shape[0], : min(cols, c_stop - c0)]
+            np.subtract(p, xw[c0 : c0 + block.shape[1]], out=block)
+            np.square(block, out=block)
+            block *= -0.5
+            np.exp(block, out=block)
+            sums[r0 : r0 + rows] += block.sum(axis=1)
+    return sums / (n * h * math.sqrt(2.0 * math.pi))
+
+
 def kappa_sample(params: KappaParams, n: int, seed: int | np.random.Generator | None = None) -> np.ndarray:
     """Draw n variates by inverse-CDF applied to uniforms from the given seed."""
     if n < 0:
@@ -264,5 +318,5 @@ def kappa_sample(params: KappaParams, n: int, seed: int | np.random.Generator | 
     rng = as_generator(seed)
     u = rng.random(n)
     # keep u strictly inside (0, 1); random() can return exactly 0.0
-    u = np.clip(u, 1e-15, 1.0 - 1e-16)
+    np.clip(u, 1e-15, 1.0 - 1e-16, out=u)
     return np.asarray(kappa_quantile(params, u))

@@ -16,7 +16,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .bayes import McmcConfig, elicit_prior, mcmc_sample, posterior_quantiles
 from .distributions import GpParams, gp_quantile, gp_rescale, gp_sample
@@ -201,7 +200,9 @@ def rank_scores(
         if idx.size < 2:
             continue
         col = np.abs(col[idx]) if absolute[c] else col[idx]
-        ranks = rankdata(col, method="average")
+        # average rank of a tie group: (values below + values at or below + 1) / 2
+        below = (col[None, :] < col[:, None]).sum(axis=1)
+        ranks = (below + (col[None, :] <= col[:, None]).sum(axis=1) + 1) / 2.0
         for i, rank in zip(idx, ranks):
             m = models[i]
             r_o[m] += float(rank)

@@ -11,7 +11,12 @@ information of (scale, shape).
 
 The PWM fit pairs the L-moment estimator with its published asymptotic
 covariance (valid for shape < 1/2); for heavy estimated shapes (> 0.4) a
-seeded bootstrap replaces the asymptotics.
+seeded bootstrap replaces the asymptotics, all its resamples drawn and
+fitted as one array.
+
+Profile-likelihood intervals cut the deviance at the chi^2(1) quantile,
+taken from ``scipy.special.gammaincinv`` in the closed form that
+``scipy.stats.chi2.ppf`` uses; the package does not import ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -23,11 +28,11 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .distributions import SHAPE_EPS, GpParams, gp_logpdf, gp_quantile
 from .errors import FitError, InputError, InsufficientDataError
-from .lmoments import gp_fit_lmom, sample_lmoments
+from .lmoments import _pwm_float, gp_fit_lmom, sample_lmoments
 from .pot import PotSeries
 
 __all__ = [
@@ -294,7 +299,11 @@ def gp_fit_pwm(pot: PotSeries, variant: str = "unbiased") -> GpFit:
     The covariance is the asymptotic PWM matrix for estimated shape <= 0.4
     and beyond that, where the asymptotic theory is unreliable, that of a
     nonparametric bootstrap of 500 resamples with generator seed 0; with
-    fewer than 250 valid resamples there is no covariance.
+    fewer than 250 valid resamples there is no covariance.  The resamples
+    are one (500, n) draw, fitted as arrays with the arithmetic of
+    ``sample_lmoments`` and ``gp_fit_lmom``; a resample either of them
+    would reject (constant, zero l1 or l2, mean at or below the threshold,
+    implied shape >= 1) is skipped.
     """
     x = pot.peaks
     if x.size < _MIN_EVENTS:
@@ -306,18 +315,21 @@ def gp_fit_pwm(pot: PotSeries, variant: str = "unbiased") -> GpFit:
         covariance = _pwm_asymptotic_covariance(params.scale, params.shape, x.size)
     else:
         rng = np.random.default_rng(0)
-        draws = []
-        for _ in range(_BOOTSTRAP_SIZE):
-            resample = rng.choice(x, size=x.size, replace=True)
-            try:
-                p = gp_fit_lmom(sample_lmoments(resample, variant), location=pot.threshold)
-            except (FitError, InputError):
-                continue
-            draws.append((p.scale, p.shape))
-        if len(draws) < _BOOTSTRAP_SIZE // 2:
+        xs = np.sort(rng.choice(x, size=(_BOOTSTRAP_SIZE, x.size)), axis=1)
+        l1, b1 = _pwm_float(xs, 1, variant).T
+        l2 = 2 * b1 - l1
+        excess = l1 - pot.threshold
+        ok = (xs[:, -1] != xs[:, 0]) & (l2 > 0) & (l1 != 0) & (excess > 0)
+        shape = 2.0 - excess[ok] / l2[ok]
+        scale = excess[ok] * (1.0 - shape)
+        fitted = shape < 1.0
+        if np.count_nonzero(fitted) < _BOOTSTRAP_SIZE // 2:
             covariance = None
         else:
-            covariance = np.cov(np.asarray(draws).T)
+            # np.cov of a transposed (m, 2) array, the layout a list of
+            # (scale, shape) pairs gives: a C-contiguous (2, m) stack moves
+            # the covariance at rounding level
+            covariance = np.cov(np.stack([scale[fitted], shape[fitted]], axis=1).T)
     loglik = float(np.sum(gp_logpdf(params, x)))
     return GpFit(
         params=params,
@@ -488,7 +500,8 @@ def profile_ci(
     rate = pot.rate
     q_hat = return_level(fit.params, rate, period_years)
     p = 1.0 - 1.0 / (rate * period_years)
-    cutoff = float(chi2.ppf(level, 1))
+    # the chi^2(1) quantile, in scipy.stats.chi2.ppf's own closed form
+    cutoff = float(2.0 * gammaincinv(0.5, level))
     ll_max = fit.loglik
 
     def deviance(q: float) -> float:

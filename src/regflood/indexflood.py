@@ -5,6 +5,10 @@ exceeded once a year on average, i.e. non-exceedance 1 - 1/rate of the
 event-peak law. Sites in a homogeneous region share a dimensionless
 growth curve; each site's curve scales by its index flood.
 
+The empirical index flood is the sample quantile of the peaks, whose
+asymptotic variance needs the peak density there: a Gaussian kernel
+density estimate with Scott's bandwidth (``distributions._kde_pdf``).
+
 For ungauged or weakly gauged targets the index flood is predicted from
 basin area through the log-log regression C = a * A**b; the prediction
 variance on the log scale carries both the curve uncertainty and the
@@ -18,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
+from .distributions import _kde_pdf
 from .errors import InputError
 from .fit import THRESHOLD_CV, GpFit, gp_fit_mle, quantile_variance, return_level
 from .pot import PotSeries
@@ -69,8 +73,9 @@ def at_site_index_flood(pot: PotSeries, method: str = "gp-fit") -> IndexFlood:
     plus the threshold-uncertainty term (``THRESHOLD_CV`` times the
     threshold, squared) for the fixed location;
     ``empirical`` uses the sample quantile of the peaks with its
-    asymptotic density-based variance.  A region site gives the same
-    value from its one kept fit: ``RegionSite.index_flood``.
+    asymptotic density-based variance, the density from a Gaussian KDE of
+    the peaks; equal peaks raise DegenerateSampleError.  A region site
+    gives the same value from its one kept fit: ``RegionSite.index_flood``.
     """
     return _index_flood(pot, lambda: gp_fit_mle(pot), method)
 
@@ -98,7 +103,7 @@ def _index_flood(pot: PotSeries, fit_of: Callable[[], GpFit], method: str) -> In
             )
         p = 1.0 - 1.0 / rate
         c = float(np.quantile(x, p))
-        density = float(gaussian_kde(x)(c)[0])
+        density = float(_kde_pdf(x, c)[0])
         if density <= 0 or c <= 0:
             raise InputError("degenerate peak distribution; no empirical index flood")
         var_q = p * (1.0 - p) / (x.size * density**2)

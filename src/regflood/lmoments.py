@@ -112,15 +112,16 @@ def _pwm_float(xs: np.ndarray, r_max: int, variant: str) -> np.ndarray:
     """
     n = xs.shape[-1]
     j = np.arange(1, n + 1, dtype=float)
-    b = [np.mean(xs, axis=-1)]
+    # sum / n is np.mean's own arithmetic, without its per-call overhead
+    b = [xs.sum(axis=-1) / n]
     if variant == "unbiased":
         w = np.ones(n)
         for i in range(1, r_max + 1):
             w = w * ((j - i) / (n - i))
-            b.append(np.mean(w * xs, axis=-1))
+            b.append((w * xs).sum(axis=-1) / n)
     else:
         p = (j - 0.35) / n
-        b.extend(np.mean(p**r * xs, axis=-1) for r in range(1, r_max + 1))
+        b.extend((p**r * xs).sum(axis=-1) / n for r in range(1, r_max + 1))
     return np.stack(b, axis=-1)
 
 

@@ -174,26 +174,20 @@ def _candidate_peaks(q: np.ndarray, threshold: float) -> np.ndarray:
     return np.flatnonzero(above & (q >= left) & (q > right))
 
 
-def extract_pot(
-    series: DischargeSeries,
-    threshold: float,
-    rule: IndependenceRule = IndependenceRule(),
-) -> PotSeries:
-    """Decluster the series into independent event peaks above a threshold.
+def _event_indices(
+    series: DischargeSeries, threshold: float, rule: IndependenceRule
+) -> np.ndarray:
+    """Indices of the declustered event peaks above a threshold, maybe none.
 
     The trough between each pair of consecutive candidate peaks comes from
     one ``np.minimum.reduceat`` over their (start, end) index pairs; the
     merge sweep then runs over Python floats.  Times enter only through
     the candidates' day offsets.
     """
-    if not math.isfinite(threshold):
-        raise InputError(f"threshold must be finite, got {threshold!r}")
     q = series.discharge
     cand = _candidate_peaks(q, threshold)
     if cand.size == 0:
-        raise InsufficientDataError(
-            f"no exceedances above threshold {threshold!r} for station {series.station}"
-        )
+        return cand
     # interleaved (start, end) pairs: the even segments are the gaps, and
     # each gap ends at the next candidate rather than at the end of the
     # record, as reduceat's last segment would.  No gap is empty: a
@@ -218,12 +212,27 @@ def extract_pot(
         elif val > cur_val:
             cur, cur_val, trough = j, val, math.inf
     kept.append(cur)
-    events = cand[kept]
+    return cand[kept]
+
+
+def extract_pot(
+    series: DischargeSeries,
+    threshold: float,
+    rule: IndependenceRule = IndependenceRule(),
+) -> PotSeries:
+    """Decluster the series into independent event peaks above a threshold."""
+    if not math.isfinite(threshold):
+        raise InputError(f"threshold must be finite, got {threshold!r}")
+    events = _event_indices(series, threshold, rule)
+    if events.size == 0:
+        raise InsufficientDataError(
+            f"no exceedances above threshold {threshold!r} for station {series.station}"
+        )
     return PotSeries(
         station=series.station,
         threshold=float(threshold),
         times=series.times[events],
-        peaks=q[events],
+        peaks=series.discharge[events],
         record_years=record_years(series, rule.max_missing_gap_days),
     )
 
@@ -244,8 +253,9 @@ def select_threshold(
     the discharge values;
     the event rate is non-increasing in the threshold, so a binary search
     (with a small linear sweep around the crossing) finds the answer.  Each
-    probed threshold costs one ``extract_pot`` call; its rate is the event
-    count over the record length, which the search computes once.
+    probed threshold costs one declustering sweep, as in ``extract_pot`` but
+    building no ``PotSeries``; its rate is the event count over the record
+    length, which the search computes once.
     """
     if not math.isfinite(target_rate) or target_rate <= 0:
         raise InputError(f"target rate must be positive, got {target_rate!r}")
@@ -255,10 +265,7 @@ def select_threshold(
     years = record_years(series, rule.max_missing_gap_days)
 
     def rate_at(threshold: float) -> float:
-        try:
-            return len(extract_pot(series, threshold, rule)) / years
-        except InsufficientDataError:
-            return 0.0
+        return _event_indices(series, threshold, rule).size / years
 
     lo, hi = 0, grid.size - 1
     while lo <= hi:

@@ -30,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .distributions import (
+    _BLOCK_VALUES,
     GpParams,
     KappaParams,
     as_generator,
@@ -274,19 +275,23 @@ def _sim_ratio_table(parent, kind: str, lengths: np.ndarray, nsim: int, rng) -> 
 
     Each sorted simulated sample goes through ``sample_lmoments``' own
     kernel (``_pwm_float`` and ``_lmoments_from_pwm``), so a row equals the
-    ratios of that sample computed like an observed site's.
+    ratios of that sample computed like an observed site's.  A site's
+    samples are drawn and reduced in blocks of rows of at most
+    ``_BLOCK_VALUES`` values; the generator's stream, and so every row, is
+    the same as one ``nsim * n`` draw.
     """
+    sample = kappa_sample if kind == "kappa" else gp_sample
     out = np.empty((nsim, lengths.size, 3))
     for i, n in enumerate(lengths.astype(int)):
-        if kind == "kappa":
-            x = kappa_sample(parent, nsim * n, rng).reshape(nsim, n)
-        else:
-            x = gp_sample(parent, nsim * n, rng).reshape(nsim, n)
-        x.sort(axis=1)
-        l1, l2, l3, l4 = _lmoments_from_pwm(*_pwm_float(x, 3, "unbiased").T)
-        out[:, i, 0] = l2 / l1
-        out[:, i, 1] = l3 / l2
-        out[:, i, 2] = l4 / l2
+        rows = max(1, _BLOCK_VALUES // n)
+        for r0 in range(0, nsim, rows):
+            m = min(rows, nsim - r0)
+            x = sample(parent, m * n, rng).reshape(m, n)
+            x.sort(axis=1)
+            l1, l2, l3, l4 = _lmoments_from_pwm(*_pwm_float(x, 3, "unbiased").T)
+            out[r0 : r0 + m, i, 0] = l2 / l1
+            out[r0 : r0 + m, i, 1] = l3 / l2
+            out[r0 : r0 + m, i, 2] = l4 / l2
     return out
 
 

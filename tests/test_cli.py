@@ -1,14 +1,24 @@
 import json
 import logging
+import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import gaussian_kde, lognorm, norm
 
+import regflood
 from regflood import cli
+from regflood.bayes import PriorSpec
 from regflood.cli import main
 from regflood.distributions import GpParams
 from regflood.evaluation import synth_daily_series
+from regflood.fit import gp_fit_pwm, quantile_variance
 from regflood.fileio import (
     RegionConfig,
     SiteEntry,
@@ -205,6 +215,16 @@ def test_fit_pwm_flags_asymptotic(pot_file, tmp_path, capsys):
     assert read_json(out, "fit-report")["ci_kind"] == "asymptotic"
 
 
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99])
+def test_asymptotic_intervals_use_the_normal_quantile(pot_file, level):
+    pot = read_pot_json(pot_file)
+    fit = gp_fit_pwm(pot)
+    z = float(norm.ppf(0.5 + level / 2.0))
+    for period, value, lower, upper in cli._fit_quantiles(pot, fit, [10.0, 50.0], level, "asymptotic"):
+        half = z * math.sqrt(quantile_variance(fit, pot.rate, period))
+        assert (lower, upper) == (value - half, value + half)
+
+
 def test_fit_unknown_method_usage_error(pot_file, capsys):
     code, _, err = run(capsys, ["fit", str(pot_file), "--method", "mm"])
     assert code == 1
@@ -366,6 +386,59 @@ def test_bayes_density_grid_covers_posterior(sim_dir, tmp_path, capsys):
         )
         mass = np.trapezoid(rows[:, 2], rows[:, 0])
         assert 0.9 <= mass <= 1.1
+
+
+def test_density_grids_match_scipy_stats():
+    # the prior pdfs equal scipy's bit for bit, the KDE at rounding level;
+    # the wide sigma draws pull that grid's lower end to its 1e-12 floor
+    rng = np.random.default_rng(3)
+    prior = PriorSpec(gamma=(math.log(80.0), math.log(2.0), 0.1), d=(0.04, 0.5, 0.05))
+    pooled = np.column_stack([
+        rng.lognormal(math.log(80.0), 0.2, 3000),
+        rng.lognormal(math.log(2.0), 1.5, 3000),
+        rng.normal(0.1, 0.2, 3000),
+    ])
+    grids = cli._density_grids(prior, pooled)
+    assert grids[1][1][0] == 1e-12
+    for j, (_, grid, prior_pdf, post_pdf) in enumerate(grids):
+        sd = math.sqrt(prior.d[j])
+        if j < 2:
+            expected = lognorm.pdf(grid, sd, scale=math.exp(prior.gamma[j]))
+        else:
+            expected = norm.pdf(grid, prior.gamma[j], sd)
+        assert np.array_equal(prior_pdf, expected)
+        kde = gaussian_kde(pooled[:, j])(grid)
+        np.testing.assert_allclose(post_pdf, kde, rtol=1e-11, atol=0.0)
+
+
+def test_regflood_does_not_load_scipy_stats(sim_dir, tmp_path):
+    # a fresh interpreter, since this test session imports scipy.stats itself
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import numpy as np
+        import regflood as rf
+        import regflood.cli
+        pot = rf.PotSeries("P", 10.0, np.datetime64("2000-01-01") + np.arange(40) * 30,
+                           rf.gp_sample(rf.GpParams(10.0, 3.0, 0.1), 40, 1), 20.0)
+        rf.profile_ci(pot, 10.0)
+        rf.at_site_index_flood(pot, method="empirical")
+        rf.run_experiment(rf.EvalConfig(models=("MLE", "PWU")),
+                          synth=rf.SynthSpec(n_sites=4, years=20.0))
+        code = regflood.cli.main([
+            "bayes", {str(sim_dir / "region.yaml")!r}, "--chains", "2", "--iters", "1000",
+            "--prior-out", "prior.json", "--posterior-out", "post.json",
+        ])
+        assert code == 0, code
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy.stats"))
+        assert not loaded, loaded
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(regflood.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "post_density.csv").exists()
 
 
 def test_bayes_deterministic_and_seed_sensitive(sim_dir, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate, stats
 
 from regflood.distributions import (
+    _kde_pdf,
     GpParams,
     KappaParams,
     gp_cdf,
@@ -14,7 +15,7 @@ from regflood.distributions import (
     kappa_quantile,
     kappa_sample,
 )
-from regflood.errors import InputError
+from regflood.errors import DegenerateSampleError, InputError
 
 PARAM_GRID = [
     GpParams(0.0, 1.0, 0.2),
@@ -183,3 +184,23 @@ def test_kappa_params_validation():
         KappaParams(0.0, 1.0, 3.0, -0.5)  # h * k <= -1
     with pytest.raises(InputError):
         KappaParams(0.0, -1.0, 0.1, 0.5)
+
+
+@pytest.mark.parametrize("n", [10, 37, 60_000])
+def test_kde_pdf_matches_gaussian_kde(n):
+    # padded grids as the bayes density output uses, on a narrow, a skewed
+    # and a heavy-tailed sample; the sums' order differs from scipy's
+    rng = np.random.default_rng(n)
+    for x in (rng.normal(120.0, 5.0, n), rng.lognormal(0.0, 1.0, n), rng.standard_t(3, n)):
+        lo, hi = x.min(), x.max()
+        pad = 0.1 * (hi - lo)
+        grid = np.linspace(lo - pad, hi + pad, 201)
+        kde = stats.gaussian_kde(x)
+        np.testing.assert_allclose(_kde_pdf(x, grid), kde(grid), rtol=1e-11, atol=0.0)
+        point = float(np.median(x))
+        np.testing.assert_allclose(_kde_pdf(x, point), kde(point), rtol=1e-11, atol=0.0)
+
+
+def test_kde_pdf_needs_spread():
+    with pytest.raises(DegenerateSampleError):
+        _kde_pdf(np.full(12, 3.5), np.linspace(3.0, 4.0, 5))

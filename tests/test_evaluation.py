@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from regflood.bayes import McmcConfig, PosteriorChains, posterior_quantiles
 from regflood.distributions import GpParams, gp_quantile, gp_sample
@@ -182,6 +183,26 @@ def test_rank_scores_missing_value_shrinks_field():
     # B: rank 1 of 2 in the first, 2 of 3 in the second
     assert scores["B"].r_o == 3.0
     assert scores["B"].r_s == pytest.approx((5.0 - 3.0) / 3.0)
+
+
+@pytest.mark.parametrize(
+    "column, absolute",
+    [
+        ([0.3, -1.2, 0.3, 2.0, 0.3], False),  # a three-way tie
+        ([1.5, 1.5, 1.5], False),  # all equal
+        ([-0.5, 0.5, -2.0, 1.0, 2.0, -0.0, 0.0], True),  # ranked by magnitude
+        ([0.2, math.nan, -0.1, 0.2], False),  # a model dropped for a missing value
+    ],
+)
+def test_rank_scores_average_ranks_equal_rankdata(column, absolute):
+    # with one criterion a model's raw rank sum is its rank
+    scores = rank_scores({f"M{i}": [v] for i, v in enumerate(column)}, absolute=[absolute])
+    col = np.asarray(column)
+    present = np.isfinite(col)
+    ranks = iter(rankdata(np.abs(col[present]) if absolute else col[present], method="average"))
+    for i, ok in enumerate(present):
+        r_o = scores[f"M{i}"].r_o
+        assert r_o == next(ranks) if ok else math.isnan(r_o)
 
 
 def test_rank_scores_input_contract():

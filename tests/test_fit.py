@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
+from scipy.special import gammaincinv
+from scipy.stats import chi2
 
 from regflood import fit as fit_module
 from regflood.cli import main
@@ -26,7 +28,7 @@ from regflood.fit import (
     quantile_variance,
     return_level,
 )
-from regflood.lmoments import sample_lmoments
+from regflood.lmoments import gp_fit_lmom, sample_lmoments
 
 from conftest import make_pot
 
@@ -277,6 +279,83 @@ def test_pwm_bootstrap_for_heavy_shapes():
     assert np.all(np.diag(fit.covariance) > 0)
     again = gp_fit_pwm(pot)
     assert np.array_equal(fit.covariance, again.covariance)
+
+
+def _bootstrap_by_loop(pot, variant):
+    """gp_fit_pwm's bootstrap one resample at a time: the reference.
+
+    Returns the covariance and the messages of the skipped resamples.
+    """
+    rng = np.random.default_rng(0)
+    draws, skipped = [], []
+    for _ in range(500):
+        resample = rng.choice(pot.peaks, size=pot.peaks.size, replace=True)
+        try:
+            p = gp_fit_lmom(sample_lmoments(resample, variant), location=pot.threshold)
+        except (FitError, InputError) as exc:
+            skipped.append(str(exc))
+            continue
+        draws.append((p.scale, p.shape))
+    covariance = np.cov(np.asarray(draws).T) if len(draws) >= 250 else None
+    return covariance, skipped
+
+
+def _assert_bootstrap_equals_loop(pot, variant):
+    fit = gp_fit_pwm(pot, variant)
+    assert fit.params.shape > 0.4
+    expected, skipped = _bootstrap_by_loop(pot, variant)
+    if expected is None:
+        assert fit.covariance is None
+    else:
+        assert np.array_equal(fit.covariance, expected)
+    return skipped
+
+
+@st.composite
+def heavy_pots(draw):
+    n = draw(st.integers(5, 40))
+    shape = draw(st.floats(0.5, 0.95))
+    seed = draw(st.integers(0, 2**32 - 1))
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    x = gp_sample(GpParams(1.0, 1.0, shape), n, seed)
+    if decimals is not None:  # ties make constant and degenerate resamples
+        x = np.maximum(np.round(x, decimals), 1.0)
+    return make_pot(x, 1.0, n / 2.0)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(pot=heavy_pots(), variant=st.sampled_from(["unbiased", "biased"]))
+def test_pwm_bootstrap_equals_the_per_resample_loop(pot, variant):
+    try:
+        fit = gp_fit_pwm(pot, variant)
+    except FitError:
+        assume(False)
+    assume(fit.params.shape > 0.4)
+    _assert_bootstrap_equals_loop(pot, variant)
+
+
+@pytest.mark.parametrize(
+    "peaks, threshold, variant, reason",
+    [
+        # four equal peaks make a third of the resamples constant; biased
+        # PWMs give those an l2 of 0.3 / n of their value, not 0
+        ([1.1, 1.1, 1.1, 1.1, 9.0], 1.0, "biased", "constant sample"),
+        # peaks a few ulps apart: l2 of some resamples rounds to 0, and their
+        # mean to the threshold, though they are not constant
+        ([1e17 + 32.0 * k for k in (0, 0, 0, 1, 2, 7)], 1e17, "unbiased", "zero L-scale"),
+        # one peak far above the rest: some resamples imply a shape >= 1
+        ([1.0, 1.1, 1.2, 1.5, 30.0], 1.0, "unbiased", "implied shape"),
+    ],
+)
+def test_pwm_bootstrap_skips_what_the_loop_skips(peaks, threshold, variant, reason):
+    skipped = _assert_bootstrap_equals_loop(make_pot(peaks, threshold, 4.0), variant)
+    assert any(msg.startswith(reason) for msg in skipped)
+
+
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99])
+def test_profile_cutoff_is_the_chi2_quantile(level):
+    # profile_ci's cutoff expression against scipy.stats
+    assert float(2.0 * gammaincinv(0.5, level)) == float(chi2.ppf(level, 1))
 
 
 def test_return_level_probability_mapping():

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import gaussian_kde
 
 from regflood.distributions import GpParams, gp_quantile, gp_sample
-from regflood.errors import InputError
+from regflood.errors import DegenerateSampleError, InputError
 from regflood.indexflood import (
     StationMeta,
     at_site_index_flood,
@@ -42,6 +43,20 @@ def test_at_site_requires_more_than_one_event_per_year():
         at_site_index_flood(pot)
     with pytest.raises(InputError):
         at_site_index_flood(make_pot([6.0] * 12, 5.0, 3.0), method="mystery")
+
+
+def test_empirical_index_flood_uses_the_kde_density():
+    pot = make_pot(gp_sample(GpParams(10.0, 4.0, 0.1), 60, 5), 10.0, 20.0)
+    got = at_site_index_flood(pot, "empirical")
+    p = 1.0 - 1.0 / pot.rate
+    c = float(np.quantile(pot.peaks, p))
+    density = float(gaussian_kde(pot.peaks)(c)[0])
+    assert got.value == c
+    expected = p * (1.0 - p) / (pot.peaks.size * density**2) / c**2
+    assert got.var_log == pytest.approx(expected, rel=1e-11)
+    # equal peaks have no kernel bandwidth
+    with pytest.raises(DegenerateSampleError):
+        at_site_index_flood(make_pot([12.0] * 12, 10.0, 4.0), "empirical")
 
 
 def test_area_regression_exact_power_law():

@@ -9,6 +9,7 @@ from regflood.pot import (
     IndependenceRule,
     PotSeries,
     _candidate_peaks,
+    _event_indices,
     extract_pot,
     record_years,
     select_threshold,
@@ -180,6 +181,9 @@ def test_extract_pot_equals_the_per_gap_loop(series, level, rule):
     # thresholds on the levels themselves make plateaus and ties bite
     threshold = float(np.quantile(series.discharge, level, method="lower"))
     kept = _declustered_by_loop(series, threshold, rule)
+    # select_threshold counts the events of this sweep without a PotSeries
+    expected = [] if kept is None else kept.tolist()
+    assert _event_indices(series, threshold, rule).tolist() == expected
     if kept is None:
         with pytest.raises(InsufficientDataError):
             extract_pot(series, threshold, rule)
@@ -206,8 +210,7 @@ def test_select_threshold_matches_linear_scan():
         if rate >= target:
             best = (float(th), rate)
     assert best is not None
-    assert got.threshold == pytest.approx(best[0])
-    assert got.rate == pytest.approx(best[1])
+    assert got == best
 
 
 def test_select_threshold_unreachable_rate(spike_series):

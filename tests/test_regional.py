@@ -241,8 +241,9 @@ def test_heterogeneity_takes_each_sites_lmoments_once(lmoment_calls):
     ],
 )
 def test_sim_ratio_table_rows_are_sample_lmoments(parent, kind, draw):
-    # simulated and observed ratios come from one estimator, bit for bit
-    lengths = np.array([4.0, 5.0, 137.0])
+    # simulated and observed ratios come from one estimator, bit for bit;
+    # 400 values per sample take several blocks of rows
+    lengths = np.array([4.0, 5.0, 137.0, 400.0])
     nsim = 100
     table = _sim_ratio_table(parent, kind, lengths, nsim, np.random.default_rng(8))
     rng = np.random.default_rng(8)
