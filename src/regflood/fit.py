@@ -1,13 +1,13 @@
 """At-site GP parameter estimation and return levels.
 
-Maximum likelihood fixes the GP location at the POT threshold and uses a
-quasi-Newton search on (log scale, shape) with analytic gradients,
-multi-started from the probability-weighted-moment estimate, plus a
-Newton polish so the gradient norm at the solution is certifiably small;
-a search that cannot certify its optimum runs once more around a point
-inside the data's support.
-The polish and the reported covariance share one closed-form observed
-information of (scale, shape).
+Maximum likelihood fixes the GP location at the POT threshold and uses
+Grimshaw's (1993) reduction: at fixed theta = shape / scale the best shape
+is mean log(1 + theta * y), so the likelihood is profiled over theta on a
+grid and refined by bounded Brent, and the best interior stationary point
+is the MLE (Smith 1985).  A Newton polish certifies it.  No BLAS-backed
+optimizer runs, so a fit never wakes OpenBLAS's thread pool.  The polish
+and the reported covariance share one closed-form observed information of
+(scale, shape).
 
 The PWM fit pairs the L-moment estimator with its published asymptotic
 covariance (valid for shape < 1/2); for heavy estimated shapes (> 0.4) a
@@ -57,6 +57,10 @@ THRESHOLD_CV = 0.1
 _BOOTSTRAP_SIZE = 500
 # shapes on which _profile_loglik starts its search
 _PROFILE_GRID = np.linspace(_XI_MIN, 2.0, 31)
+# log(1 + t), t = max(y) * shape / scale, at which _profile_search scores
+# Grimshaw's profile on t in (-1, 1e4): even steps in log(1 + t) are dense
+# near the support edge t = -1 and across the exponential law t = 0
+_GRIMSHAW_GRID = np.linspace(-20.0, math.log1p(1e4), 200)
 
 
 @dataclass(frozen=True)
@@ -143,40 +147,74 @@ def _observed_information(x: np.ndarray, location: float, scale: float, shape: f
     return np.array([[h_ss, h_sx], [h_sx, h_xx]])
 
 
-def _search_from(s0: float, xi0: float, x: np.ndarray, u: float):
-    """Newton-polished best L-BFGS-B optimum from five starts around (s0, xi0).
+def _profile_nll(v: np.ndarray, y: np.ndarray):
+    """Grimshaw's profile negative log likelihood, one value per v.
 
-    Returns (log scale, shape), the negative log likelihood there, whether
-    the projected gradient is certifiably small, and that gradient's norm.
+    With theta = shape / scale = expm1(v) / max(y), the shape that
+    maximises the likelihood at fixed theta is mean log(1 + theta * y),
+    clipped to the search bounds, and the scale is shape / theta.
+    Returns the profile, the scale and the clipped shape.
     """
-    z0 = np.array([math.log(s0), xi0])
-    bounds = [(z0[0] - 12.0, z0[0] + 12.0), (_XI_MIN, _XI_MAX)]
-    delta = max(0.2 * abs(xi0), 0.1)
-    starts = []
-    for fs, fx in ((1.0, 0.0), (0.8, -delta), (1.2, delta), (0.8, delta), (1.2, -delta)):
-        z = z0.copy()
-        z[0] += math.log(fs)
-        z[1] = float(np.clip(z[1] + fx, _XI_MIN + 0.01, _XI_MAX - 0.01))
-        starts.append(z)
-
-    best = None
-    for z in starts:
-        res = optimize.minimize(
-            _nll_grad,
-            z,
-            args=(x, u),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 300, "ftol": 1e-14, "gtol": 1e-10},
+    theta = np.expm1(v) / y.max()
+    s = np.log1p(theta[:, None] * y).sum(axis=1)
+    n = y.size
+    xi = np.clip(s / n, _XI_MIN, _XI_MAX)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = np.where(theta != 0.0, xi / theta, y.mean())
+        log_s = np.log(sigma)
+        nll = np.where(
+            np.abs(xi) < SHAPE_EPS,
+            n * log_s + y.sum() / sigma,
+            n * log_s + (1.0 + 1.0 / xi) * s,
         )
-        if best is None or res.fun < best.fun:
-            best = res
-    z = np.asarray(best.x, dtype=float)
+    return nll, sigma, xi
 
-    # Newton polish until the projected gradient is certifiably small;
-    # when the optimum sits on a shape bound the outward shape component
-    # is projected away and the step works on log scale alone
+
+def _profile_search(x: np.ndarray, u: float) -> np.ndarray:
+    """(log scale, shape) of the MLE by Grimshaw's one-dimensional search.
+
+    Every grid minimum of the profile with an unclipped shape is refined by
+    bounded Brent between its neighbours, and the best of these interior
+    stationary points is the MLE.  Only without one does the best minimum
+    of the clipped profile, a fit on a shape bound, stand in.
+    """
+    y = x - u
+    grid = _GRIMSHAW_GRID
+    nll, _, xi = _profile_nll(grid, y)
+    # a profile still falling at the grid's end is followed further out, up
+    # to t = 1e16, where the scale falls below the rounding unit of max(y)
+    while nll[-1] < nll[-2] and grid[-1] < 36.8:
+        more = grid[-1] + 0.25 * np.arange(1, 41)
+        f, _, r = _profile_nll(more, y)
+        grid, nll, xi = np.append(grid, more), np.append(nll, f), np.append(xi, r)
+    inner = nll[1:-1]
+    minima = np.flatnonzero((inner <= nll[:-2]) & (inner < nll[2:])) + 1
+    interior = minima[(xi[minima] > _XI_MIN) & (xi[minima] < _XI_MAX)]
+    candidates = interior if interior.size else minima if minima.size else [int(np.argmin(nll))]
+    best = None
+    for i in candidates:
+        # Brent's tolerance grows with |v|: search the offset from grid[i]
+        v0 = grid[i]
+        res = optimize.minimize_scalar(
+            lambda dv: float(_profile_nll(np.array([v0 + dv]), y)[0][0]),
+            bounds=(grid[max(i - 1, 0)] - v0, grid[min(i + 1, grid.size - 1)] - v0),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        if best is None or res.fun < best[1]:
+            best = v0 + res.x, res.fun
+    _, sigma, xi = _profile_nll(np.array([best[0]]), y)
+    return np.array([math.log(sigma[0]), xi[0]])
+
+
+def _polish(z: np.ndarray, x: np.ndarray, u: float):
+    """Newton polish of (log scale, shape) until the gradient is certifiably small.
+
+    On a shape bound the outward shape component is projected away.  Returns
+    the point, the negative log likelihood there, whether the projected
+    gradient is certifiably small, and that gradient's norm.
+    """
+
     def proj_grad(zv, g):
         g = np.asarray(g, dtype=float).copy()
         if (zv[1] <= _XI_MIN + 1e-9 and g[1] > 0.0) or (zv[1] >= _XI_MAX - 1e-9 and g[1] < 0.0):
@@ -227,14 +265,14 @@ def _search_from(s0: float, xi0: float, x: np.ndarray, u: float):
 def gp_fit_mle(pot: PotSeries) -> GpFit:
     """Maximum-likelihood GP fit to event peaks, location at the POT threshold.
 
-    L-BFGS-B runs from five starts around the PWM estimate, and the best
-    optimum is Newton-polished.  When that polish cannot certify the
-    optimum, the search runs once more around a point inside the support
-    (shape at least -0.98, scale at least 1.1 |PWM shape| times the largest
-    exceedance); fits that converge at the first search are untouched.
-    ``boundary`` is set when the shape ends on its search bound
-    (short-tailed samples pile up at -0.99).  A fit left off the data's
-    support is returned with a WARNING on the ``regflood`` logger.
+    Grimshaw's profile search over theta = shape / scale finds the best
+    interior stationary point of the likelihood, or, when there is none, the
+    best fit with the shape on a search bound (short-tailed samples pile up
+    at -0.99, marked by ``boundary``); a Newton polish certifies it, and a
+    fit it cannot certify raises FitError.  When every one of five starts
+    around the PWM estimate lies off the data's support, the start with the
+    least penalty is returned instead, with a WARNING on the ``regflood``
+    logger: its likelihood, covariance and intervals are not usable.
     """
     x = pot.peaks
     u = pot.threshold
@@ -249,12 +287,21 @@ def gp_fit_mle(pot: PotSeries) -> GpFit:
         s0, xi0 = start.scale, start.shape
     except FitError:
         s0, xi0 = float(np.mean(x - u)), 0.5
-    z, f_val, converged, g_final = _search_from(s0, xi0, x, u)
-    if not converged:
-        # starts off the support sit on the penalty, which has no slope to
-        # follow: search once more around a point where every peak has density
-        s_on = max(s0, 1.1 * abs(xi0) * float(np.max(x) - u))
-        z, f_val, converged, g_final = _search_from(s_on, max(xi0, -0.98), x, u)
+    # where five starts around the PWM estimate all lie off the support
+    # (1 + shape * y / scale <= 0 at the largest exceedance, in _nll_grad's
+    # arithmetic), the one with the least penalty is returned as it is:
+    # stored reference outputs hold these fits
+    delta = max(0.2 * abs(xi0), 0.1)
+    starts = []
+    for fs, fx in ((1.0, 0.0), (0.8, -delta), (1.2, delta), (0.8, delta), (1.2, -delta)):
+        xi = float(np.clip(xi0 + fx, _XI_MIN + 0.01, _XI_MAX - 0.01))
+        starts.append(np.array([math.log(s0) + math.log(fs), xi]))
+    y_max = float(np.max(x)) - u
+    if all(z[1] <= -SHAPE_EPS and 1.0 + z[1] * (y_max / math.exp(z[0])) <= 0.0 for z in starts):
+        z = starts[int(np.argmin([_nll_grad(z, x, u)[0] for z in starts]))]
+    else:
+        z = _profile_search(x, u)
+    z, f_val, converged, g_final = _polish(z, x, u)
     if not converged:
         raise FitError(f"MLE did not converge (gradient norm {g_final:.2e})")
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 from scipy.special import gammaincinv
@@ -16,7 +16,10 @@ from regflood.distributions import SHAPE_EPS, GpParams, gp_logpdf, gp_quantile, 
 from regflood.errors import FitError, InputError, InsufficientDataError
 from regflood.fileio import read_pot_json
 from regflood.fit import (
+    _XI_MAX,
+    _XI_MIN,
     THRESHOLD_CV,
+    GpFit,
     ProfileCi,
     _nll_grad,
     _observed_information,
@@ -202,10 +205,21 @@ def test_mle_off_the_support_is_logged(seed17_pot, caplog):
     assert "not usable" in record.getMessage()
 
 
+def test_mle_off_the_support_is_the_lbfgsb_fit(seed17_pot):
+    # every start of the former search lay off the support, where its
+    # penalty has no slope; the start with the least penalty is kept as is
+    params, loglik, boundary, has_cov = _lbfgsb_fit(seed17_pot)
+    fit = gp_fit_mle(seed17_pot)
+    assert (fit.params.scale, fit.params.shape) == params
+    assert fit.loglik == loglik < -1e9
+    assert fit.boundary == boundary and fit.covariance is None and not has_cov
+
+
 def test_mle_restarts_inside_the_support():
     # the README region's (simulate --seed 11) 5-year evaluation window: the
-    # PWM shape is -1.13, so every start puts the upper endpoint below the
-    # largest peak and the first search ends on the penalty
+    # PWM shape is -1.13, so the former quasi-Newton search's first run ended
+    # on the penalty and a restart inside the support found this fit, which
+    # the profile search finds at once
     peaks = [183.246, 142.167, 179.789, 310.593, 215.606, 178.539, 194.295,
              221.711, 154.927, 240.689, 215.607]
     fit = gp_fit_mle(make_pot(peaks, 122.636, 5.0))
@@ -225,17 +239,210 @@ WINDOW_PEAKS = np.array([
 
 
 def test_polish_never_raises_the_objective():
-    # every L-BFGS-B start ends on the penalty; the polish's first step
-    # reaches nll 59.2187 inside the support.  Accepting every step that
-    # lowered the gradient norm then walked on to the shape bound 5.0 at
-    # nll 70.930; a step that raises the nll is now refused
-    z, f_val, converged, _ = fit_module._search_from(
-        172.00410939967296, -1.1302582492694575, WINDOW_PEAKS, 122.63573355951273
-    )
-    assert f_val == pytest.approx(59.2187, abs=1e-4)
-    assert math.exp(z[0]) == pytest.approx(206.405, rel=1e-5)
-    assert z[1] == pytest.approx(-0.90421, abs=1e-5)
-    assert not converged  # gp_fit_mle's restart takes over from here
+    # the point where the former search left this window (nll 59.2187):
+    # accepting every Newton step that lowered the gradient norm walked on
+    # to the shape bound 5.0 at nll 70.930; a step that raises the nll is
+    # refused, so the polish stays and reports no convergence
+    u = 122.63573355951273
+    z0 = np.array([5.329839925180566, -0.904206599415566])
+    assert math.exp(z0[0]) == pytest.approx(206.405, rel=1e-5)
+    f0 = _nll_grad(z0, WINDOW_PEAKS, u)[0]
+    assert f0 == pytest.approx(59.2187, abs=1e-4)
+    z, f_val, converged, _ = fit_module._polish(z0, WINDOW_PEAKS, u)
+    assert f_val <= f0
+    assert not converged
+
+
+def test_mle_never_calls_minimize(seed17_pot, monkeypatch):
+    # scipy's L-BFGS-B solves with nrhs >= 2 in OpenBLAS, which wakes that
+    # library's thread pool after every fit; the profile search uses
+    # bounded Brent alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("gp_fit_mle called scipy.optimize.minimize")
+
+    monkeypatch.setattr(optimize, "minimize", refuse)
+    assert not gp_fit_mle(sample_pot(GpParams(5.0, 3.0, 0.1), 74, 37.0, seed=51)).boundary
+    assert gp_fit_mle(make_pot(np.linspace(1.0, 10.0, 12), 0.0, 6.0)).boundary
+    assert gp_fit_mle(seed17_pot).loglik < -1e9
+
+
+def _lbfgsb_search_from(s0: float, xi0: float, x: np.ndarray, u: float):
+    """Newton-polished best L-BFGS-B optimum from five starts around (s0, xi0).
+
+    Returns (log scale, shape), the negative log likelihood there, whether
+    the projected gradient is certifiably small, and that gradient's norm.
+    """
+    z0 = np.array([math.log(s0), xi0])
+    bounds = [(z0[0] - 12.0, z0[0] + 12.0), (_XI_MIN, _XI_MAX)]
+    delta = max(0.2 * abs(xi0), 0.1)
+    starts = []
+    for fs, fx in ((1.0, 0.0), (0.8, -delta), (1.2, delta), (0.8, delta), (1.2, -delta)):
+        z = z0.copy()
+        z[0] += math.log(fs)
+        z[1] = float(np.clip(z[1] + fx, _XI_MIN + 0.01, _XI_MAX - 0.01))
+        starts.append(z)
+
+    best = None
+    for z in starts:
+        res = optimize.minimize(
+            _nll_grad,
+            z,
+            args=(x, u),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=bounds,
+            options={"maxiter": 300, "ftol": 1e-14, "gtol": 1e-10},
+        )
+        if best is None or res.fun < best.fun:
+            best = res
+    z = np.asarray(best.x, dtype=float)
+
+    # Newton polish until the projected gradient is certifiably small;
+    # when the optimum sits on a shape bound the outward shape component
+    # is projected away and the step works on log scale alone
+    def proj_grad(zv, g):
+        g = np.asarray(g, dtype=float).copy()
+        if (zv[1] <= _XI_MIN + 1e-9 and g[1] > 0.0) or (zv[1] >= _XI_MAX - 1e-9 and g[1] < 0.0):
+            g[1] = 0.0
+        return g
+
+    f_val, g_full = _nll_grad(z, x, u)
+    tol = 1e-8 * max(1.0, abs(f_val))
+    for _ in range(40):
+        g_proj = proj_grad(z, g_full)
+        g_norm = float(np.max(np.abs(g_proj)))
+        if g_norm <= tol:
+            break
+        work = [0] if g_proj[1] == 0.0 and g_full[1] != 0.0 else [0, 1]
+        # chain rule from (scale, shape) to (log scale, shape)
+        sigma = math.exp(z[0])
+        hess = _observed_information(x, u, sigma, z[1]) * np.outer([sigma, 1.0], [sigma, 1.0])
+        hess[0, 0] += g_full[0]
+        try:
+            step = np.linalg.solve(hess[np.ix_(work, work)], -g_proj[work])
+        except np.linalg.LinAlgError:
+            break
+        norm = float(np.max(np.abs(step)))
+        if norm > 10.0:  # near-singular hessians propose absurd steps
+            step *= 10.0 / norm
+        scale = 1.0
+        for _ in range(30):
+            z_try = z.copy()
+            z_try[work] = z[work] + scale * step
+            z_try[1] = float(np.clip(z_try[1], _XI_MIN, _XI_MAX))
+            f_try, g_try = _nll_grad(z_try, x, u)
+            # a step must lower the gradient norm without raising the
+            # objective beyond rounding
+            if (
+                f_try < 1e9
+                and f_try <= f_val + 1e-12 * max(1.0, abs(f_val))
+                and float(np.max(np.abs(proj_grad(z_try, g_try)))) < g_norm
+            ):
+                z, f_val, g_full = z_try, f_try, g_try
+                break
+            scale *= 0.5
+        else:
+            break
+    g_final = float(np.max(np.abs(proj_grad(z, g_full))))
+    return z, f_val, g_final <= max(tol, 1e-6), g_final
+
+
+def _lbfgsb_fit(pot):
+    """The MLE as the multi-start L-BFGS-B search with its restart found it.
+
+    Returns (scale, shape), the log likelihood, the ``boundary`` flag and
+    whether a covariance exists; raises the FitError that search raised.
+    """
+    x, u = pot.peaks, pot.threshold
+    try:
+        start = gp_fit_lmom(sample_lmoments(x), location=u)
+        s0, xi0 = start.scale, start.shape
+    except FitError:
+        s0, xi0 = float(np.mean(x - u)), 0.5
+    z, f_val, converged, g_final = _lbfgsb_search_from(s0, xi0, x, u)
+    if not converged:
+        s_on = max(s0, 1.1 * abs(xi0) * float(np.max(x) - u))
+        z, f_val, converged, g_final = _lbfgsb_search_from(s_on, max(xi0, -0.98), x, u)
+    if not converged:
+        raise FitError(f"MLE did not converge (gradient norm {g_final:.2e})")
+    has_cov = False
+    if f_val < 1e9:
+        info = _observed_information(x, u, math.exp(z[0]), float(z[1]))
+        det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
+        has_cov = bool(info[0, 0] > 0.0 and det > 0.0)
+    boundary = bool(z[1] <= _XI_MIN + 1e-9 or z[1] >= _XI_MAX - 1e-9)
+    return (math.exp(z[0]), float(z[1])), -f_val, boundary, has_cov
+
+
+@st.composite
+def short_records(draw):
+    """GP records of 5 to 120 events, some rounded to one decimal (ties)."""
+    u = draw(st.floats(-5.0, 100.0))
+    params = GpParams(u, draw(st.floats(0.5, 50.0)), draw(st.floats(-0.7, 0.8)))
+    n = draw(st.integers(5, 120))
+    x = gp_sample(params, n, seed=draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = np.maximum(np.round(x, 1), u)
+    return make_pot(x, u, n / 2.0)
+
+
+def _stationary(fit, pot):
+    """Whether the (projected) likelihood gradient vanishes at the fit."""
+    z = np.array([math.log(fit.params.scale), fit.params.shape])
+    g = _nll_grad(z, pot.peaks, pot.threshold)[1]
+    if fit.boundary:
+        g = g[:1]
+    return float(np.max(np.abs(g))) <= 1e-6 * max(1.0, abs(fit.loglik))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(pot=short_records())
+@example(pot=make_pot([1.0, 0.3, 0.0, 0.0, 1.7], 0.0, 2.5))
+def test_mle_matches_the_lbfgsb_search(pot):
+    try:
+        params, loglik, boundary, has_cov = _lbfgsb_fit(pot)
+    except FitError:
+        # the quasi-Newton search could not certify its optimum; peaks on
+        # the threshold leave the likelihood unbounded at the shape bound 5,
+        # and the profile search certifies the fit at the bound -0.99
+        try:
+            fit = gp_fit_mle(pot)
+        except FitError:
+            return
+        assert fit.boundary and _stationary(fit, pot)
+        return
+    fit = gp_fit_mle(pot)
+    got = (fit.params.scale, fit.params.shape)
+    if loglik < -1e9:  # off the support: the start with the least penalty
+        assert got == params and fit.loglik == loglik
+        assert not fit.boundary and fit.covariance is None
+        return
+    assert fit.loglik < -1e9 or _stationary(fit, pot)
+    if fit.boundary != boundary:
+        # the quasi-Newton search, run from around the PWM estimate, ended
+        # on the shape bound though an interior stationary point exists, or
+        # in a pocket of the profile too shallow for the grid; see
+        # test_mle_prefers_an_interior_stationary_point
+        assert boundary or fit.loglik > loglik
+        return
+    assert (fit.covariance is not None) == has_cov
+    assert fit.params.scale == pytest.approx(params[0], rel=1e-6)
+    assert fit.params.shape == pytest.approx(params[1], abs=1e-6 * max(1.0, abs(params[1])))
+    assert fit.loglik >= loglik - 1e-9
+
+
+def test_mle_prefers_an_interior_stationary_point():
+    # twelve peaks whose likelihood is higher on the shape bound -0.99 than
+    # at its one interior stationary point; the quasi-Newton search stopped
+    # on the bound, the MLE is the interior point (Smith 1985)
+    pot = sample_pot(GpParams(10.0, 5.0, -0.3), 12, 6.0, seed=232)
+    params, loglik, boundary, has_cov = _lbfgsb_fit(pot)
+    assert boundary and params[1] == -0.99
+    fit = gp_fit_mle(pot)
+    assert not fit.boundary and fit.covariance is not None
+    assert fit.params.shape == pytest.approx(-0.81236, abs=1e-5)
+    assert loglik - fit.loglik == pytest.approx(0.0119, abs=1e-4)
+    assert _stationary(fit, pot)
 
 
 def test_mle_errors():
@@ -563,6 +770,16 @@ def test_profile_grid_has_no_exponential_row():
     assert np.min(np.abs(fit_module._PROFILE_GRID)) >= SHAPE_EPS
 
 
+# (scale, shape, log likelihood) of the pinned records' MLE as the
+# multi-start L-BFGS-B search found it, by record seed
+_LBFGSB_MLE = {
+    51: (2.6552951004614456, 0.34426508870636063, -171.7407455953081),
+    7: (0.8621561458185576, -0.1791767861052962, -26.90017331251),
+    3: (43.25240660705478, 0.045292258569962815, -721.8517701801762),
+    11: (0.24725110863734537, 1.0390480873618104, -5.133578101742492),
+}
+
+
 @pytest.mark.parametrize(
     "params, n, seed, period, expected",
     [
@@ -577,7 +794,14 @@ def test_profile_grid_has_no_exponential_row():
     ],
 )
 def test_profile_ci_is_pinned(params, n, seed, period, expected):
-    # bounds of the gp_logpdf-based profile; the vectorized one must
-    # reproduce them exactly
+    # bounds of the gp_logpdf-based profile around the MLE that the former
+    # quasi-Newton search found; the vectorized profile must reproduce them
+    # exactly
     pot = sample_pot(params, n, n / 2.0, seed=seed)
-    assert profile_ci(pot, period) == expected
+    scale, shape, loglik = _LBFGSB_MLE[seed]
+    fit = GpFit(GpParams(params.location, scale, shape), None, loglik, "mle", n)
+    assert profile_ci(pot, period, fit=fit) == expected
+    refit = gp_fit_mle(pot)
+    assert refit.params.scale == pytest.approx(scale, rel=1e-7)
+    assert refit.params.shape == pytest.approx(shape, rel=1e-7)
+    assert refit.loglik == pytest.approx(loglik, rel=1e-7)
