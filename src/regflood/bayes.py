@@ -11,7 +11,7 @@ random-walk Metropolis in (log mu, log sigma, xi).  Each chain owns a
 generator stream spawned from the seed and draws its random numbers in
 blocks, one step normal and one acceptance uniform per proposal; a
 proposal recomputes only the prior term and the likelihood pieces its
-coordinate moves.
+coordinate moves; the likelihood is ``distributions._gp_loglik``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import SHAPE_EPS, GpParams, gp_rescale
+from .distributions import SHAPE_EPS, GpParams, _gp_loglik, gp_rescale
 from .errors import (
     ContractViolationError,
     ElicitationError,
@@ -181,28 +181,6 @@ def log_posterior(prior: PriorSpec, pot: PotSeries, params: GpParams) -> float:
         return lp
     w = (pot.peaks - params.location) / params.scale
     return lp + _gp_loglik(w, float(w.min()), float(w.max()), params.scale, params.shape)
-
-
-def _gp_loglik(
-    w: np.ndarray, w_min: float, w_max: float, sigma: float, xi: float
-) -> float:
-    """GP log likelihood from the scaled residuals ``w = (x - mu) / sigma``.
-
-    The arithmetic is ``gp_logpdf``'s, and the support is decided on the
-    extremes ``w_min`` and ``w_max``: rounding is monotone, so they decide
-    exactly as the whole array would, and ``log`` never sees a
-    non-positive argument.
-    """
-    n = w.size
-    if n == 0:
-        return 0.0
-    if w_min < 0.0:
-        return -math.inf
-    if abs(xi) < SHAPE_EPS:
-        return -n * math.log(sigma) - float(w.sum())
-    if 1.0 + xi * w_max <= 0.0:
-        return -math.inf
-    return -n * math.log(sigma) - (1.0 / xi + 1.0) * float(np.log(1.0 + xi * w).sum())
 
 
 @dataclass(frozen=True)

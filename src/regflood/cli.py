@@ -43,6 +43,7 @@ from .fileio import (
     RegionConfig,
     RunReport,
     SiteEntry,
+    _num,
     build_region,
     eval_report_payload,
     load_region_config,
@@ -102,10 +103,10 @@ def _floats_arg(text: str, flag: str) -> tuple[float, ...]:
 
 def _ints_arg(text: str, flag: str) -> tuple[int, ...]:
     values = _floats_arg(text, flag)
-    out = tuple(int(v) for v in values)
-    if any(float(i) != v for i, v in zip(out, values)):
+    # is_integer() is False for fractions, infinities and nan alike
+    if not all(v.is_integer() for v in values):
         raise InputError(f"{flag} expects whole numbers, got {text!r}")
-    return out
+    return tuple(int(v) for v in values)
 
 
 def _fmt(x: float, nd: int = 2, width: int = 0) -> str:
@@ -206,7 +207,7 @@ def cmd_fit(args) -> list[str]:
                 "shape": fit.params.shape,
             },
             "boundary": fit.boundary,
-            "loglik": fit.loglik,
+            "loglik": _num(fit.loglik),
             "covariance": None if fit.covariance is None else fit.covariance.tolist(),
             "ci_kind": ci_kind,
             "ci_level": args.ci,
@@ -214,8 +215,8 @@ def cmd_fit(args) -> list[str]:
                 {
                     "period_years": T,
                     "value": v,
-                    "lower": None if not math.isfinite(lo) else lo,
-                    "upper": None if not math.isfinite(hi) else hi,
+                    "lower": _num(lo),
+                    "upper": _num(hi),
                 }
                 for T, v, lo, hi in rows
             ],
@@ -458,9 +459,9 @@ def cmd_evaluate(args) -> list[str]:
     mcmc = _mcmc_config(
         args.mcmc_chains, args.mcmc_iters, args.mcmc_burn_in, quantiles="BAY" in models
     )
+    lengths = _ints_arg(args.lengths, "--lengths")
     config = load_region_config(args.config)
     region = build_region(config)
-    lengths = _ints_arg(args.lengths, "--lengths")
     span = region.target_site.pot.record_years
     for m in lengths:
         if m > span:

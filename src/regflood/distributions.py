@@ -19,6 +19,10 @@ h = 0, k = 0. It is used as the simulation parent for heterogeneity tests.
 All evaluators switch to the analytic shape -> 0 limit when |shape| falls
 below ``SHAPE_EPS`` so quantiles and densities are continuous in shape.
 
+``_gp_loglik``, on residuals w = (x - location) / scale, is the package's
+one GP log-likelihood sum: the posterior sampler, the profile likelihood
+and the PWM fit call it.
+
 A Gaussian kernel density estimate of a sample (``_kde_pdf``) serves the
 posterior density output and the empirical index flood.
 """
@@ -176,6 +180,28 @@ def gp_logpdf(params: GpParams, x):
             )
     out = np.where(y < 0.0, -np.inf, out)
     return _maybe_scalar(out, scalar)
+
+
+def _gp_loglik(
+    w: np.ndarray, w_min: float, w_max: float, sigma: float, xi: float
+) -> float:
+    """GP log likelihood -n log sigma - (1/xi + 1) sum log(1 + xi w) of the
+    scaled residuals ``w = (x - mu) / sigma``; -inf off the support.
+
+    The support is decided on the extremes ``w_min`` and ``w_max``: rounding
+    is monotone, so they decide exactly as the whole array would, and
+    ``log`` never sees a non-positive argument.
+    """
+    n = w.size
+    if n == 0:
+        return 0.0
+    if w_min < 0.0:
+        return -math.inf
+    if abs(xi) < SHAPE_EPS:
+        return -n * math.log(sigma) - float(w.sum())
+    if 1.0 + xi * w_max <= 0.0:
+        return -math.inf
+    return -n * math.log(sigma) - (1.0 / xi + 1.0) * float(np.log(1.0 + xi * w).sum())
 
 
 def gp_quantile(params: GpParams, p):

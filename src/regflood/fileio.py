@@ -623,7 +623,7 @@ def load_region_config(path) -> RegionConfig:
     return RegionConfig(
         target=target,
         sites=tuple(entries),
-        target_rate=None if target_rate is None else float(target_rate),
+        target_rate=None if target_rate is None else _cfg_float(thr, "target_rate", 0.0, path.name),
         rule=rule,
         index_method=method if isinstance(method, str) else str(method),
         rescale=rescale if isinstance(rescale, str) else str(rescale),

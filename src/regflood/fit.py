@@ -17,6 +17,7 @@ fitted as one array.
 Profile-likelihood intervals cut the deviance at the chi^2(1) quantile,
 taken from ``scipy.special.gammaincinv`` in the closed form that
 ``scipy.stats.chi2.ppf`` uses; the package does not import ``scipy.stats``.
+The profile and PWM log likelihoods come from ``distributions._gp_loglik``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from scipy import optimize
 from scipy.special import gammaincinv
 
-from .distributions import SHAPE_EPS, GpParams, gp_logpdf, gp_quantile
+from .distributions import SHAPE_EPS, GpParams, _gp_loglik, gp_quantile
 from .errors import FitError, InputError, InsufficientDataError
 from .lmoments import _pwm_float, gp_fit_lmom, sample_lmoments
 from .pot import PotSeries
@@ -350,7 +351,8 @@ def gp_fit_pwm(pot: PotSeries, variant: str = "unbiased") -> GpFit:
     are one (500, n) draw, fitted as arrays with the arithmetic of
     ``sample_lmoments`` and ``gp_fit_lmom``; a resample either of them
     would reject (constant, zero l1 or l2, mean at or below the threshold,
-    implied shape >= 1) is skipped.
+    implied shape >= 1) is skipped.  The log likelihood is ``_gp_loglik``'s,
+    -inf when the fitted support excludes a peak.
     """
     x = pot.peaks
     if x.size < _MIN_EVENTS:
@@ -377,7 +379,8 @@ def gp_fit_pwm(pot: PotSeries, variant: str = "unbiased") -> GpFit:
             # (scale, shape) pairs gives: a C-contiguous (2, m) stack moves
             # the covariance at rounding level
             covariance = np.cov(np.stack([scale[fitted], shape[fitted]], axis=1).T)
-    loglik = float(np.sum(gp_logpdf(params, x)))
+    w = (x - pot.threshold) / params.scale
+    loglik = _gp_loglik(w, float(w.min()), float(w.max()), params.scale, params.shape)
     return GpFit(
         params=params,
         covariance=covariance,
@@ -448,25 +451,37 @@ class ProfileCi(NamedTuple):
     upper_unbounded: bool
 
 
+def _profile_grid(d: np.ndarray, scales: list[float]) -> np.ndarray:
+    """Negative log likelihood of the exceedances ``d`` at each
+    ``_PROFILE_GRID`` shape and its scale: one (31, n) expression in
+    ``_gp_loglik``'s arithmetic (no grid shape is within ``SHAPE_EPS`` of
+    0), so each row equals the kernel.  Off-support shapes and non-positive
+    or non-finite scales score 1e12.
+    """
+    rows = [k for k, s in enumerate(scales) if s > 0 and math.isfinite(s)]
+    s = np.array([scales[k] for k in rows])
+    shape = _PROFILE_GRID[rows]
+    log_s = np.array([math.log(v) for v in s])
+    log_t = np.log(np.maximum(1.0 + shape[:, None] * (d / s[:, None]), 1e-300))
+    sums = -d.size * log_s - (1.0 / shape + 1.0) * log_t.sum(axis=1)
+    on_support = np.isfinite(sums) & (1.0 + shape * (float(d.max()) / s) > 0.0)
+    values = np.full(_PROFILE_GRID.size, 1e12)
+    values[rows] = np.where(on_support, -sums, 1e12)
+    return values
+
+
 def _profile_loglik(pot: PotSeries, p: float, q: float) -> float:
     """Profile log likelihood over shape at fixed quantile q.
 
     Each shape fixes the scale that puts the p-quantile at q.  The shape is
-    scored on the 31-point ``_PROFILE_GRID`` and refined by bounded Brent
-    between the grid neighbours of the best point.  The grid is one
-    (31, n) array expression and each Brent step one pass over the
-    exceedances d, with no ``GpParams`` and no ``gp_logpdf`` call.  Both
-    repeat ``gp_logpdf``'s operations in its order (y = d / s,
-    t = 1 + shape * y, -log s - (1 + 1/shape) * log t, summed pairwise),
-    so every value equals the sum of ``gp_logpdf`` bit for bit: a change
-    at rounding level could flip a bisection step of ``profile_ci``.
-    Off-support shapes and non-positive or non-finite scales score 1e12.
-    Support needs only t > 0 at the largest exceedance, since a PotSeries
-    has no peak below its threshold.
+    scored on the 31-point ``_PROFILE_GRID`` (``_profile_grid``) and refined
+    by bounded Brent between the grid neighbours of the best point, each
+    Brent step one ``_gp_loglik`` call.  Off-support shapes and
+    non-positive or non-finite scales score 1e12.
     """
     u = pot.threshold
     d = pot.peaks - u
-    d_max = float(d.max())
+    d_min, d_max = float(d.min()), float(d.max())
 
     def scale_for(xi: float) -> float:
         if abs(xi) < SHAPE_EPS:
@@ -480,30 +495,10 @@ def _profile_loglik(pot: PotSeries, p: float, q: float) -> float:
         s = scale_for(xi)
         if s <= 0 or not math.isfinite(s):
             return 1e12
-        y = d / s
-        if abs(xi) < SHAPE_EPS:
-            val = float((-math.log(s) - y).sum())
-        elif 1.0 + xi * (d_max / s) <= 0.0:
-            return 1e12
-        else:
-            log_t = np.log(np.maximum(1.0 + xi * y, 1e-300))
-            val = float((-math.log(s) - (1.0 + 1.0 / xi) * log_t).sum())
+        val = _gp_loglik(d / s, d_min / s, d_max / s, s, xi)
         return -val if math.isfinite(val) else 1e12
 
-    # no grid shape lies within SHAPE_EPS of 0, so every row takes the
-    # shape != 0 form
-    scales = [scale_for(xi) for xi in _PROFILE_GRID.tolist()]
-    rows = [k for k, s in enumerate(scales) if s > 0 and math.isfinite(s)]
-    s = np.array([scales[k] for k in rows])
-    shape = _PROFILE_GRID[rows]
-    log_s = np.array([math.log(v) for v in s])
-    y = d / s[:, None]
-    log_t = np.log(np.maximum(1.0 + shape[:, None] * y, 1e-300))
-    sums = (-log_s[:, None] - (1.0 + 1.0 / shape)[:, None] * log_t).sum(axis=1)
-    on_support = np.isfinite(sums) & (1.0 + shape * (d_max / s) > 0.0)
-    values = np.full(_PROFILE_GRID.size, 1e12)
-    values[rows] = np.where(on_support, -sums, 1e12)
-
+    values = _profile_grid(d, [scale_for(xi) for xi in _PROFILE_GRID.tolist()])
     i = int(np.argmin(values))
     lo = _PROFILE_GRID[max(i - 1, 0)]
     hi = _PROFILE_GRID[min(i + 1, _PROFILE_GRID.size - 1)]
@@ -526,10 +521,7 @@ def profile_ci(
     cutoff. Search is limited to [q_hat / 10, 10 * q_hat]; not crossing the
     cutoff in there sets the matching unbounded flag.  Each deviance costs
     one ``_profile_loglik``: a vectorized 31-shape grid plus bounded Brent
-    on a scalar likelihood, both equal bit for bit to the sum of
-    ``gp_logpdf``.  The bisection's steps, and so the bounds, therefore do
-    not move with the faster arithmetic; a root finder in its place would
-    move them by up to its 1e-4 * q_hat tolerance.
+    on ``_gp_loglik``.  Bisection stops within 1e-4 * q_hat.
 
     ``fit`` is ``gp_fit_mle(pot)`` when the caller
     already has it; without it the record is fitted here.  A fit of

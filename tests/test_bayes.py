@@ -538,51 +538,6 @@ def test_mcmc_matches_the_reference_kernel(pot, config):
     np.testing.assert_allclose(chains.draws, draws, rtol=1e-12, atol=0.0)
 
 
-EDGE_PEAKS = gp_sample(GpParams(5.0, 2.0, 0.1), 30, seed=15)
-
-
-@st.composite
-def near_edge_params(draw):
-    """(mu, sigma, xi) at and around the support edges of EDGE_PEAKS."""
-    xmin, xmax = float(EDGE_PEAKS.min()), float(EDGE_PEAKS.max())
-    mu = draw(
-        st.one_of(
-            st.sampled_from(
-                [xmin, math.nextafter(xmin, -math.inf), math.nextafter(xmin, math.inf)]
-            ),
-            st.floats(xmin - 3.0, xmin + 0.5),
-        )
-    )
-    sigma = draw(st.floats(0.05, 20.0))
-    # the shape that puts the upper endpoint exactly on the largest peak
-    edge = -sigma / (xmax - mu) if xmax > mu else -1.0
-    xi = draw(
-        st.one_of(
-            st.sampled_from([0.0, 1e-9, -1e-9]),
-            st.sampled_from(
-                [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
-            ),
-            st.floats(-2.0, 2.0),
-        )
-    )
-    return mu, sigma, xi
-
-
-@settings(deadline=None, max_examples=300, derandomize=True)
-@given(near_edge_params())
-def test_residual_loglik_matches_gp_logpdf(params):
-    mu, sigma, xi = params
-    x = EDGE_PEAKS
-    got = bayes._gp_loglik(
-        (x - mu) / sigma, (x.min() - mu) / sigma, (x.max() - mu) / sigma, sigma, xi
-    )
-    want = float(gp_logpdf(GpParams(mu, sigma, xi), x).sum())
-    if math.isfinite(want):
-        assert got == pytest.approx(want, rel=1e-9)
-    else:
-        assert got == -math.inf
-
-
 # -------------------------------------------------------------- diagnostics
 
 

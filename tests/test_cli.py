@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -241,6 +242,21 @@ def test_fit_custom_periods(pot_file, tmp_path, capsys):
     assert [q["period_years"] for q in obj["quantiles"]] == [3.0, 30.0]
 
 
+@pytest.mark.parametrize("method", ["pwu", "pwb"])
+def test_fit_pwm_report_when_a_peak_is_off_the_support(tmp_path, capsys, method):
+    # the README's S0 record: its PWM fit's upper endpoint lies below the
+    # largest peak, so the log likelihood is -inf and is written as null
+    region, pot_path, out = tmp_path / "region", tmp_path / "S0.pot.json", tmp_path / "fit.json"
+    assert main(["simulate", str(region), "--sites", "6", "--years", "25", "--seed", "11"]) == 0
+    assert main(["extract", str(region / "S0.csv"), "--target-rate", "2", "--out", str(pot_path)]) == 0
+    assert cli._FIT_METHODS[method](read_pot_json(pot_path)).loglik == -math.inf
+    code, _, _ = run(capsys, ["fit", str(pot_path), "--method", method, "--out", str(out)])
+    assert code == 0
+    obj = read_json(out, "fit-report")
+    assert obj["method"] == method
+    assert obj["loglik"] is None
+
+
 # -------------------------------------------------------------------- region
 
 
@@ -286,6 +302,18 @@ def test_region_low_nsim_warns(sim_dir, tmp_path, caplog, capsys):
         ])
     assert code == 0
     assert any("below minimum recommended (100)" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("value", ["abc", "[1, 2]", "true"])
+def test_region_config_target_rate_must_be_a_number(sim_dir, tmp_path, capsys, value):
+    region = shutil.copytree(sim_dir, tmp_path / "region")
+    config = region / "region.yaml"
+    text = config.read_text()
+    assert "  target_rate: 2.0\n" in text
+    config.write_text(text.replace("  target_rate: 2.0\n", f"  target_rate: {value}\n"))
+    code, _, err = run(capsys, ["region", str(config), "--check", "--nsim", "150"])
+    assert code == 1
+    assert err.startswith("error: region.yaml: target_rate must be a number")
 
 
 def correlated_region(tmp_path, noise_sd):
@@ -585,6 +613,16 @@ def test_evaluate_draw_count_only_binds_bay(sim_dir, tmp_path, capsys):
         "--mcmc-burn-in", "600", "--out", str(tmp_path / "eval.json"),
     ])
     assert code == 0
+
+
+@pytest.mark.parametrize("lengths", ["5.5", "1e400", "nan"])
+def test_evaluate_lengths_must_be_whole_numbers(sim_dir, capsys, lengths):
+    code, _, err = run(capsys, [
+        "evaluate", str(sim_dir / "region.yaml"), "--lengths", f"5,{lengths}",
+        "--models", "mle",
+    ])
+    assert code == 1
+    assert err.startswith("error: --lengths expects whole numbers")
 
 
 def test_evaluate_unknown_model(sim_dir, capsys):

@@ -12,7 +12,14 @@ from scipy.stats import chi2
 
 from regflood import fit as fit_module
 from regflood.cli import main
-from regflood.distributions import SHAPE_EPS, GpParams, gp_logpdf, gp_quantile, gp_sample
+from regflood.distributions import (
+    SHAPE_EPS,
+    GpParams,
+    _gp_loglik,
+    gp_logpdf,
+    gp_quantile,
+    gp_sample,
+)
 from regflood.errors import FitError, InputError, InsufficientDataError
 from regflood.fileio import read_pot_json
 from regflood.fit import (
@@ -23,6 +30,7 @@ from regflood.fit import (
     ProfileCi,
     _nll_grad,
     _observed_information,
+    _profile_grid,
     _profile_loglik,
     gp_fit_mle,
     gp_fit_pwm,
@@ -677,18 +685,32 @@ def test_profile_ci_coverage():
     assert hits >= 22  # 90% nominal; binomial slack for 30 draws
 
 
-def _oracle_neg_ll(pot, p, q, xi):
-    """The profile's negative log likelihood at one shape, from gp_logpdf."""
+def _oracle_scale(pot, p, q, xi):
+    """The scale that puts the p-quantile at q for shape xi."""
     u = pot.threshold
     # Brent passes numpy scalars, which warn where a scale overflows to inf
     with np.errstate(over="ignore"):
         if abs(xi) < SHAPE_EPS:
-            s = (q - u) / (-math.log1p(-p))
-        else:
-            s = (q - u) * xi / (math.expm1(-xi * math.log1p(-p)))
+            return (q - u) / (-math.log1p(-p))
+        return (q - u) * xi / (math.expm1(-xi * math.log1p(-p)))
+
+
+def _oracle_neg_ll(pot, p, q, xi):
+    """The profile's negative log likelihood at one shape, from gp_logpdf."""
+    s = _oracle_scale(pot, p, q, xi)
     if s <= 0 or not math.isfinite(s):
         return 1e12
-    val = float(np.sum(gp_logpdf(GpParams(u, s, xi), pot.peaks)))
+    val = float(np.sum(gp_logpdf(GpParams(pot.threshold, s, xi), pot.peaks)))
+    return -val if math.isfinite(val) else 1e12
+
+
+def _kernel_neg_ll(pot, p, q, xi):
+    """The profile's negative log likelihood at one shape, from _gp_loglik."""
+    s = _oracle_scale(pot, p, q, xi)
+    if s <= 0 or not math.isfinite(s):
+        return 1e12
+    w = (pot.peaks - pot.threshold) / s
+    val = _gp_loglik(w, float(w.min()), float(w.max()), s, xi)
     return -val if math.isfinite(val) else 1e12
 
 
@@ -757,12 +779,17 @@ def test_profile_loglik_equals_the_gp_logpdf_profile(point):
 
     with mock.patch.object(optimize, "minimize_scalar", spy):
         got = _profile_loglik(pot, p, q)
-    assert got == _oracle_profile_loglik(pot, p, q)
-    # the scalar Brent step, at shapes Brent rarely visits: the grid, the
-    # exponential branch and anywhere on [-0.99, 2]
+    # the kernel's value exactly: the scalar Brent step at shapes Brent
+    # rarely visits (the grid, the exponential branch and anywhere on
+    # [-0.99, 2]) and every row of the vectorized grid
     (neg_ll,) = brent
-    for shape in fit_module._PROFILE_GRID.tolist() + [xi]:
-        assert neg_ll(shape) == _oracle_neg_ll(pot, p, q, shape)
+    grid = fit_module._PROFILE_GRID.tolist()
+    for shape in grid + [xi]:
+        assert neg_ll(shape) == _kernel_neg_ll(pot, p, q, shape)
+    rows = _profile_grid(pot.peaks - pot.threshold, [_oracle_scale(pot, p, q, g) for g in grid])
+    assert rows.tolist() == [_kernel_neg_ll(pot, p, q, g) for g in grid]
+    # gp_logpdf's sum, at rounding level
+    assert got == pytest.approx(_oracle_profile_loglik(pot, p, q), rel=1e-12)
 
 
 def test_profile_grid_has_no_exponential_row():
