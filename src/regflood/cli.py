@@ -61,7 +61,14 @@ from .fileio import (
     write_series_csv,
     write_truth_json,
 )
-from .fit import gp_fit_mle, gp_fit_pwm, profile_ci, quantile_variance, return_level
+from .fit import (
+    _check_rate_period,
+    gp_fit_mle,
+    gp_fit_pwm,
+    profile_ci,
+    quantile_variance,
+    return_level,
+)
 from .indexflood import fit_area_regression
 from .pot import IndependenceRule, extract_pot, select_threshold
 from .regional import Region, discordancy, growth_curve, heterogeneity
@@ -354,11 +361,17 @@ def _mcmc_config(
 
 def cmd_bayes(args) -> list[str]:
     mc = _mcmc_config(args.chains, args.iters, args.burn_in, quantiles=True)
+    if not 0.0 < args.ci < 1.0:
+        raise InputError(f"--ci must lie in (0, 1), got {args.ci!r}")
+    periods = _floats_arg(args.return_periods, "--return-periods")
     config = load_region_config(args.config)
     region = build_region(config)
     if args.target and args.target != region.target:
         region = dataclasses.replace(region, target=args.target)
     target = region.target
+    pot = region.target_site.pot
+    for period in periods:
+        _check_rate_period(pot.rate, period)
 
     donors = region.others()
     if args.donors:  # the regression's sites are also the elicitation donors
@@ -372,10 +385,8 @@ def cmd_bayes(args) -> list[str]:
     if args.flat_prior:
         prior = prior.with_variances((1000.0, 1000.0, 1000.0))
 
-    pot = region.target_site.pot
     chains = mcmc_sample(prior, pot, mc, seed=args.seed)
     diag = chain_diagnostics(chains)
-    periods = _floats_arg(args.return_periods, "--return-periods")
     summaries = posterior_quantiles(chains, pot.rate, periods, level=args.ci)
 
     write_prior_json(args.prior_out, prior)
@@ -459,17 +470,8 @@ def cmd_evaluate(args) -> list[str]:
     mcmc = _mcmc_config(
         args.mcmc_chains, args.mcmc_iters, args.mcmc_burn_in, quantiles="BAY" in models
     )
-    lengths = _ints_arg(args.lengths, "--lengths")
-    config = load_region_config(args.config)
-    region = build_region(config)
-    span = region.target_site.pot.record_years
-    for m in lengths:
-        if m > span:
-            raise InputError(
-                f"truncation length {m} exceeds the {span:.1f}-year target record"
-            )
     eval_config = EvalConfig(
-        lengths=lengths,
+        lengths=_ints_arg(args.lengths, "--lengths"),
         anchor=args.anchor,
         models=models,
         replicates=args.replicates,
@@ -477,6 +479,14 @@ def cmd_evaluate(args) -> list[str]:
         sliding=args.sliding,
         mcmc=mcmc,
     )
+    config = load_region_config(args.config)
+    region = build_region(config)
+    span = region.target_site.pot.record_years
+    for m in eval_config.lengths:
+        if m > span:
+            raise InputError(
+                f"truncation length {m} exceeds the {span:.1f}-year target record"
+            )
     report = run_experiment(eval_config, region=region)
     out = args.out
     write_json(out, "eval-report", eval_report_payload(report))

@@ -4,10 +4,12 @@ Maximum likelihood fixes the GP location at the POT threshold and uses
 Grimshaw's (1993) reduction: at fixed theta = shape / scale the best shape
 is mean log(1 + theta * y), so the likelihood is profiled over theta on a
 grid and refined by bounded Brent, and the best interior stationary point
-is the MLE (Smith 1985).  A Newton polish certifies it.  No BLAS-backed
-optimizer runs, so a fit never wakes OpenBLAS's thread pool.  The polish
-and the reported covariance share one closed-form observed information of
-(scale, shape).
+is the MLE (Smith 1985).  A certificate checks that the closed-form
+score there is zero to rounding, after at most one Newton step.  No
+BLAS-backed optimizer runs, so a fit never wakes OpenBLAS's thread pool.
+That step and the reported covariance share one closed-form observed
+information of (scale, shape).  The log likelihood itself comes from
+``distributions._gp_loglik``, as the profile and PWM ones do.
 
 The PWM fit pairs the L-moment estimator with its published asymptotic
 covariance (valid for shape < 1/2); for heavy estimated shapes (> 0.4) a
@@ -17,7 +19,6 @@ fitted as one array.
 Profile-likelihood intervals cut the deviance at the chi^2(1) quantile,
 taken from ``scipy.special.gammaincinv`` in the closed form that
 ``scipy.stats.chi2.ppf`` uses; the package does not import ``scipy.stats``.
-The profile and PWM log likelihoods come from ``distributions._gp_loglik``.
 """
 
 from __future__ import annotations
@@ -81,52 +82,12 @@ class GpFit:
     boundary: bool = False
 
 
-def _nll_grad(z: np.ndarray, x: np.ndarray, location: float):
-    """Negative log likelihood and gradient in (log scale, shape).
-
-    Off-support or numerically unrepresentable points return a large
-    penalty growing with the violation (zero gradient) so line searches
-    back off.
-    """
-    logs, xi = z
-    if not np.all(np.isfinite(z)) or abs(logs) >= 700.0:
-        mag = abs(logs) if math.isfinite(logs) else 1e6
-        return 1e10 * (1.0 + mag), np.zeros_like(z)
-    s = math.exp(logs)
-    y = (x - location) / s
-    n = x.size
-    if np.any(y < 0.0):
-        return 1e10 * (1.0 + float(np.sum(np.maximum(-y, 0.0)))), np.zeros_like(z)
-    if abs(xi) < SHAPE_EPS:
-        f = n * logs + float(np.sum(y))
-        g_logs = n - float(np.sum(y))
-        g_xi = float(np.sum(y - 0.5 * y * y))
-    else:
-        a = xi * y
-        t = 1.0 + a
-        if np.any(t <= 0.0):
-            return 1e10 * (1.0 + float(np.sum(np.maximum(-t, 0.0)))), np.zeros_like(z)
-        log_t = np.log(t)
-        f = n * logs + (1.0 + 1.0 / xi) * float(np.sum(log_t))
-        w = y / t
-        g_logs = n - (1.0 + xi) * float(np.sum(w))
-        if float(np.max(np.abs(a))) < 1e-3:
-            # per peak the shape gradient is w + y**2 * chi(a) with
-            # chi(a) = (a / t - log1p(a)) / a**2, whose closed form below
-            # cancels to noise for small |a|; chi's Taylor series instead
-            chi = -0.5 + a * (2.0 / 3.0 + a * (-0.75 + a * (0.8 + a * (-5.0 / 6.0))))
-            g_xi = float(np.sum(w + y * y * chi))
-        else:
-            g_xi = (1.0 + 1.0 / xi) * float(np.sum(w)) - (1.0 / xi**2) * float(np.sum(log_t))
-    return f, np.array([g_logs, g_xi])
-
-
 def _observed_information(x: np.ndarray, location: float, scale: float, shape: float) -> np.ndarray:
     """Hessian of the negative log likelihood in (scale, shape), in closed form.
 
     With y = (x - location) / scale, a = shape * y and t = 1 + a, it needs
     every t > 0; |shape| < SHAPE_EPS is the exponential law, as in
-    ``_nll_grad``.  The shape-shape term is y**3 * phi(a) - (y / t)**2 per
+    ``_score``.  The shape-shape term is y**3 * phi(a) - (y / t)**2 per
     peak, phi(a) = (2 log(1 + a) / a - 2 / t - a / t**2) / a**2.  That form
     cancels to rounding noise for small |a|, so below 1e-3 phi's Taylor
     series (2/3 at a = 0) takes over.
@@ -146,6 +107,27 @@ def _observed_information(x: np.ndarray, location: float, scale: float, shape: f
     h_sx = float(np.sum(w * (y - 1.0) / t)) / scale
     h_xx = float(np.sum(y**3 * phi - w * w))
     return np.array([[h_ss, h_sx], [h_sx, h_xx]])
+
+
+def _score(y: np.ndarray, shape: float) -> np.ndarray:
+    """Gradient of the negative log likelihood in (log scale, shape).
+
+    y, a, t and w as in ``_observed_information``, every t > 0.  Per peak
+    the shape gradient is w + y**2 * chi(a), chi(a) = (a / t - log1p(a)) /
+    a**2, whose closed form cancels to noise for small |a|; when every
+    |a| < 1e-3 chi's Taylor series takes over.
+    """
+    xi = 0.0 if abs(shape) < SHAPE_EPS else shape
+    a = xi * y
+    t = 1.0 + a
+    w = y / t
+    g_logs = y.size - (1.0 + xi) * float(np.sum(w))
+    if float(np.max(np.abs(a))) < 1e-3:
+        chi = -0.5 + a * (2.0 / 3.0 + a * (-0.75 + a * (0.8 + a * (-5.0 / 6.0))))
+        g_xi = float(np.sum(w + y * y * chi))
+    else:
+        g_xi = (1.0 + 1.0 / xi) * float(np.sum(w)) - (1.0 / xi**2) * float(np.sum(np.log(t)))
+    return np.array([g_logs, g_xi])
 
 
 def _profile_nll(v: np.ndarray, y: np.ndarray):
@@ -208,27 +190,33 @@ def _profile_search(x: np.ndarray, u: float) -> np.ndarray:
     return np.array([math.log(sigma[0]), xi[0]])
 
 
-def _polish(z: np.ndarray, x: np.ndarray, u: float):
-    """Newton polish of (log scale, shape) until the gradient is certifiably small.
+def _polish(z: np.ndarray, x: np.ndarray, u: float) -> tuple[np.ndarray, float]:
+    """Certify (log scale, shape) as a stationary point of the likelihood.
 
-    On a shape bound the outward shape component is projected away.  Returns
-    the point, the negative log likelihood there, whether the projected
-    gradient is certifiably small, and that gradient's norm.
+    On a shape bound the outward shape component of the score is projected
+    away.  The point is certified when the projected score's largest
+    component is at most tol = 1e-8 * max(1, |nll|).  Otherwise one full
+    projected Newton step is kept if it stays on the support, does not
+    raise the nll beyond rounding and lowers that norm; a norm still above
+    max(tol, 1e-6) raises FitError.  Returns the point and the nll there.
     """
 
-    def proj_grad(zv, g):
-        g = np.asarray(g, dtype=float).copy()
+    def projected(zv, g):
         if (zv[1] <= _XI_MIN + 1e-9 and g[1] > 0.0) or (zv[1] >= _XI_MAX - 1e-9 and g[1] < 0.0):
-            g[1] = 0.0
+            return np.array([g[0], 0.0])
         return g
 
-    f_val, g_full = _nll_grad(z, x, u)
+    def nll(zv):
+        sigma = math.exp(zv[0])
+        y = (x - u) / sigma
+        return -_gp_loglik(y, float(y.min()), float(y.max()), sigma, float(zv[1])), y
+
+    f_val, y = nll(z)
+    g_full = _score(y, z[1])
+    g_proj = projected(z, g_full)
+    g_norm = float(np.max(np.abs(g_proj)))
     tol = 1e-8 * max(1.0, abs(f_val))
-    for _ in range(40):
-        g_proj = proj_grad(z, g_full)
-        g_norm = float(np.max(np.abs(g_proj)))
-        if g_norm <= tol:
-            break
+    if g_norm > tol:
         work = [0] if g_proj[1] == 0.0 and g_full[1] != 0.0 else [0, 1]
         # chain rule from (scale, shape) to (log scale, shape)
         sigma = math.exp(z[0])
@@ -236,31 +224,23 @@ def _polish(z: np.ndarray, x: np.ndarray, u: float):
         hess[0, 0] += g_full[0]
         try:
             step = np.linalg.solve(hess[np.ix_(work, work)], -g_proj[work])
-        except np.linalg.LinAlgError:
-            break
+        except np.linalg.LinAlgError:  # a singular hessian proposes no step
+            step = np.zeros(len(work))
         norm = float(np.max(np.abs(step)))
         if norm > 10.0:  # near-singular hessians propose absurd steps
             step *= 10.0 / norm
-        scale = 1.0
-        for _ in range(30):
-            z_try = z.copy()
-            z_try[work] = z[work] + scale * step
-            z_try[1] = float(np.clip(z_try[1], _XI_MIN, _XI_MAX))
-            f_try, g_try = _nll_grad(z_try, x, u)
-            # a step must lower the gradient norm without raising the
-            # objective beyond rounding
-            if (
-                f_try < 1e9
-                and f_try <= f_val + 1e-12 * max(1.0, abs(f_val))
-                and float(np.max(np.abs(proj_grad(z_try, g_try)))) < g_norm
-            ):
-                z, f_val, g_full = z_try, f_try, g_try
-                break
-            scale *= 0.5
-        else:
-            break
-    g_final = float(np.max(np.abs(proj_grad(z, g_full))))
-    return z, f_val, g_final <= max(tol, 1e-6), g_final
+        z_try = z.copy()
+        z_try[work] += step
+        z_try[1] = float(np.clip(z_try[1], _XI_MIN, _XI_MAX))
+        f_try, y_try = nll(z_try)
+        # off the support f_try is inf, so the step is refused here
+        if f_try <= f_val + 1e-12 * max(1.0, abs(f_val)):
+            g_try = float(np.max(np.abs(projected(z_try, _score(y_try, z_try[1])))))
+            if g_try < g_norm:
+                z, f_val, g_norm = z_try, f_try, g_try
+    if g_norm > max(tol, 1e-6):
+        raise FitError(f"MLE did not converge (gradient norm {g_norm:.2e})")
+    return z, f_val
 
 
 def gp_fit_mle(pot: PotSeries) -> GpFit:
@@ -269,11 +249,13 @@ def gp_fit_mle(pot: PotSeries) -> GpFit:
     Grimshaw's profile search over theta = shape / scale finds the best
     interior stationary point of the likelihood, or, when there is none, the
     best fit with the shape on a search bound (short-tailed samples pile up
-    at -0.99, marked by ``boundary``); a Newton polish certifies it, and a
-    fit it cannot certify raises FitError.  When every one of five starts
-    around the PWM estimate lies off the data's support, the start with the
-    least penalty is returned instead, with a WARNING on the ``regflood``
-    logger: its likelihood, covariance and intervals are not usable.
+    at -0.99, marked by ``boundary``); a certificate on the score, after at
+    most one Newton step, confirms it, and a fit it cannot certify raises
+    FitError.  When every one of five starts around the PWM estimate lies
+    off the data's support, the start with the least penalty is returned
+    instead, with minus that penalty as its log likelihood, no covariance
+    and a WARNING on the ``regflood`` logger: its likelihood, covariance
+    and intervals are not usable.
     """
     x = pot.peaks
     u = pot.threshold
@@ -289,9 +271,10 @@ def gp_fit_mle(pot: PotSeries) -> GpFit:
     except FitError:
         s0, xi0 = float(np.mean(x - u)), 0.5
     # where five starts around the PWM estimate all lie off the support
-    # (1 + shape * y / scale <= 0 at the largest exceedance, in _nll_grad's
-    # arithmetic), the one with the least penalty is returned as it is:
-    # stored reference outputs hold these fits
+    # (1 + shape * y / scale <= 0 at the largest exceedance), the one with
+    # the least penalty, 1e10 times one plus the peaks' total overshoot of
+    # the support, is returned as it is: stored reference outputs hold
+    # these fits
     delta = max(0.2 * abs(xi0), 0.1)
     starts = []
     for fs, fx in ((1.0, 0.0), (0.8, -delta), (1.2, delta), (0.8, delta), (1.2, -delta)):
@@ -299,29 +282,27 @@ def gp_fit_mle(pot: PotSeries) -> GpFit:
         starts.append(np.array([math.log(s0) + math.log(fs), xi]))
     y_max = float(np.max(x)) - u
     if all(z[1] <= -SHAPE_EPS and 1.0 + z[1] * (y_max / math.exp(z[0])) <= 0.0 for z in starts):
-        z = starts[int(np.argmin([_nll_grad(z, x, u)[0] for z in starts]))]
-    else:
-        z = _profile_search(x, u)
-    z, f_val, converged, g_final = _polish(z, x, u)
-    if not converged:
-        raise FitError(f"MLE did not converge (gradient norm {g_final:.2e})")
-
-    params = GpParams(u, math.exp(z[0]), float(z[1]))
-    covariance = None
-    # a fit left on the penalty (f_val >= 1e9) lies off the support, where
-    # the information does not exist
-    if f_val < 1e9:
-        info = _observed_information(x, u, params.scale, params.shape)
-        det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
-        if info[0, 0] > 0.0 and det > 0.0:
-            covariance = np.array([[info[1, 1], -info[0, 1]], [-info[0, 1], info[0, 0]]]) / det
-    else:
+        penalties = [
+            1e10 * (1.0 + float(np.sum(np.maximum(-(1.0 + z[1] * ((x - u) / math.exp(z[0]))), 0.0))))
+            for z in starts
+        ]
+        k = int(np.argmin(penalties))
         log.warning(
             "MLE of %d events at station %s lies off the data's support; its "
             "likelihood, covariance and intervals are not usable",
             x.size,
             pot.station,
         )
+        params = GpParams(u, math.exp(starts[k][0]), float(starts[k][1]))
+        return GpFit(params=params, covariance=None, loglik=-penalties[k], method="mle", n=x.size)
+
+    z, f_val = _polish(_profile_search(x, u), x, u)
+    params = GpParams(u, math.exp(z[0]), float(z[1]))
+    covariance = None
+    info = _observed_information(x, u, params.scale, params.shape)
+    det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
+    if info[0, 0] > 0.0 and det > 0.0:
+        covariance = np.array([[info[1, 1], -info[0, 1]], [-info[0, 1], info[0, 0]]]) / det
     return GpFit(
         params=params,
         covariance=covariance,
@@ -352,7 +333,8 @@ def gp_fit_pwm(pot: PotSeries, variant: str = "unbiased") -> GpFit:
     ``sample_lmoments`` and ``gp_fit_lmom``; a resample either of them
     would reject (constant, zero l1 or l2, mean at or below the threshold,
     implied shape >= 1) is skipped.  The log likelihood is ``_gp_loglik``'s,
-    -inf when the fitted support excludes a peak.
+    -inf when the fitted support excludes a peak; such a fit logs a WARNING
+    on the ``regflood`` logger that counts the peaks beyond its endpoint.
     """
     x = pot.peaks
     if x.size < _MIN_EVENTS:
@@ -381,6 +363,14 @@ def gp_fit_pwm(pot: PotSeries, variant: str = "unbiased") -> GpFit:
             covariance = np.cov(np.stack([scale[fitted], shape[fitted]], axis=1).T)
     w = (x - pot.threshold) / params.scale
     loglik = _gp_loglik(w, float(w.min()), float(w.max()), params.scale, params.shape)
+    if loglik == -math.inf:
+        log.warning(
+            "PWM fit of %d events at station %s puts %d of them beyond its upper "
+            "endpoint; its likelihood is not usable",
+            x.size,
+            pot.station,
+            int(np.count_nonzero(1.0 + params.shape * w <= 0.0)),
+        )
     return GpFit(
         params=params,
         covariance=covariance,
@@ -558,25 +548,20 @@ def profile_ci(
         return 0.5 * (inside + outside)
 
     floor = max(q_hat / 10.0, pot.threshold + 1e-9 * max(1.0, abs(pot.threshold)))
-    lower, lower_unbounded = floor, True
-    q_in = q_hat
-    q_out = q_hat
-    while q_out > floor:
-        q_out = max(q_out * 0.85, floor)
-        if deviance(q_out) > cutoff:
-            lower, lower_unbounded = bisect(q_in, q_out), False
-            break
-        q_in = q_out
-
     ceiling = q_hat * 10.0
-    upper, upper_unbounded = ceiling, True
-    q_in = q_hat
-    q_out = q_hat
-    while q_out < ceiling:
-        q_out = min(q_out * 1.2, ceiling)
-        if deviance(q_out) > cutoff:
-            upper, upper_unbounded = bisect(q_in, q_out), False
-            break
-        q_in = q_out
 
+    def walk_out(factor: float, limit: float) -> tuple[float, bool]:
+        # steps of ``factor`` from q_hat towards ``limit`` until the deviance
+        # crosses the cutoff, then bisection of the last step; a walk that
+        # reaches its limit leaves that side unbounded
+        q_in = q_out = q_hat
+        while (limit - q_out) * (factor - 1.0) > 0.0:
+            q_out = min(max(q_out * factor, floor), ceiling)
+            if deviance(q_out) > cutoff:
+                return bisect(q_in, q_out), False
+            q_in = q_out
+        return limit, True
+
+    lower, lower_unbounded = walk_out(0.85, floor)
+    upper, upper_unbounded = walk_out(1.2, ceiling)
     return ProfileCi(float(lower), float(upper), lower_unbounded, upper_unbounded)

@@ -243,15 +243,26 @@ def test_fit_custom_periods(pot_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", ["pwu", "pwb"])
-def test_fit_pwm_report_when_a_peak_is_off_the_support(tmp_path, capsys, method):
-    # the README's S0 record: its PWM fit's upper endpoint lies below the
-    # largest peak, so the log likelihood is -inf and is written as null
+def test_fit_pwm_report_when_a_peak_is_off_the_support(tmp_path, capsys, caplog, method):
+    # the README's S0 record: its PWM fit's upper endpoint lies below 3 of
+    # its 51 peaks, so the log likelihood is -inf, is written as null and
+    # the fit logs a WARNING
     region, pot_path, out = tmp_path / "region", tmp_path / "S0.pot.json", tmp_path / "fit.json"
     assert main(["simulate", str(region), "--sites", "6", "--years", "25", "--seed", "11"]) == 0
     assert main(["extract", str(region / "S0.csv"), "--target-rate", "2", "--out", str(pot_path)]) == 0
-    assert cli._FIT_METHODS[method](read_pot_json(pot_path)).loglik == -math.inf
-    code, _, _ = run(capsys, ["fit", str(pot_path), "--method", method, "--out", str(out)])
+    pot = read_pot_json(pot_path)
+    fit = cli._FIT_METHODS[method](pot)
+    assert fit.loglik == -math.inf
+    assert np.count_nonzero(pot.peaks > fit.params.upper_endpoint) == 3
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="regflood"):
+        code, _, _ = run(capsys, ["fit", str(pot_path), "--method", method, "--out", str(out)])
     assert code == 0
+    assert [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "regflood"] == [(
+        logging.WARNING,
+        "PWM fit of 51 events at station S0 puts 3 of them beyond its upper "
+        "endpoint; its likelihood is not usable",
+    )]
     obj = read_json(out, "fit-report")
     assert obj["method"] == method
     assert obj["loglik"] is None
@@ -533,6 +544,33 @@ def test_bayes_too_few_draws_fails_before_sampling(sim_dir, tmp_path, capsys, mo
     assert "need at least 500 retained draws, got 400" in err
 
 
+def must_not_run(*args, **kwargs):
+    raise AssertionError("called before the flags were checked")
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--ci", "1.5", "--ci must lie in (0, 1), got 1.5"),
+        ("--return-periods", "abc", "--return-periods expects comma-separated numbers"),
+    ],
+)
+def test_bayes_bad_flags_fail_before_reading(sim_dir, tmp_path, capsys, monkeypatch, flag, value, message):
+    monkeypatch.setattr(cli, "build_region", must_not_run)
+    monkeypatch.setattr(cli, "mcmc_sample", must_not_run)
+    code, _, err = run(capsys, bayes_argv(sim_dir, tmp_path, flag, value))
+    assert code == 1
+    assert message in err
+
+
+def test_bayes_short_return_period_fails_before_sampling(sim_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "mcmc_sample", must_not_run)
+    monkeypatch.setattr(cli, "elicit_prior", must_not_run)
+    code, _, err = run(capsys, bayes_argv(sim_dir, tmp_path, "--return-periods", "10,0.1"))
+    assert code == 1
+    assert "return period 0.1 needs rate * T > 1" in err
+
+
 def test_bayes_unknown_target_is_input_error(sim_dir, tmp_path, capsys):
     code, _, err = run(capsys, bayes_argv(sim_dir, tmp_path, "--target", "S99"))
     assert code == 1
@@ -632,6 +670,23 @@ def test_evaluate_unknown_model(sim_dir, capsys):
     ])
     assert code == 1
     assert "ZZZ" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--models", "mle,zzz", "unknown models ['ZZZ']"),
+        ("--replicates", "0", "need at least 1 replicate, got 0"),
+        ("--lengths", "5,0", "bad truncation lengths (5, 0)"),
+    ],
+)
+def test_evaluate_bad_flags_fail_before_reading(sim_dir, capsys, monkeypatch, flag, value, message):
+    monkeypatch.setattr(cli, "build_region", must_not_run)
+    monkeypatch.setattr(cli, "mcmc_sample", must_not_run)
+    argv = ["evaluate", str(sim_dir / "region.yaml"), "--lengths", "5", "--models", "mle"]
+    code, _, err = run(capsys, [*argv, flag, value])
+    assert code == 1
+    assert message in err
 
 
 # ------------------------------------------------------------------- general
