@@ -62,7 +62,6 @@ from .evaluation import (
 )
 from .fileio import (
     RegionConfig,
-    RunReport,
     SiteEntry,
     build_region,
     load_region_config,

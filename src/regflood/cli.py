@@ -41,7 +41,6 @@ from .errors import ContractViolationError, InputError, NumericalError
 from .evaluation import EvalConfig, SynthSpec, run_experiment, synth_daily_series, synth_region
 from .fileio import (
     RegionConfig,
-    RunReport,
     SiteEntry,
     _num,
     build_region,
@@ -57,7 +56,6 @@ from .fileio import (
     write_pot_json,
     write_prior_json,
     write_region_config,
-    write_run_report,
     write_series_csv,
     write_truth_json,
 )
@@ -480,12 +478,26 @@ def cmd_evaluate(args) -> list[str]:
         mcmc=mcmc,
     )
     config = load_region_config(args.config)
+    ignored = [
+        f"{key} {value}"
+        for key, value, default in (
+            ("index_flood_method", config.index_method, "gp-fit"),
+            ("rescale", config.rescale, "index"),
+        )
+        if value != default
+    ]
+    if ignored:
+        log.warning(
+            "evaluate ignores the config's %s; it always uses the gp-fit index "
+            "flood and index rescaling",
+            " and ".join(ignored),
+        )
     region = build_region(config)
     span = region.target_site.pot.record_years
     for m in eval_config.lengths:
         if m > span:
             raise InputError(
-                f"truncation length {m} exceeds the {span:.1f}-year target record"
+                f"truncation length {m} exceeds the {span:.4f}-year target record"
             )
     report = run_experiment(eval_config, region=region)
     out = args.out
@@ -691,17 +703,18 @@ def main(argv=None) -> int:
         started = _now()
         outputs = args.func(args)
         if getattr(args, "report", None):
-            write_run_report(
+            write_json(
                 args.report,
-                RunReport(
-                    command=args.command,
-                    config=_report_config(args),
-                    seed=getattr(args, "seed", None),
-                    version=__version__,
-                    started=started,
-                    finished=_now(),
-                    outputs=tuple(outputs),
-                ),
+                "run-report",
+                {
+                    "command": args.command,
+                    "config": _report_config(args),
+                    "seed": getattr(args, "seed", None),
+                    "version": __version__,
+                    "started": started,
+                    "finished": _now(),
+                    "outputs": list(outputs),
+                },
             )
         return 0
     except ContractViolationError as exc:

@@ -292,8 +292,6 @@ def kappa_cdf(params: KappaParams, x):
         hy = 1.0 - h * y
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.where(hy > 0.0, np.power(np.maximum(hy, 1e-300), 1.0 / h), 0.0)
-        if h < 0.0:
-            out = np.where(hy <= 0.0, 1.0, out)  # unreachable for valid y >= 0
     return _maybe_scalar(np.clip(out, 0.0, 1.0), scalar)
 
 

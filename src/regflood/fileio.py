@@ -1,4 +1,4 @@
-"""File formats: CSV records, JSON artifacts, region config, run reports.
+"""File formats: CSV records, JSON artifacts and the region config.
 
 Machine outputs are deterministic: floats are written in Python's
 shortest exact round-trip form, keys keep insertion order, and nothing
@@ -41,7 +41,6 @@ from .regional import GrowthCurve, Region, RegionSite
 __all__ = [
     "SCHEMA_VERSION",
     "RegionConfig",
-    "RunReport",
     "SiteEntry",
     "build_region",
     "eval_report_payload",
@@ -61,7 +60,6 @@ __all__ = [
     "write_pot_json",
     "write_prior_json",
     "write_region_config",
-    "write_run_report",
     "write_series_csv",
     "write_truth_json",
 ]
@@ -251,7 +249,7 @@ def read_metadata_csv(path) -> tuple[StationMeta, ...]:
 
 
 def write_json(path, kind: str, body: Mapping) -> None:
-    """Write a versioned, kind-tagged JSON artifact (no NaN, no timestamps)."""
+    """Write a versioned, kind-tagged JSON artifact (no NaN; timestamps only in run reports)."""
     obj = {"schema_version": SCHEMA_VERSION, "kind": kind}
     obj.update(body)
     with open(Path(path), "w", encoding="utf-8") as fh:
@@ -687,34 +685,3 @@ def build_region(config: RegionConfig) -> Region:
         sites.append(RegionSite(meta, pot))
     return Region(tuple(sites), config.target)
 
-
-# ----------------------------------------------------------------- run report
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Replay record of one command; the only artifact with timestamps."""
-
-    command: str
-    config: dict
-    seed: int | None
-    version: str
-    started: str
-    finished: str
-    outputs: tuple[str, ...]
-
-
-def write_run_report(path, report: RunReport) -> None:
-    write_json(
-        path,
-        "run-report",
-        {
-            "command": report.command,
-            "config": report.config,
-            "seed": report.seed,
-            "version": report.version,
-            "started": report.started,
-            "finished": report.finished,
-            "outputs": list(report.outputs),
-        },
-    )

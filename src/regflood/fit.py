@@ -198,7 +198,10 @@ def _polish(z: np.ndarray, x: np.ndarray, u: float) -> tuple[np.ndarray, float]:
     component is at most tol = 1e-8 * max(1, |nll|).  Otherwise one full
     projected Newton step is kept if it stays on the support, does not
     raise the nll beyond rounding and lowers that norm; a norm still above
-    max(tol, 1e-6) raises FitError.  Returns the point and the nll there.
+    max(tol, 1e-6) raises FitError.  Its message says so when the point is
+    on the shape bound 5 and more than a sixth of the peaks lie on the
+    threshold, where the likelihood has no maximum.  Returns the point and
+    the nll there.
     """
 
     def projected(zv, g):
@@ -239,7 +242,16 @@ def _polish(z: np.ndarray, x: np.ndarray, u: float) -> tuple[np.ndarray, float]:
             if g_try < g_norm:
                 z, f_val, g_norm = z_try, f_try, g_try
     if g_norm > max(tol, 1e-6):
-        raise FitError(f"MLE did not converge (gradient norm {g_norm:.2e})")
+        message = f"MLE did not converge (gradient norm {g_norm:.2e})"
+        # n0 peaks at y = 0 give log L ~ ((1 + 1/shape) * (n - n0) - n) * log(scale)
+        tied = int(np.count_nonzero(x == u))
+        if z[1] >= _XI_MAX - 1e-9 and (1.0 + 1.0 / _XI_MAX) * (x.size - tied) < x.size:
+            message += (
+                f": {tied} of {x.size} peaks lie on the threshold, so at the shape "
+                f"bound {_XI_MAX:g} the likelihood grows without limit as the scale "
+                "falls to 0 and has no maximum"
+            )
+        raise FitError(message)
     return z, f_val
 
 

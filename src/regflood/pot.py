@@ -7,7 +7,8 @@ apart AND the trough between them drops below ``trough_fraction`` times
 the smaller of the two peaks. Otherwise they merge and the larger value
 becomes the event peak. Building events from candidate peaks (rather
 than from runs of exceedances alone) keeps the event count monotone:
-raising the threshold never adds events.
+raising the threshold never adds events.  ``select_threshold`` rests its
+binary search on this.
 
 Record length is the span from first to last sample plus one median
 sampling interval, with data gaps longer than ``max_missing_gap_days``
@@ -250,38 +251,33 @@ def select_threshold(
     """Largest quantile-grid threshold whose event rate meets the target.
 
     The grid takes 200 levels from the 50th to the 99.99th percentile of
-    the discharge values;
-    the event rate is non-increasing in the threshold, so a binary search
-    (with a small linear sweep around the crossing) finds the answer.  Each
-    probed threshold costs one declustering sweep, as in ``extract_pot`` but
-    building no ``PotSeries``; its rate is the event count over the record
-    length, which the search computes once.
+    the discharge values.  Raising the threshold never adds events (see the
+    module docstring), so the event rate is non-increasing along the grid
+    and one binary search finds the answer: the last probe that met the
+    target.  That takes at most 8 probes.  Each costs one declustering
+    sweep, as in ``extract_pot`` but building no ``PotSeries``; its rate is
+    the event count over the record length, which the search computes once.
     """
     if not math.isfinite(target_rate) or target_rate <= 0:
         raise InputError(f"target rate must be positive, got {target_rate!r}")
     levels = np.linspace(0.5, 0.9999, 200)
     grid = np.unique(np.quantile(series.discharge, levels))
-
     years = record_years(series, rule.max_missing_gap_days)
-
-    def rate_at(threshold: float) -> float:
-        return _event_indices(series, threshold, rule).size / years
-
+    best = None
     lo, hi = 0, grid.size - 1
     while lo <= hi:
         mid = (lo + hi) // 2
-        if rate_at(float(grid[mid])) >= target_rate:
+        threshold = float(grid[mid])
+        rate = _event_indices(series, threshold, rule).size / years
+        if rate >= target_rate:
+            best = ThresholdSelection(threshold, rate)
             lo = mid + 1
         else:
             hi = mid - 1
-    # lo - 1 is the crossing under exact monotonicity; sweep a little in case
-    # declustering makes the rate locally flat
-    for idx in range(min(lo + 2, grid.size - 1), -1, -1):
-        threshold = float(grid[idx])
-        achieved = rate_at(threshold)
-        if achieved >= target_rate:
-            return ThresholdSelection(threshold, achieved)
-    raise SelectionError(
-        f"no grid threshold reaches {target_rate!r} events per year for "
-        f"station {series.station} (best {rate_at(float(grid[0])):.3f})"
-    )
+    if best is None:
+        # every probe failed, so the last one was grid[0]
+        raise SelectionError(
+            f"no grid threshold reaches {target_rate!r} events per year for "
+            f"station {series.station} (best {rate:.3f})"
+        )
+    return best

@@ -621,12 +621,50 @@ def test_evaluate_readme_region_loses_no_cells(tmp_path, capsys):
 
 
 def test_evaluate_length_beyond_record(sim_dir, capsys):
-    code, _, err = run(capsys, [
-        "evaluate", str(sim_dir / "region.yaml"), "--lengths", "5,99",
-        "--models", "mle",
-    ])
-    assert code == 1
-    assert "99" in err
+    # an 18-year simulated record spans 6574 days, just short of 18 years
+    for lengths, message in [
+        ("5,99", "truncation length 99 exceeds the 17.9986-year target record"),
+        ("5,18", "truncation length 18 exceeds the 17.9986-year target record"),
+    ]:
+        code, _, err = run(capsys, [
+            "evaluate", str(sim_dir / "region.yaml"), "--lengths", lengths,
+            "--models", "mle",
+        ])
+        assert code == 1
+        assert message in err
+
+
+@pytest.mark.parametrize("method,rescale,ignored", [
+    ("gp-fit", "index", None),
+    ("empirical", "index", "index_flood_method empirical"),
+    ("gp-fit", "mean", "rescale mean"),
+    ("empirical", "mean", "index_flood_method empirical and rescale mean"),
+], ids=["defaults", "empirical", "mean", "both"])
+def test_evaluate_warns_of_the_config_keys_it_ignores(
+    sim_dir, tmp_path, capsys, caplog, method, rescale, ignored
+):
+    region = shutil.copytree(sim_dir, tmp_path / "region")
+    config = region / "region.yaml"
+    text = config.read_text()
+    assert "index_flood_method: gp-fit\nrescale: index\n" in text
+    config.write_text(text.replace(
+        "index_flood_method: gp-fit\nrescale: index\n",
+        f"index_flood_method: {method}\nrescale: {rescale}\n",
+    ))
+    with caplog.at_level(logging.WARNING, logger="regflood"):
+        code, _, _ = run(capsys, [
+            "evaluate", str(config), "--lengths", "5", "--models", "mle,reg",
+            "--out", str(tmp_path / "eval.json"),
+        ])
+    assert code == 0
+    warnings = [r.getMessage() for r in caplog.records if r.name == "regflood"]
+    if ignored is None:
+        assert warnings == []
+    else:
+        assert warnings == [
+            f"evaluate ignores the config's {ignored}; it always uses the gp-fit "
+            "index flood and index rescaling"
+        ]
 
 
 def test_evaluate_too_few_draws_fails_before_reading(sim_dir, capsys, monkeypatch):
@@ -714,6 +752,10 @@ def test_run_report_records_flags_and_outputs(sim_dir, tmp_path, capsys):
     ])
     assert code == 0
     obj = read_json(report, "run-report")
+    assert list(obj) == [
+        "schema_version", "kind", "command", "config", "seed", "version",
+        "started", "finished", "outputs",
+    ]
     assert obj["command"] == "extract"
     assert obj["config"]["target_rate"] == 2.0
     assert obj["outputs"] == [str(pot_out)]

@@ -21,7 +21,6 @@ from regflood.fileio import (
     _series_columns,
     _series_rows,
     RegionConfig,
-    RunReport,
     SiteEntry,
     build_region,
     eval_report_payload,
@@ -41,7 +40,6 @@ from regflood.fileio import (
     write_pot_json,
     write_prior_json,
     write_region_config,
-    write_run_report,
     write_series_csv,
     write_truth_json,
 )
@@ -457,21 +455,3 @@ def test_build_region_unknown_metadata_code(tmp_path):
     )
     with pytest.raises(InputError, match="S9"):
         build_region(bad)
-
-
-def test_run_report_has_timestamps(tmp_path):
-    report = RunReport(
-        command="extract",
-        config={"threshold": 12.0},
-        seed=None,
-        version="0.1.0",
-        started="2026-08-14T00:00:00",
-        finished="2026-08-14T00:00:01",
-        outputs=("pot.json",),
-    )
-    path = tmp_path / "run.json"
-    write_run_report(path, report)
-    back = read_json(path, "run-report")
-    assert back["command"] == "extract"
-    assert back["started"] < back["finished"]
-    assert back["outputs"] == ["pot.json"]

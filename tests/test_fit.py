@@ -496,6 +496,22 @@ def test_mle_errors():
         gp_fit_mle(make_pot([2.0] * 10, 1.0, 5.0))
 
 
+def test_mle_names_peaks_on_the_threshold_when_the_likelihood_is_unbounded():
+    # 4 of 12 peaks on the threshold: at the shape bound 5, log L grows as
+    # (1.2 * 8 - 12) * log(scale) while the scale falls to 0
+    peaks = [100, 100, 100, 100, 110.3, 107.7, 113.0, 103.1, 130.0, 102.0, 113.5, 200.4]
+    pot = make_pot(peaks, 100.0, 6.0)
+    z = _profile_search(pot.peaks, pot.threshold)
+    assert z[1] == 5.0 and math.exp(z[0]) < 1e-13
+    with pytest.raises(FitError) as exc:
+        gp_fit_mle(pot)
+    assert str(exc.value) == (
+        "MLE did not converge (gradient norm 2.40e+00): 4 of 12 peaks lie on "
+        "the threshold, so at the shape bound 5 the likelihood grows without "
+        "limit as the scale falls to 0 and has no maximum"
+    )
+
+
 def test_pwm_fit_matches_direct_formula():
     pot = sample_pot(GpParams(1.0, 2.0, 0.2), 80, 40.0, seed=21)
     fit = gp_fit_pwm(pot)

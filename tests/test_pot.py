@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regflood import pot as pot_module
 from regflood.errors import InputError, InsufficientDataError, SelectionError
 from regflood.pot import (
     DischargeSeries,
@@ -194,23 +195,54 @@ def test_extract_pot_equals_the_per_gap_loop(series, level, rule):
     assert pot.record_years == record_years(series, rule.max_missing_gap_days)
 
 
-def test_select_threshold_matches_linear_scan():
-    series = _random_series(99, n_days=3650)
-    target = 2.0
-    got = select_threshold(series, target)
-    assert got.rate >= target
-    levels = np.linspace(0.5, 0.9999, 200)
-    grid = np.unique(np.quantile(series.discharge, levels))
+def _grid(series):
+    return np.unique(np.quantile(series.discharge, np.linspace(0.5, 0.9999, 200)))
+
+
+@pytest.mark.parametrize("seed,n_days,rule,target", [
+    (99, 3650, IndependenceRule(), 2.0),
+    (0, 2000, IndependenceRule(), 3.0),
+    (1, 2000, IndependenceRule(min_gap_days=3.0, trough_fraction=0.9), 1.5),
+    (2, 5000, IndependenceRule(min_gap_days=0.0, trough_fraction=1.0), 5.0),
+    (3, 3000, IndependenceRule(min_gap_days=20.0, trough_fraction=0.3), 1.0),
+    (4, 2000, IndependenceRule(), 400.0),
+])
+def test_select_threshold_matches_linear_scan(seed, n_days, rule, target):
+    series = _random_series(seed, n_days)
+    grid = _grid(series)
     best = None
     for th in grid:
         try:
-            rate = extract_pot(series, float(th)).rate
+            rate = extract_pot(series, float(th), rule).rate
         except InsufficientDataError:
             continue
         if rate >= target:
             best = (float(th), rate)
-    assert best is not None
-    assert got == best
+    if best is None:
+        lowest = extract_pot(series, float(grid[0]), rule).rate
+        with pytest.raises(SelectionError, match=rf"\(best {lowest:.3f}\)"):
+            select_threshold(series, target, rule)
+        return
+    assert select_threshold(series, target, rule) == best
+
+
+def test_select_threshold_declusters_at_most_eight_times(monkeypatch):
+    probes = []
+
+    def counted(series, threshold, rule):
+        probes.append(threshold)
+        return _event_indices(series, threshold, rule)
+
+    monkeypatch.setattr(pot_module, "_event_indices", counted)
+    for seed in range(4):
+        series = _random_series(seed, 3650)
+        for target in (1.5, 2.0, 3.0, 400.0):
+            probes.clear()
+            try:
+                select_threshold(series, target)
+            except SelectionError:
+                assert probes[-1] == _grid(series)[0]
+            assert 1 <= len(probes) <= 8
 
 
 def test_select_threshold_unreachable_rate(spike_series):
