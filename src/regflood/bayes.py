@@ -9,9 +9,11 @@ The target site's own sample never enters the elicitation; that contract
 is enforced, not just documented.  Posterior sampling is a component-wise
 random-walk Metropolis in (log mu, log sigma, xi).  Each chain owns a
 generator stream spawned from the seed and draws its random numbers in
-blocks, one step normal and one acceptance uniform per proposal; a
-proposal recomputes only the prior term and the likelihood pieces its
-coordinate moves; the likelihood is ``distributions._gp_loglik``.
+blocks, one step normal and one acceptance uniform per proposal.  A
+proposal recomputes only its coordinate's prior term and the likelihood,
+``distributions._gp_loglik`` on the residuals x - mu: only a location move
+recomputes them, so a scale or shape move does no array work beyond the
+kernel's.
 """
 
 from __future__ import annotations
@@ -179,8 +181,8 @@ def log_posterior(prior: PriorSpec, pot: PotSeries, params: GpParams) -> float:
     lp = log_prior(prior, params)
     if lp == -math.inf or pot.peaks.size == 0:
         return lp
-    w = (pot.peaks - params.location) / params.scale
-    return lp + _gp_loglik(w, float(w.min()), float(w.max()), params.scale, params.shape)
+    y = pot.peaks - params.location
+    return lp + _gp_loglik(y, float(y.min()), float(y.max()), params.scale, params.shape)
 
 
 @dataclass(frozen=True)
@@ -260,9 +262,11 @@ def mcmc_sample(
     acceptance uniforms in blocks of ``_BLOCK`` iterations and spends one
     normal and one uniform on every proposal, off-support ones included.
 
-    A proposal recomputes one prior term and the likelihood; only a
-    location move recomputes the residuals ``x - mu``, and one that
-    falls above the smallest peak is rejected before any array work.
+    A proposal recomputes one prior term and the likelihood.  The
+    residuals ``y = x - mu`` and their extremes are the only residual
+    state: a location move subtracts once, and one that falls above the
+    smallest peak is rejected before any array work; a scale or shape
+    move passes them to the kernel as they are.
     """
     x = np.asarray(pot.peaks, dtype=float)
     g0, g1, g2 = prior.gamma
@@ -274,8 +278,7 @@ def mcmc_sample(
         mu, sigma = math.exp(z[0]), math.exp(z[1])
         dz = z - np.asarray(prior.gamma)
         quad = -0.5 * float((dz * dz / np.asarray(prior.d)).sum())
-        w_min, w_max = (xmin - mu) / sigma, (xmax - mu) / sigma
-        return quad + _gp_loglik((x - mu) / sigma, w_min, w_max, sigma, z[2])
+        return quad + _gp_loglik(x - mu, xmin - mu, xmax - mu, sigma, z[2])
 
     sd = np.sqrt(np.asarray(prior.d))
     base = _initial_state(prior, x)
@@ -300,13 +303,11 @@ def mcmc_sample(
         lm, ls, xi = z.tolist()
         mu, sigma = math.exp(lm), math.exp(ls)
         # the prior's quadratic term per coordinate, and the residuals x - mu
-        # with their scaled form; a proposal recomputes only what it moves
+        # with their extremes; a proposal recomputes only what it moves
         q0 = (lm - g0) * (lm - g0) / d0
         q1 = (ls - g1) * (ls - g1) / d1
         q2 = (xi - g2) * (xi - g2) / d2
-        y = x - mu
-        w = y / sigma
-        w_min, w_max = (xmin - mu) / sigma, (xmax - mu) / sigma
+        y, y_min, y_max = x - mu, xmin - mu, xmax - mu
         scales = 2.4 * sd
         s0, s1, s2 = scales.tolist()
         acc = [0, 0, 0]  # accepted proposals per coordinate in this window
@@ -324,34 +325,30 @@ def mcmc_sample(
             lm_p = lm + s0 * n0
             mu_p = math.exp(lm_p)
             q_p = (lm_p - g0) * (lm_p - g0) / d0
-            if xmin - mu_p < 0.0:  # below the smallest peak: off support
+            y_min_p = xmin - mu_p
+            if y_min_p < 0.0:  # above the smallest peak: off support
                 lp = -math.inf
             else:
-                y_p = x - mu_p
-                w_p = y_p / sigma
-                w_min_p, w_max_p = (xmin - mu_p) / sigma, (xmax - mu_p) / sigma
-                lp = -0.5 * (q_p + q1 + q2) + _gp_loglik(w_p, w_min_p, w_max_p, sigma, xi)
+                y_p, y_max_p = x - mu_p, xmax - mu_p
+                lp = -0.5 * (q_p + q1 + q2) + _gp_loglik(y_p, y_min_p, y_max_p, sigma, xi)
             if u0 < lp - lt:
                 lm, mu, q0, lt = lm_p, mu_p, q_p, lp
-                y, w, w_min, w_max = y_p, w_p, w_min_p, w_max_p
+                y, y_min, y_max = y_p, y_min_p, y_max_p
                 acc[0] += 1
                 post_acc[0] += post
 
             ls_p = ls + s1 * n1
             sigma_p = math.exp(ls_p)
             q_p = (ls_p - g1) * (ls_p - g1) / d1
-            w_p = y / sigma_p
-            w_min_p, w_max_p = (xmin - mu) / sigma_p, (xmax - mu) / sigma_p
-            lp = -0.5 * (q0 + q_p + q2) + _gp_loglik(w_p, w_min_p, w_max_p, sigma_p, xi)
+            lp = -0.5 * (q0 + q_p + q2) + _gp_loglik(y, y_min, y_max, sigma_p, xi)
             if u1 < lp - lt:
                 ls, sigma, q1, lt = ls_p, sigma_p, q_p, lp
-                w, w_min, w_max = w_p, w_min_p, w_max_p
                 acc[1] += 1
                 post_acc[1] += post
 
             xi_p = xi + s2 * n2
             q_p = (xi_p - g2) * (xi_p - g2) / d2
-            lp = -0.5 * (q0 + q1 + q_p) + _gp_loglik(w, w_min, w_max, sigma, xi_p)
+            lp = -0.5 * (q0 + q1 + q_p) + _gp_loglik(y, y_min, y_max, sigma, xi_p)
             if u2 < lp - lt:
                 xi, q2, lt = xi_p, q_p, lp
                 acc[2] += 1

@@ -19,9 +19,12 @@ h = 0, k = 0. It is used as the simulation parent for heterogeneity tests.
 All evaluators switch to the analytic shape -> 0 limit when |shape| falls
 below ``SHAPE_EPS`` so quantiles and densities are continuous in shape.
 
-``_gp_loglik``, on residuals w = (x - location) / scale, is the package's
-one GP log-likelihood sum: the posterior sampler, the profile likelihood
-and the PWM fit call it.
+``_gp_loglik`` is the package's one GP log-likelihood sum: the posterior
+sampler, the MLE's certificate, the profile likelihood and the PWM fit call
+it.  It takes the unscaled residuals y = x - location and sums
+log1p(theta * y) with theta = shape / scale (Grimshaw 1993), so a caller
+never divides its residuals by the scale; ``gp_logpdf`` computes each term
+the same way and makes the same support decision.
 
 A Gaussian kernel density estimate of a sample (``_kde_pdf``) serves the
 posterior density output and the empirical index flood.
@@ -53,6 +56,9 @@ __all__ = [
 # Below this magnitude the shape is treated as exactly zero (exponential /
 # Gumbel branch); keeps quantiles continuous and avoids 1/shape blowups.
 SHAPE_EPS = 1e-8
+# the float next to -1 towards 0: every t > -1 is at least this, so clamping
+# log1p's argument here moves no on-support term
+_ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
 # Values per temporary array in blocked array work. 15,000 float64 values
 # stay under glibc's default 128 KiB mmap threshold, so such temporaries are
 # reused heap memory instead of fresh mmapped pages, whose page faults cost
@@ -165,43 +171,49 @@ def gp_logpdf(params: GpParams, x):
     arr = _finite_array(x, "x")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    y = (arr - params.location) / params.scale
+    y = arr - params.location
     xi = params.shape
     log_sigma = math.log(params.scale)
     if abs(xi) < SHAPE_EPS:
-        out = -log_sigma - y
+        out = -log_sigma - y / params.scale
     else:
-        t = 1.0 + xi * y
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(
-                t > 0.0,
-                -log_sigma - (1.0 + 1.0 / xi) * np.log(np.maximum(t, 1e-300)),
-                -np.inf,
-            )
+        # t = (xi / sigma) * y and its support test 1 + t > 0 as in _gp_loglik;
+        # the clamp keeps log1p off -1 where the support test fails
+        t = (xi / params.scale) * y
+        out = np.where(
+            1.0 + t > 0.0,
+            -log_sigma - (1.0 + 1.0 / xi) * np.log1p(np.maximum(t, _ABOVE_MINUS_ONE)),
+            -np.inf,
+        )
     out = np.where(y < 0.0, -np.inf, out)
     return _maybe_scalar(out, scalar)
 
 
 def _gp_loglik(
-    w: np.ndarray, w_min: float, w_max: float, sigma: float, xi: float
+    y: np.ndarray, y_min: float, y_max: float, sigma: float, xi: float
 ) -> float:
-    """GP log likelihood -n log sigma - (1/xi + 1) sum log(1 + xi w) of the
-    scaled residuals ``w = (x - mu) / sigma``; -inf off the support.
+    """GP log likelihood -n log sigma - (1/xi + 1) sum log1p(theta y) of the
+    residuals ``y = x - mu``, theta = xi / sigma; -inf off the support.
 
-    The support is decided on the extremes ``w_min`` and ``w_max``: rounding
-    is monotone, so they decide exactly as the whole array would, and
-    ``log`` never sees a non-positive argument.
+    The support is decided on the extremes ``y_min`` and ``y_max``, which
+    must be ``y.min()`` and ``y.max()``: rounding is monotone, so they
+    decide exactly as the whole array would, and ``log1p`` never sees an
+    argument of -1 or below.  The exponential law (|xi| < ``SHAPE_EPS``)
+    is -n log sigma - sum(y) / sigma.
     """
-    n = w.size
+    n = y.size
     if n == 0:
         return 0.0
-    if w_min < 0.0:
+    if y_min < 0.0:
         return -math.inf
     if abs(xi) < SHAPE_EPS:
-        return -n * math.log(sigma) - float(w.sum())
-    if 1.0 + xi * w_max <= 0.0:
+        return -n * math.log(sigma) - float(np.add.reduce(y)) / sigma
+    theta = xi / sigma
+    if 1.0 + theta * y_max <= 0.0:
         return -math.inf
-    return -n * math.log(sigma) - (1.0 / xi + 1.0) * float(np.log(1.0 + xi * w).sum())
+    t = theta * y
+    np.log1p(t, out=t)
+    return -n * math.log(sigma) - (1.0 / xi + 1.0) * float(np.add.reduce(t))
 
 
 def gp_quantile(params: GpParams, p):

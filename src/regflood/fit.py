@@ -209,13 +209,14 @@ def _polish(z: np.ndarray, x: np.ndarray, u: float) -> tuple[np.ndarray, float]:
             return np.array([g[0], 0.0])
         return g
 
-    def nll(zv):
-        sigma = math.exp(zv[0])
-        y = (x - u) / sigma
-        return -_gp_loglik(y, float(y.min()), float(y.max()), sigma, float(zv[1])), y
+    d = x - u
+    d_min, d_max = float(d.min()), float(d.max())
 
-    f_val, y = nll(z)
-    g_full = _score(y, z[1])
+    def nll(zv):
+        return -_gp_loglik(d, d_min, d_max, math.exp(zv[0]), float(zv[1]))
+
+    f_val = nll(z)
+    g_full = _score(d / math.exp(z[0]), z[1])
     g_proj = projected(z, g_full)
     g_norm = float(np.max(np.abs(g_proj)))
     tol = 1e-8 * max(1.0, abs(f_val))
@@ -235,10 +236,11 @@ def _polish(z: np.ndarray, x: np.ndarray, u: float) -> tuple[np.ndarray, float]:
         z_try = z.copy()
         z_try[work] += step
         z_try[1] = float(np.clip(z_try[1], _XI_MIN, _XI_MAX))
-        f_try, y_try = nll(z_try)
+        f_try = nll(z_try)
         # off the support f_try is inf, so the step is refused here
         if f_try <= f_val + 1e-12 * max(1.0, abs(f_val)):
-            g_try = float(np.max(np.abs(projected(z_try, _score(y_try, z_try[1])))))
+            s_try = _score(d / math.exp(z_try[0]), z_try[1])
+            g_try = float(np.max(np.abs(projected(z_try, s_try))))
             if g_try < g_norm:
                 z, f_val, g_norm = z_try, f_try, g_try
     if g_norm > max(tol, 1e-6):
@@ -373,15 +375,15 @@ def gp_fit_pwm(pot: PotSeries, variant: str = "unbiased") -> GpFit:
             # (scale, shape) pairs gives: a C-contiguous (2, m) stack moves
             # the covariance at rounding level
             covariance = np.cov(np.stack([scale[fitted], shape[fitted]], axis=1).T)
-    w = (x - pot.threshold) / params.scale
-    loglik = _gp_loglik(w, float(w.min()), float(w.max()), params.scale, params.shape)
+    d = x - pot.threshold
+    loglik = _gp_loglik(d, float(d.min()), float(d.max()), params.scale, params.shape)
     if loglik == -math.inf:
         log.warning(
             "PWM fit of %d events at station %s puts %d of them beyond its upper "
             "endpoint; its likelihood is not usable",
             x.size,
             pot.station,
-            int(np.count_nonzero(1.0 + params.shape * w <= 0.0)),
+            int(np.count_nonzero(1.0 + (params.shape / params.scale) * d <= 0.0)),
         )
     return GpFit(
         params=params,
@@ -455,20 +457,26 @@ class ProfileCi(NamedTuple):
 
 def _profile_grid(d: np.ndarray, scales: list[float]) -> np.ndarray:
     """Negative log likelihood of the exceedances ``d`` at each
-    ``_PROFILE_GRID`` shape and its scale: one (31, n) expression in
-    ``_gp_loglik``'s arithmetic (no grid shape is within ``SHAPE_EPS`` of
-    0), so each row equals the kernel.  Off-support shapes and non-positive
-    or non-finite scales score 1e12.
+    ``_PROFILE_GRID`` shape and its scale: one (31, n) array of
+    log1p(k * d), k = shape / scale, in ``_gp_loglik``'s arithmetic (no grid
+    shape is within ``SHAPE_EPS`` of 0), so each row equals the kernel.
+    Rows are kept only where the kernel's own scalar test, 1 + k * max(d)
+    > 0, puts every peak on the support, so ``log1p`` never sees -1.
+    Off-support shapes and non-positive or non-finite scales score 1e12.
     """
-    rows = [k for k, s in enumerate(scales) if s > 0 and math.isfinite(s)]
-    s = np.array([scales[k] for k in rows])
+    d_max = float(d.max())
+    rows = [
+        i
+        for i, (xi, s) in enumerate(zip(_PROFILE_GRID.tolist(), scales))
+        if s > 0 and math.isfinite(s) and 1.0 + xi / s * d_max > 0.0
+    ]
+    s = np.array([scales[i] for i in rows])
     shape = _PROFILE_GRID[rows]
     log_s = np.array([math.log(v) for v in s])
-    log_t = np.log(np.maximum(1.0 + shape[:, None] * (d / s[:, None]), 1e-300))
+    log_t = np.log1p((shape / s)[:, None] * d)
     sums = -d.size * log_s - (1.0 / shape + 1.0) * log_t.sum(axis=1)
-    on_support = np.isfinite(sums) & (1.0 + shape * (float(d.max()) / s) > 0.0)
     values = np.full(_PROFILE_GRID.size, 1e12)
-    values[rows] = np.where(on_support, -sums, 1e12)
+    values[rows] = np.where(np.isfinite(sums), -sums, 1e12)
     return values
 
 
@@ -497,7 +505,7 @@ def _profile_loglik(pot: PotSeries, p: float, q: float) -> float:
         s = scale_for(xi)
         if s <= 0 or not math.isfinite(s):
             return 1e12
-        val = _gp_loglik(d / s, d_min / s, d_max / s, s, xi)
+        val = _gp_loglik(d, d_min, d_max, s, xi)
         return -val if math.isfinite(val) else 1e12
 
     values = _profile_grid(d, [scale_for(xi) for xi in _PROFILE_GRID.tolist()])

@@ -538,6 +538,62 @@ def test_mcmc_matches_the_reference_kernel(pot, config):
     np.testing.assert_allclose(chains.draws, draws, rtol=1e-12, atol=0.0)
 
 
+@st.composite
+def sampler_cases(draw):
+    """A record of 1-70 peaks, some of them on the threshold, and a prior
+    whose shape mean is 0 or drawn."""
+    n = draw(st.integers(1, 70))
+    u = draw(st.floats(1.0, 20.0))
+    scale = draw(st.floats(0.3, 5.0))
+    peaks = gp_sample(
+        GpParams(u, scale, draw(st.floats(-0.4, 0.5))), n, seed=draw(st.integers(0, 10_000))
+    )
+    peaks[: draw(st.integers(0, min(n, 4)))] = u
+    pot = make_pot(peaks, u, draw(st.floats(5.0, 40.0)))
+    prior = PriorSpec(
+        gamma=(
+            math.log(u) + draw(st.floats(-0.3, 0.3)),
+            math.log(scale) + draw(st.floats(-0.5, 0.5)),
+            draw(st.one_of(st.just(0.0), st.floats(-0.3, 0.4))),
+        ),
+        d=(draw(st.floats(0.005, 0.2)), draw(st.floats(0.005, 0.2)), draw(st.floats(0.002, 0.05))),
+    )
+    return prior, pot, draw(st.integers(0, 2**16))
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(sampler_cases())
+def test_mcmc_matches_the_reference_kernel_on_drawn_records(case):
+    prior, pot, seed = case
+    chains = mcmc_sample(prior, pot, KERNEL_RUN, seed=seed)
+    draws, acceptance = reference_chains(prior, pot, KERNEL_RUN, seed=seed)
+    assert np.array_equal(chains.acceptance, acceptance)
+    np.testing.assert_allclose(chains.draws, draws, rtol=1e-12, atol=0.0)
+
+
+def test_mcmc_passes_the_kernel_the_extremes_of_its_residuals(monkeypatch):
+    # the sampler keeps y = x - mu with its extremes xmin - mu and xmax - mu;
+    # subtracting a scalar is monotone under rounding, so they are y's own
+    # extremes exactly, after every accepted location move too
+    kernel = bayes._gp_loglik
+    calls = []
+
+    def checked(y, y_min, y_max, sigma, xi):
+        assert y_min == float(y.min())
+        assert y_max == float(y.max())
+        calls.append(y_min)
+        return kernel(y, y_min, y_max, sigma, xi)
+
+    monkeypatch.setattr(bayes, "_gp_loglik", checked)
+    peaks = gp_sample(GpParams(5.0, 2.0, -0.2), 60, seed=10)
+    peaks[:3] = 5.0
+    chains = mcmc_sample(PRIOR, make_pot(peaks, 5.0, 30.0), KERNEL_RUN, seed=21)
+    # every scale and shape move calls the kernel; location moves did move y
+    assert len(calls) > 2 * KERNEL_RUN.chains * KERNEL_RUN.iterations
+    assert len(set(calls)) > 100
+    assert chains.acceptance[:, 0].min() > 0.05
+
+
 # -------------------------------------------------------------- diagnostics
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from regflood.distributions import (
+    SHAPE_EPS,
     _gp_loglik,
     _kde_pdf,
     GpParams,
@@ -217,9 +218,7 @@ def near_edge_params(draw):
 def test_residual_loglik_matches_gp_logpdf(params):
     mu, sigma, xi = params
     x = EDGE_PEAKS
-    got = _gp_loglik(
-        (x - mu) / sigma, (x.min() - mu) / sigma, (x.max() - mu) / sigma, sigma, xi
-    )
+    got = _gp_loglik(x - mu, x.min() - mu, x.max() - mu, sigma, xi)
     want = float(gp_logpdf(GpParams(mu, sigma, xi), x).sum())
     if math.isfinite(want):
         assert got == pytest.approx(want, rel=1e-9)
@@ -229,6 +228,51 @@ def test_residual_loglik_matches_gp_logpdf(params):
     empty = np.empty(0)
     assert _gp_loglik(empty, math.inf, -math.inf, sigma, xi) == 0.0
     assert float(gp_logpdf(GpParams(mu, sigma, xi), empty).sum()) == 0.0
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(near_edge_params())
+def test_residual_loglik_is_the_scaled_form_at_rounding_level(params):
+    # the kernel once took w = (x - mu) / sigma and summed log(1 + xi * w);
+    # it now sums log1p((xi / sigma) * (x - mu)), which moves no value by
+    # more than rounding where every 1 + xi * w keeps its leading digits
+    mu, sigma, xi = params
+    x = EDGE_PEAKS
+    w = (x - mu) / sigma
+    if w.min() < 0.0:
+        return
+    if abs(xi) < SHAPE_EPS:
+        former = -x.size * math.log(sigma) - float(w.sum())
+    else:
+        t = 1.0 + xi * w
+        if t.min() < 1e-3:
+            return
+        former = -x.size * math.log(sigma) - (1.0 / xi + 1.0) * float(np.log(t).sum())
+    got = _gp_loglik(x - mu, x.min() - mu, x.max() - mu, sigma, xi)
+    assert got == pytest.approx(former, rel=1e-12)
+
+
+def test_log1p_never_sees_minus_one_at_the_support_edges():
+    # locations on the smallest peak and shapes that put the upper endpoint
+    # on the largest one, to the ulp: the kernel decides the support on
+    # scalars and gp_logpdf clamps, so neither warns, and they agree
+    x = EDGE_PEAKS
+    xmin, xmax = float(x.min()), float(x.max())
+    exact = 0
+    for sigma in (0.05, 1.0, 7.3, 20.0):
+        for mu in (xmin - 3.0, xmin - 0.1, math.nextafter(xmin, -math.inf), xmin):
+            edge = -sigma / (xmax - mu)
+            for xi in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)):
+                exact += 1.0 + (xi / sigma) * (xmax - mu) == 0.0
+                with np.errstate(all="raise"):
+                    got = _gp_loglik(x - mu, xmin - mu, xmax - mu, sigma, xi)
+                    pointwise = gp_logpdf(GpParams(mu, sigma, xi), x)
+                if np.isfinite(pointwise).all():
+                    assert got == pytest.approx(float(pointwise.sum()), rel=1e-9)
+                else:
+                    assert got == -math.inf
+    # some shapes put the largest peak exactly on the endpoint
+    assert exact > 0
 
 
 def test_kappa_params_validation():

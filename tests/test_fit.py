@@ -278,8 +278,9 @@ def _former_nll_grad(z: np.ndarray, x: np.ndarray, u: float):
     likelihood and its score, or off the support a penalty of 1e10 times one
     plus the peaks' total overshoot, with zero gradient."""
     sigma = math.exp(z[0])
-    y = (x - u) / sigma
-    f = -_gp_loglik(y, float(y.min()), float(y.max()), sigma, float(z[1]))
+    d = x - u
+    f = -_gp_loglik(d, float(d.min()), float(d.max()), sigma, float(z[1]))
+    y = d / sigma
     if f == math.inf:
         return 1e10 * (1.0 + float(np.sum(np.maximum(-(1.0 + z[1] * y), 0.0)))), np.zeros(2)
     return f, _score(y, z[1])
@@ -761,8 +762,8 @@ def _kernel_neg_ll(pot, p, q, xi):
     s = _oracle_scale(pot, p, q, xi)
     if s <= 0 or not math.isfinite(s):
         return 1e12
-    w = (pot.peaks - pot.threshold) / s
-    val = _gp_loglik(w, float(w.min()), float(w.max()), s, xi)
+    d = pot.peaks - pot.threshold
+    val = _gp_loglik(d, float(d.min()), float(d.max()), s, xi)
     return -val if math.isfinite(val) else 1e12
 
 
@@ -847,6 +848,28 @@ def test_profile_loglik_equals_the_gp_logpdf_profile(point):
 def test_profile_grid_has_no_exponential_row():
     # _profile_loglik scores every grid row with the shape != 0 form
     assert np.min(np.abs(fit_module._PROFILE_GRID)) >= SHAPE_EPS
+
+
+def test_profile_grid_hands_log1p_no_off_support_row():
+    # quantiles that put a negative grid shape's endpoint on the largest
+    # peak, to the ulp: a row whose scalar support test fails never reaches
+    # log1p, so nothing warns, and every row is still the kernel's
+    pot = make_pot(gp_sample(GpParams(3.0, 2.0, -0.2), 40, seed=5), 3.0, 20.0)
+    p = 0.95
+    d = pot.peaks - pot.threshold
+    d_max = float(d.max())
+    grid = fit_module._PROFILE_GRID.tolist()
+    exact = 0
+    for xi in grid[:10]:
+        edge = pot.threshold - d_max * math.expm1(-xi * math.log1p(-p))
+        for q in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)):
+            scales = [_oracle_scale(pot, p, q, g) for g in grid]
+            exact += sum(1.0 + g / s * d_max == 0.0 for g, s in zip(grid, scales))
+            with np.errstate(all="raise"):
+                rows = _profile_grid(d, scales)
+            assert rows.tolist() == [_kernel_neg_ll(pot, p, q, g) for g in grid]
+    # some rows put the largest peak exactly on the endpoint
+    assert exact > 0
 
 
 # (scale, shape, log likelihood) of the pinned records' MLE as the
