@@ -5,11 +5,13 @@ Grimshaw's (1993) reduction: at fixed theta = shape / scale the best shape
 is mean log(1 + theta * y), so the likelihood is profiled over theta on a
 grid and refined by bounded Brent, and the best interior stationary point
 is the MLE (Smith 1985).  A certificate checks that the closed-form
-score there is zero to rounding, after at most one Newton step.  No
-BLAS-backed optimizer runs, so a fit never wakes OpenBLAS's thread pool.
+score there is zero to rounding, after at most one Newton step.
 That step and the reported covariance share one closed-form observed
 information of (scale, shape).  The log likelihood itself comes from
-``distributions._gp_loglik``, as the profile and PWM ones do.
+``distributions._gp_loglik``, as the profile and PWM ones do.  Bounded
+Brent is the package's own ``_brent_bounded`` and no BLAS-backed
+optimizer runs, so a fit never wakes OpenBLAS's thread pool; scipy
+serves only special functions.
 
 The PWM fit pairs the L-moment estimator with its published asymptotic
 covariance (valid for shape < 1/2); for heavy estimated shapes (> 0.4) a
@@ -25,11 +27,11 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 from scipy.special import gammaincinv
 
 from .distributions import SHAPE_EPS, GpParams, _gp_loglik, gp_quantile
@@ -130,24 +132,100 @@ def _score(y: np.ndarray, shape: float) -> np.ndarray:
     return np.array([g_logs, g_xi])
 
 
-def _profile_nll(v: np.ndarray, y: np.ndarray):
-    """Grimshaw's profile negative log likelihood, one value per v.
+# the golden-section fraction and tolerance unit of scipy's bounded Brent
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _brent_bounded(
+    f: Callable[[float], float], lo: float, hi: float, xatol: float
+) -> tuple[float, float]:
+    """Minimum of f on [lo, hi] by bounded Brent (Brent 1973, ch. 5).
+
+    scipy's bounded scalar minimizer step for step, on Python floats: the
+    same golden-section and parabolic steps, tolerance updates and cap of
+    500 evaluations, so it visits the same points and returns the same
+    best point and f there.  Where f returns inf or nan, or a product
+    overflows, the parabola's tests fail or its step is 0, so every step
+    stays finite and sign and max need none of numpy's nan rules.
+    """
+    a, b = lo, hi
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = f(xf)
+    calls = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0.0 else xf + step
+        fu = f(x)
+        calls += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if calls >= 500:
+            break
+    return xf, fx
+
+
+def _profile_nll(v, y: np.ndarray, y_max: float, y_sum: float):
+    """Grimshaw's profile negative log likelihood at v, a float or an array.
 
     With theta = shape / scale = expm1(v) / max(y), the shape that
     maximises the likelihood at fixed theta is mean log(1 + theta * y),
     clipped to the search bounds, and the scale is shape / theta.
-    Returns the profile, the scale and the clipped shape.
+    ``y_max`` and ``y_sum`` are y's largest value and sum.  Returns the
+    profile, the scale and the clipped shape, each shaped like v.
     """
-    theta = np.expm1(v) / y.max()
-    s = np.log1p(theta[:, None] * y).sum(axis=1)
+    theta = np.expm1(v) / y_max
+    s = np.add.reduce(np.log1p(np.multiply.outer(theta, y)), axis=-1)
     n = y.size
-    xi = np.clip(s / n, _XI_MIN, _XI_MAX)
+    xi = np.minimum(np.maximum(s / n, _XI_MIN), _XI_MAX)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = np.where(theta != 0.0, xi / theta, y.mean())
+        sigma = np.where(theta != 0.0, xi / theta, y_sum / n)
         log_s = np.log(sigma)
         nll = np.where(
             np.abs(xi) < SHAPE_EPS,
-            n * log_s + y.sum() / sigma,
+            n * log_s + y_sum / sigma,
             n * log_s + (1.0 + 1.0 / xi) * s,
         )
     return nll, sigma, xi
@@ -157,37 +235,40 @@ def _profile_search(x: np.ndarray, u: float) -> np.ndarray:
     """(log scale, shape) of the MLE by Grimshaw's one-dimensional search.
 
     Every grid minimum of the profile with an unclipped shape is refined by
-    bounded Brent between its neighbours, and the best of these interior
-    stationary points is the MLE.  Only without one does the best minimum
-    of the clipped profile, a fit on a shape bound, stand in.
+    ``_brent_bounded`` between its neighbours, each step one float call of
+    ``_profile_nll``, and the best of these interior stationary points is
+    the MLE.  Only without one does the best minimum of the clipped
+    profile, a fit on a shape bound, stand in.
     """
     y = x - u
+    y_max, y_sum = y.max(), y.sum()
     grid = _GRIMSHAW_GRID
-    nll, _, xi = _profile_nll(grid, y)
+    nll, _, xi = _profile_nll(grid, y, y_max, y_sum)
     # a profile still falling at the grid's end is followed further out, up
     # to t = 1e16, where the scale falls below the rounding unit of max(y)
     while nll[-1] < nll[-2] and grid[-1] < 36.8:
         more = grid[-1] + 0.25 * np.arange(1, 41)
-        f, _, r = _profile_nll(more, y)
+        f, _, r = _profile_nll(more, y, y_max, y_sum)
         grid, nll, xi = np.append(grid, more), np.append(nll, f), np.append(xi, r)
     inner = nll[1:-1]
     minima = np.flatnonzero((inner <= nll[:-2]) & (inner < nll[2:])) + 1
     interior = minima[(xi[minima] > _XI_MIN) & (xi[minima] < _XI_MAX)]
     candidates = interior if interior.size else minima if minima.size else [int(np.argmin(nll))]
+    v = grid.tolist()
     best = None
     for i in candidates:
-        # Brent's tolerance grows with |v|: search the offset from grid[i]
-        v0 = grid[i]
-        res = optimize.minimize_scalar(
-            lambda dv: float(_profile_nll(np.array([v0 + dv]), y)[0][0]),
-            bounds=(grid[max(i - 1, 0)] - v0, grid[min(i + 1, grid.size - 1)] - v0),
-            method="bounded",
-            options={"xatol": 1e-12},
+        # Brent's tolerance grows with |v|: search the offset from v[i]
+        v0 = v[i]
+        dv, f = _brent_bounded(
+            lambda dv: float(_profile_nll(v0 + dv, y, y_max, y_sum)[0]),
+            v[max(i - 1, 0)] - v0,
+            v[min(i + 1, len(v) - 1)] - v0,
+            1e-12,
         )
-        if best is None or res.fun < best[1]:
-            best = v0 + res.x, res.fun
-    _, sigma, xi = _profile_nll(np.array([best[0]]), y)
-    return np.array([math.log(sigma[0]), xi[0]])
+        if best is None or f < best[1]:
+            best = v0 + dv, f
+    _, sigma, xi = _profile_nll(best[0], y, y_max, y_sum)
+    return np.array([math.log(sigma), xi])
 
 
 def _polish(z: np.ndarray, x: np.ndarray, u: float) -> tuple[np.ndarray, float]:
@@ -480,14 +561,18 @@ def _profile_grid(d: np.ndarray, scales: list[float]) -> np.ndarray:
     return values
 
 
-def _profile_loglik(pot: PotSeries, p: float, q: float) -> float:
+def _profile_loglik(
+    pot: PotSeries, p: float, q: float, settled: Callable[[float], bool] | None = None
+) -> float:
     """Profile log likelihood over shape at fixed quantile q.
 
     Each shape fixes the scale that puts the p-quantile at q.  The shape is
     scored on the 31-point ``_PROFILE_GRID`` (``_profile_grid``) and refined
-    by bounded Brent between the grid neighbours of the best point, each
-    Brent step one ``_gp_loglik`` call.  Off-support shapes and
-    non-positive or non-finite scales score 1e12.
+    by ``_brent_bounded`` between the grid neighbours of the best point,
+    each Brent step one ``_gp_loglik`` call.  Off-support shapes and
+    non-positive or non-finite scales score 1e12.  When ``settled`` holds
+    at the grid's best value, that value, never above the profile, is
+    returned without Brent.
     """
     u = pot.threshold
     d = pot.peaks - u
@@ -499,22 +584,21 @@ def _profile_loglik(pot: PotSeries, p: float, q: float) -> float:
         return (q - u) * xi / (math.expm1(-xi * math.log1p(-p)))
 
     def neg_ll(xi: float) -> float:
-        # Brent passes numpy scalars; Python floats compute the same values
-        # faster, and overflow to an infinite scale without a warning
-        xi = float(xi)
+        # Python floats overflow to an infinite scale without a warning
         s = scale_for(xi)
         if s <= 0 or not math.isfinite(s):
             return 1e12
         val = _gp_loglik(d, d_min, d_max, s, xi)
         return -val if math.isfinite(val) else 1e12
 
-    values = _profile_grid(d, [scale_for(xi) for xi in _PROFILE_GRID.tolist()])
+    grid = _PROFILE_GRID.tolist()
+    values = _profile_grid(d, [scale_for(xi) for xi in grid])
     i = int(np.argmin(values))
-    lo = _PROFILE_GRID[max(i - 1, 0)]
-    hi = _PROFILE_GRID[min(i + 1, _PROFILE_GRID.size - 1)]
-    res = optimize.minimize_scalar(neg_ll, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-8})
-    return -min(float(res.fun), float(values[i]))
+    grid_best = float(values[i])
+    if settled is not None and settled(-grid_best):
+        return -grid_best
+    _, f = _brent_bounded(neg_ll, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], 1e-8)
+    return -min(f, grid_best)
 
 
 def profile_ci(
@@ -531,7 +615,10 @@ def profile_ci(
     cutoff. Search is limited to [q_hat / 10, 10 * q_hat]; not crossing the
     cutoff in there sets the matching unbounded flag.  Each deviance costs
     one ``_profile_loglik``: a vectorized 31-shape grid plus bounded Brent
-    on ``_gp_loglik``.  Bisection stops within 1e-4 * q_hat.
+    on ``_gp_loglik``.  Brent can only raise the profile above the grid's
+    best row, so where that row alone puts the deviance within the cutoff
+    the grid decides the step and Brent is skipped; the interval is the
+    one the full deviance gives.  Bisection stops within 1e-4 * q_hat.
 
     ``fit`` is ``gp_fit_mle(pot)`` when the caller
     already has it; without it the record is fitted here.  A fit of
@@ -553,15 +640,20 @@ def profile_ci(
     cutoff = float(2.0 * gammaincinv(0.5, level))
     ll_max = fit.loglik
 
-    def deviance(q: float) -> float:
-        return 2.0 * (ll_max - _profile_loglik(pot, p, q))
+    def deviance(ll: float) -> float:
+        return 2.0 * (ll_max - ll)
+
+    def beyond_cutoff(q: float) -> bool:
+        # Brent can only raise the profile above the grid's best row, so a
+        # row within the cutoff puts q inside without it
+        return deviance(_profile_loglik(pot, p, q, lambda ll: deviance(ll) <= cutoff)) > cutoff
 
     def bisect(inside: float, outside: float) -> float:
         for _ in range(200):
             mid = 0.5 * (inside + outside)
             if abs(outside - inside) <= 1e-4 * q_hat:
                 break
-            if deviance(mid) > cutoff:
+            if beyond_cutoff(mid):
                 outside = mid
             else:
                 inside = mid
@@ -577,7 +669,7 @@ def profile_ci(
         q_in = q_out = q_hat
         while (limit - q_out) * (factor - 1.0) > 0.0:
             q_out = min(max(q_out * factor, floor), ceiling)
-            if deviance(q_out) > cutoff:
+            if beyond_cutoff(q_out):
                 return bisect(q_in, q_out), False
             q_in = q_out
         return limit, True

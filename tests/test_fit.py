@@ -1,5 +1,9 @@
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +14,7 @@ from scipy import optimize
 from scipy.special import gammaincinv
 from scipy.stats import chi2
 
+import regflood
 from regflood import fit as fit_module
 from regflood.cli import main
 from regflood.distributions import (
@@ -28,10 +33,12 @@ from regflood.fit import (
     THRESHOLD_CV,
     GpFit,
     ProfileCi,
+    _brent_bounded,
     _observed_information,
     _polish,
     _profile_grid,
     _profile_loglik,
+    _profile_nll,
     _profile_search,
     _score,
     gp_fit_mle,
@@ -273,6 +280,90 @@ def test_mle_never_calls_minimize(seed17_pot, monkeypatch):
     assert gp_fit_mle(seed17_pot).loglik < -1e9
 
 
+def test_library_never_imports_scipy_optimize():
+    # bounded Brent is the package's own; scipy serves only special functions
+    script = "import sys, regflood, regflood.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(regflood.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def _brent_objective(kind, c, width, k=1.0, wall=math.nan, above=True):
+    """An objective with its features at c on the scale ``width``."""
+    if kind == "smooth":
+        return lambda x: (x - c) * (x - c) + 0.5
+    if kind == "multimodal":
+        return lambda x: math.sin(k * (x - c) / width) + 0.1 * (x - c) / width
+    if kind == "constant":
+        return lambda x: 2.5
+    if kind == "staircase":  # exact ties, and parabolas with their vertex on a point
+        return lambda x: float(round(k * (x - c) / width) ** 2)
+    if kind == "v":
+        return lambda x: abs(x - c)
+    # 1e12, inf or nan on one side of c
+    return lambda x: wall if (x > c) == above else math.cos((x - c) / width)
+
+
+@st.composite
+def brent_problems(draw):
+    """An objective, a bracket and xatol for bounded Brent.
+
+    Brackets are up to 10 wide or as narrow as 1e-13, some with an end at
+    0 as ``_profile_search`` poses them, and some as wide as 1e300 on
+    either side, which use up the cap of 500 evaluations.  Objectives are
+    smooth, multimodal, constant, staircases or |x - c|, or return 1e12,
+    inf or nan beyond a point c.
+    """
+    width = 10.0 ** draw(st.floats(-13.0, 1.0))
+    lo = draw(st.one_of(st.sampled_from([0.0, -width]), st.floats(-40.0, 40.0)))
+    hi = lo + width
+    if draw(st.integers(0, 9)) == 0:
+        lo, hi = -(10.0 ** draw(st.floats(100.0, 300.0))), 10.0 ** draw(st.floats(100.0, 300.0))
+        width = hi - lo
+    c = lo + draw(st.floats(-0.5, 1.5)) * width
+    kind = draw(st.sampled_from(["smooth", "multimodal", "constant", "staircase", "v", "wall"]))
+    f = _brent_objective(
+        kind,
+        c,
+        width,
+        k=draw(st.sampled_from([1.0, 2.0, 3.0, 8.0, 16.0, 37.5])),
+        wall=draw(st.sampled_from([1e12, math.inf, math.nan])),
+        above=draw(st.booleans()),
+    )
+    return f, lo, hi, draw(st.sampled_from([1e-8, 1e-12]))
+
+
+@settings(deadline=None, max_examples=1000, derandomize=True)
+@given(brent_problems())
+# a parabolic step of exactly 0, which scipy takes upwards
+@example((_brent_objective("staircase", -0.0001622827269165387, 0.000343142541803026, k=8.0),
+          -0.000343142541803026, 0.0, 1e-12))
+# a bracket so wide that the search stops at the cap
+@example((_brent_objective("v", 0.1, 2e300), -1e300, 1e300, 1e-12))
+def test_brent_bounded_is_scipys_bounded_brent(problem):
+    f, lo, hi, xatol = problem
+
+    def counted(calls):
+        def g(x):
+            calls.append(x)
+            return f(x)
+        return g
+
+    ours, theirs = [], []
+    x, fx = _brent_bounded(counted(ours), lo, hi, xatol)
+    with np.errstate(all="ignore"):  # scipy's numpy scalars warn on inf - inf
+        res = optimize.minimize_scalar(counted(theirs), bounds=(lo, hi), method="bounded",
+                                       options={"xatol": xatol})
+    # the same points in the same order, and the same best point and value
+    # to the bit, nan and the sign of zero included
+    assert [float(v).hex() for v in ours] == [float(v).hex() for v in theirs]
+    assert float(x).hex() == float(res.x).hex()
+    assert float(fx).hex() == float(res.fun).hex()
+    assert len(ours) == res.nfev
+
+
 def _former_nll_grad(z: np.ndarray, x: np.ndarray, u: float):
     """The former search's objective in (log scale, shape): the negative log
     likelihood and its score, or off the support a penalty of 1e10 times one
@@ -511,6 +602,50 @@ def test_mle_names_peaks_on_the_threshold_when_the_likelihood_is_unbounded():
         "the threshold, so at the shape bound 5 the likelihood grows without "
         "limit as the scale falls to 0 and has no maximum"
     )
+
+
+@st.composite
+def grimshaw_points(draw):
+    """Peaks above 0 and a v = log(1 + max(y) * shape / scale) of Grimshaw's
+    search: 0 (theta = 0, the exponential law), -30 (the largest peak
+    pulls the mean log below -0.99 on 25 peaks or fewer, so the shape is
+    clipped there), 36.8 (the grid's far end, clipped at 5) or anywhere
+    between, a grid point included."""
+    y = gp_sample(
+        GpParams(0.0, draw(st.floats(0.1, 50.0)), draw(st.floats(-0.45, 0.7))),
+        draw(st.integers(5, 25)),
+        seed=draw(st.integers(0, 10_000)),
+    )
+    v = draw(
+        st.one_of(
+            st.sampled_from(["exponential", "lower", "upper"]),
+            st.sampled_from(fit_module._GRIMSHAW_GRID.tolist()),
+            st.floats(-30.0, 36.8),
+        )
+    )
+    return y, v
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(grimshaw_points())
+def test_profile_nll_takes_a_float_as_a_one_element_array(point):
+    # the Brent step passes a float, the grid an array: both are one
+    # Grimshaw profile with the same arithmetic
+    y, v = point
+    value = {"exponential": 0.0, "lower": -30.0, "upper": 36.8}.get(v, v)
+    y_max, y_sum = y.max(), y.sum()
+    got = _profile_nll(value, y, y_max, y_sum)
+    want = _profile_nll(np.array([value]), y, y_max, y_sum)
+    assert all(np.shape(a) == () for a in got)
+    assert [float(a) for a in got] == [float(b[0]) for b in want]
+    nll, sigma, xi = (float(a) for a in got)
+    if v == "exponential":
+        assert xi == 0.0 and sigma == y_sum / y.size
+    elif v == "lower":
+        assert xi == _XI_MIN
+    elif v == "upper":
+        assert xi == _XI_MAX
+    assert math.isfinite(nll) and sigma > 0.0
 
 
 def test_pwm_fit_matches_direct_formula():
@@ -767,16 +902,17 @@ def _kernel_neg_ll(pot, p, q, xi):
     return -val if math.isfinite(val) else 1e12
 
 
-def _oracle_profile_loglik(pot, p, q):
+def _oracle_profile_loglik(pot, p, q, neg_ll=_oracle_neg_ll):
     """The profile as it was computed before its vectorized form: one
-    gp_logpdf call per grid shape and per Brent step."""
+    ``neg_ll`` call (gp_logpdf's by default) per grid shape and per step of
+    scipy's bounded Brent."""
     grid = np.linspace(-0.99, 2.0, 31)
-    values = [_oracle_neg_ll(pot, p, q, float(g)) for g in grid]
+    values = [neg_ll(pot, p, q, float(g)) for g in grid]
     i = int(np.argmin(values))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
     res = optimize.minimize_scalar(
-        lambda xi: _oracle_neg_ll(pot, p, q, xi),
+        lambda xi: neg_ll(pot, p, q, float(xi)),
         bounds=(lo, hi),
         method="bounded",
         options={"xatol": 1e-8},
@@ -824,13 +960,13 @@ def profile_points(draw):
 def test_profile_loglik_equals_the_gp_logpdf_profile(point):
     pot, p, q, xi = point
     brent = []
-    minimize_scalar = optimize.minimize_scalar
+    brent_bounded = fit_module._brent_bounded
 
-    def spy(fun, **kwargs):
+    def spy(fun, *args):
         brent.append(fun)
-        return minimize_scalar(fun, **kwargs)
+        return brent_bounded(fun, *args)
 
-    with mock.patch.object(optimize, "minimize_scalar", spy):
+    with mock.patch.object(fit_module, "_brent_bounded", spy):
         got = _profile_loglik(pot, p, q)
     # the kernel's value exactly: the scalar Brent step at shapes Brent
     # rarely visits (the grid, the exponential branch and anywhere on
@@ -907,3 +1043,102 @@ def test_profile_ci_is_pinned(params, n, seed, period, expected):
     assert refit.params.scale == pytest.approx(scale, rel=1e-7)
     assert refit.params.shape == pytest.approx(shape, rel=1e-7)
     assert refit.loglik == pytest.approx(loglik, rel=1e-7)
+
+
+def _full_deviance_profile_ci(pot, period, fit, level=0.90):
+    """profile_ci's walk-out and bisection with the full deviance at every
+    step: the kernel's grid, then scipy's bounded Brent."""
+    q_hat = return_level(fit.params, pot.rate, period)
+    p = 1.0 - 1.0 / (pot.rate * period)
+    cutoff = float(chi2.ppf(level, 1))
+
+    def deviance(q):
+        return 2.0 * (fit.loglik - _oracle_profile_loglik(pot, p, q, _kernel_neg_ll))
+
+    def bisect(inside, outside):
+        for _ in range(200):
+            mid = 0.5 * (inside + outside)
+            if abs(outside - inside) <= 1e-4 * q_hat:
+                break
+            if deviance(mid) > cutoff:
+                outside = mid
+            else:
+                inside = mid
+        return 0.5 * (inside + outside)
+
+    floor = max(q_hat / 10.0, pot.threshold + 1e-9 * max(1.0, abs(pot.threshold)))
+    ceiling = q_hat * 10.0
+
+    def walk_out(factor, limit):
+        q_in = q_out = q_hat
+        while (limit - q_out) * (factor - 1.0) > 0.0:
+            q_out = min(max(q_out * factor, floor), ceiling)
+            if deviance(q_out) > cutoff:
+                return bisect(q_in, q_out), False
+            q_in = q_out
+        return limit, True
+
+    lower, lower_unbounded = walk_out(0.85, floor)
+    upper, upper_unbounded = walk_out(1.2, ceiling)
+    return ProfileCi(float(lower), float(upper), lower_unbounded, upper_unbounded)
+
+
+def _counted_profile_ci(pot, period, fit):
+    """profile_ci, with its deviance evaluations and Brent runs counted."""
+    counts = {"deviances": 0, "brent": 0}
+    profile_loglik, brent_bounded = fit_module._profile_loglik, fit_module._brent_bounded
+
+    def count(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    with (
+        mock.patch.object(fit_module, "_profile_loglik", count("deviances", profile_loglik)),
+        mock.patch.object(fit_module, "_brent_bounded", count("brent", brent_bounded)),
+    ):
+        ci = profile_ci(pot, period, fit=fit)
+    return ci, counts
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    pot=st.builds(
+        lambda n, shape, seed: sample_pot(GpParams(10.0, 4.0, shape), n, n / 2.0, seed=seed),
+        st.integers(5, 120),
+        st.floats(-0.45, 0.7),
+        st.integers(0, 10_000),
+    ),
+    period=st.sampled_from([2.0, 10.0, 20.0, 100.0]),
+)
+@example(pot=sample_pot(GpParams(2.0, 1.0, 0.5), 8, 4.0, seed=11), period=100.0)
+def test_profile_ci_is_the_full_deviance_walk(pot, period):
+    # the grid settles some inside steps without Brent; every interval is
+    # still the one the full deviance at every step gives
+    try:
+        fit = gp_fit_mle(pot)
+    except FitError:
+        assume(False)
+    ci, counts = _counted_profile_ci(pot, period, fit)
+    assert ci == _full_deviance_profile_ci(pot, period, fit)
+    assert counts["brent"] <= counts["deviances"]
+
+
+def test_profile_ci_skips_brent_where_the_grid_decides(seed17_pot):
+    # the pinned 74-peak record; a record whose upper side is unbounded;
+    # the seed-17 fit off the support, whose penalty log likelihood puts
+    # every deviance far inside the cutoff
+    cases = [
+        (sample_pot(GpParams(5.0, 3.0, 0.1), 74, 37.0, seed=51), 10.0),
+        (sample_pot(GpParams(2.0, 1.0, 0.5), 8, 4.0, seed=11), 100.0),
+        (seed17_pot, 10.0),
+    ]
+    runs = []
+    for pot, period in cases:
+        fit = gp_fit_mle(pot)
+        ci, counts = _counted_profile_ci(pot, period, fit)
+        assert ci == _full_deviance_profile_ci(pot, period, fit)
+        runs.append((counts["brent"], counts["deviances"]))
+    assert all(brent < deviances for brent, deviances in runs)
+    assert runs[2][0] == 0
