@@ -69,7 +69,7 @@ from .fit import (
 )
 from .indexflood import fit_area_regression
 from .pot import IndependenceRule, extract_pot, select_threshold
-from .regional import Region, discordancy, growth_curve, heterogeneity
+from .regional import Region, _check_nsim, discordancy, growth_curve, heterogeneity
 
 __all__ = ["main"]
 
@@ -252,19 +252,21 @@ def cmd_fit(args) -> list[str]:
 
 
 def cmd_region(args) -> list[str]:
-    config = load_region_config(args.config)
-    region = build_region(config)
     do_check = args.check or not args.growth_curve
     do_curve = args.growth_curve or not args.check
-    outputs: list[str] = []
-
     if do_check:
+        _check_nsim(args.nsim)
         if args.nsim < _MIN_RECOMMENDED_NSIM:
             log.warning(
                 "nsim %d is below minimum recommended (%d)",
                 args.nsim,
                 _MIN_RECOMMENDED_NSIM,
             )
+    config = load_region_config(args.config)
+    region = build_region(config)
+    outputs: list[str] = []
+
+    if do_check:
         disc = discordancy(region)
         print(f"discordancy (critical {disc.critical:.2f})")
         for code, value in zip(disc.codes, disc.values):

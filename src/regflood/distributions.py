@@ -24,7 +24,10 @@ sampler, the MLE's certificate, the profile likelihood and the PWM fit call
 it.  It takes the unscaled residuals y = x - location and sums
 log1p(theta * y) with theta = shape / scale (Grimshaw 1993), so a caller
 never divides its residuals by the scale; ``gp_logpdf`` computes each term
-the same way and makes the same support decision.
+the same way and makes the same support decision.  Its sums go through
+``_term_sum``: the builtin ``sum`` on records of fewer than ``_PY_SUM_BELOW``
+terms, where numpy's per-call cost exceeds the loop's, and numpy's pairwise
+sum on longer ones.
 
 A Gaussian kernel density estimate of a sample (``_kde_pdf``) serves the
 posterior density output and the empirical index flood.
@@ -64,6 +67,12 @@ _ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
 # reused heap memory instead of fresh mmapped pages, whose page faults cost
 # more than the arithmetic; far smaller blocks pay numpy's per-call overhead.
 _BLOCK_VALUES = 15_000
+# Record size at which the builtin sum(t.tolist()) stops beating numpy's
+# add.reduce per call (_term_sum).  Interleaved timeit minima on a shared
+# 2-vCPU VM (py3.11.7, numpy 2.4.6): the builtin costs about 0.16 us + 16 ns
+# per term, add.reduce a flat 1.0-1.1 us, and the two cross at 52-58 terms
+# over four runs.
+_PY_SUM_BELOW = 56
 # a Gaussian kernel farther than this many bandwidths is exp(-760.5), which
 # underflows to exactly 0.0, so leaving such draws out changes no sum; it
 # also spares np.exp its slow path for underflowing arguments
@@ -199,7 +208,9 @@ def _gp_loglik(
     must be ``y.min()`` and ``y.max()``: rounding is monotone, so they
     decide exactly as the whole array would, and ``log1p`` never sees an
     argument of -1 or below.  The exponential law (|xi| < ``SHAPE_EPS``)
-    is -n log sigma - sum(y) / sigma.
+    is -n log sigma - sum(y) / sigma.  Both sums are ``_term_sum``'s, so on
+    a record of fewer than ``_PY_SUM_BELOW`` peaks they are the builtin
+    ``sum``'s, which ``fit._profile_grid`` repeats row by row.
     """
     n = y.size
     if n == 0:
@@ -207,13 +218,23 @@ def _gp_loglik(
     if y_min < 0.0:
         return -math.inf
     if abs(xi) < SHAPE_EPS:
-        return -n * math.log(sigma) - float(np.add.reduce(y)) / sigma
+        return -n * math.log(sigma) - _term_sum(y) / sigma
     theta = xi / sigma
     if 1.0 + theta * y_max <= 0.0:
         return -math.inf
     t = theta * y
     np.log1p(t, out=t)
-    return -n * math.log(sigma) - (1.0 / xi + 1.0) * float(np.add.reduce(t))
+    return -n * math.log(sigma) - (1.0 / xi + 1.0) * _term_sum(t)
+
+
+def _term_sum(t: np.ndarray) -> float:
+    """Sum of the 1-D float array ``t``: the builtin ``sum`` of its Python
+    floats below ``_PY_SUM_BELOW`` terms, where numpy's fixed per-call cost
+    outweighs the interpreted loop, and numpy's pairwise ``np.add.reduce``
+    at or above it.  The two orders differ only at rounding level."""
+    if t.size < _PY_SUM_BELOW:
+        return sum(t.tolist())
+    return float(np.add.reduce(t))
 
 
 def gp_quantile(params: GpParams, p):

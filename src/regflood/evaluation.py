@@ -408,6 +408,10 @@ class EvalConfig:
         unknown = set(self.models) - {"MLE", "PWU", "PWB", "REG", "BAY"}
         if unknown:
             raise InputError(f"unknown models {sorted(unknown)!r}")
+        for name, values in (("length", self.lengths), ("model", self.models)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise InputError(f"{name} {repeated[0]!r} is listed twice")
 
 
 @dataclass(frozen=True)

@@ -295,14 +295,19 @@ def _sim_ratio_table(parent, kind: str, lengths: np.ndarray, nsim: int, rng) -> 
     return out
 
 
+def _check_nsim(nsim: int) -> None:
+    """Raise InputError unless ``heterogeneity`` can run ``nsim`` simulations."""
+    if nsim < 50:
+        raise InputError(f"nsim must be at least 50, got {nsim!r}")
+
+
 def heterogeneity(region: Region, nsim: int = 500, seed: int = 0) -> HeterogeneityReport:
     """Hosking-Wallis style heterogeneity screening of the region.
 
     The observed site ratios and the simulated ones come from one
     L-moment estimator, and one ``_v_statistics`` scores both.
     """
-    if nsim < 50:
-        raise InputError(f"nsim must be at least 50, got {nsim!r}")
+    _check_nsim(nsim)
     lmoms, ratios, lengths = _site_ratios(region)
     regional = regional_average_lmoments(lmoms, lengths)
     reg_vec = np.array([regional.t, regional.t3, regional.t4])

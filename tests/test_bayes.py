@@ -19,7 +19,7 @@ from regflood.bayes import (
     mcmc_sample,
     posterior_quantiles,
 )
-from regflood.distributions import GpParams, gp_logpdf, gp_sample
+from regflood.distributions import _PY_SUM_BELOW, GpParams, gp_logpdf, gp_sample
 from regflood.errors import ContractViolationError, ElicitationError, FitError, InputError
 from regflood.fit import GpFit, gp_fit_mle, return_level
 from regflood.indexflood import (
@@ -569,6 +569,41 @@ def test_mcmc_matches_the_reference_kernel_on_drawn_records(case):
     draws, acceptance = reference_chains(prior, pot, KERNEL_RUN, seed=seed)
     assert np.array_equal(chains.acceptance, acceptance)
     np.testing.assert_allclose(chains.draws, draws, rtol=1e-12, atol=0.0)
+
+
+# (acceptance, last draw of each chain, fsum of each coordinate's draws) of
+# LIGHT at seed 0, as sampled before the kernel summed short records with the
+# builtin sum: 11 peaks fall below distributions._PY_SUM_BELOW, 65 above it
+_PINNED_CHAINS = {
+    11: (
+        [[0.4168181818181818, 0.34454545454545454, 0.4168181818181818],
+         [0.33636363636363636, 0.32227272727272727, 0.3431818181818182]],
+        [[4.8358965109232726, 2.613019346024654, 0.046973422878545834],
+         [5.051347483434837, 1.498866544423098, 0.06787535760241684]],
+        [21561.97107170033, 9087.221429034058, 342.04776530332566],
+    ),
+    65: (
+        [[0.39454545454545453, 0.4040909090909091, 0.3986363636363636],
+         [0.3331818181818182, 0.3618181818181818, 0.3577272727272727]],
+        [[4.974321393352351, 2.694650676091554, -0.015560223212656502],
+         [5.014441898351083, 1.9830150335701398, 0.07266024305574503]],
+        [21923.699391720198, 9906.378474626785, 382.9880124070656],
+    ),
+}
+
+
+@pytest.mark.parametrize("n, record_seed", [(11, 31), (65, 32)])
+def test_mcmc_draws_are_pinned_on_both_sides_of_the_sum_switch(n, record_seed):
+    # the reference kernel above shares _gp_loglik, so only pinned values
+    # see a change of the kernel's sum that flips an acceptance
+    assert (n < _PY_SUM_BELOW) == (n == 11)
+    pot = make_pot(gp_sample(GpParams(5.0, 2.0, 0.1), n, seed=record_seed), 5.0, n / 2.2)
+    chains = mcmc_sample(PRIOR, pot, LIGHT, seed=0)
+    acceptance, last, sums = _PINNED_CHAINS[n]
+    assert chains.acceptance.tolist() == acceptance
+    assert chains.draws[:, -1, :].tolist() == last
+    assert [math.fsum(chains.draws[:, :, k].ravel().tolist()) for k in range(3)] == sums
+    assert chains.warnings == ()
 
 
 def test_mcmc_passes_the_kernel_the_extremes_of_its_residuals(monkeypatch):

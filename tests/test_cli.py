@@ -315,6 +315,15 @@ def test_region_low_nsim_warns(sim_dir, tmp_path, caplog, capsys):
     assert any("below minimum recommended (100)" in r.message for r in caplog.records)
 
 
+def test_region_bad_nsim_fails_before_reading(sim_dir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_region_config", must_not_run)
+    monkeypatch.setattr(cli, "build_region", must_not_run)
+    code, out, err = run(capsys, ["region", str(sim_dir / "region.yaml"), "--nsim", "-3"])
+    assert code == 1
+    assert out == ""
+    assert "nsim must be at least 50, got -3" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "[1, 2]", "true"])
 def test_region_config_target_rate_must_be_a_number(sim_dir, tmp_path, capsys, value):
     region = shutil.copytree(sim_dir, tmp_path / "region")
@@ -716,6 +725,8 @@ def test_evaluate_unknown_model(sim_dir, capsys):
         ("--models", "mle,zzz", "unknown models ['ZZZ']"),
         ("--replicates", "0", "need at least 1 replicate, got 0"),
         ("--lengths", "5,0", "bad truncation lengths (5, 0)"),
+        ("--lengths", "5,5", "length 5 is listed twice"),
+        ("--models", "mle,pwu,MLE", "model 'MLE' is listed twice"),
     ],
 )
 def test_evaluate_bad_flags_fail_before_reading(sim_dir, capsys, monkeypatch, flag, value, message):

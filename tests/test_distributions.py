@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from regflood.distributions import (
+    _PY_SUM_BELOW,
     SHAPE_EPS,
     _gp_loglik,
+    _term_sum,
     _kde_pdf,
     GpParams,
     KappaParams,
@@ -250,6 +252,44 @@ def test_residual_loglik_is_the_scaled_form_at_rounding_level(params):
         former = -x.size * math.log(sigma) - (1.0 / xi + 1.0) * float(np.log(t).sum())
     got = _gp_loglik(x - mu, x.min() - mu, x.max() - mu, sigma, xi)
     assert got == pytest.approx(former, rel=1e-12)
+
+
+# 2**53 absorbs every 1.0 added after it left to right, but not numpy's
+# pairwise sum: at these sizes the two orders give different sums
+_ORDER_SENSITIVE = [2.0**53] + [1.0] * (_PY_SUM_BELOW - 1)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(
+    st.one_of(
+        st.integers(0, 2 * _PY_SUM_BELOW), st.sampled_from([_PY_SUM_BELOW - 1, _PY_SUM_BELOW])
+    ).flatmap(
+        lambda n: st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(-1e3, 1e3),
+                st.sampled_from([math.inf, -math.inf]),
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+@example(_ORDER_SENSITIVE[:-1])
+@example(_ORDER_SENSITIVE)
+def test_term_sum_is_the_builtin_below_the_switch_and_numpy_at_it(values):
+    t = np.array(values, dtype=float)
+    # numpy warns where a sum overflows or meets inf - inf; the builtin does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _term_sum(t)
+        want = sum(t.tolist()) if t.size < _PY_SUM_BELOW else float(np.add.reduce(t))
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_term_sum_switch_examples_tell_the_two_orders_apart():
+    for n in (_PY_SUM_BELOW - 1, _PY_SUM_BELOW):
+        t = np.array(_ORDER_SENSITIVE[:n])
+        assert sum(t.tolist()) != float(np.add.reduce(t))
 
 
 def test_log1p_never_sees_minus_one_at_the_support_edges():

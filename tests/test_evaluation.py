@@ -407,3 +407,10 @@ def test_eval_config_validation():
         EvalConfig(lengths=())
     with pytest.raises(InputError):
         EvalConfig(anchor="center")
+
+
+def test_eval_config_rejects_repeated_models_and_lengths():
+    with pytest.raises(InputError, match="model 'MLE' is listed twice"):
+        EvalConfig(models=("MLE", "PWU", "MLE"))
+    with pytest.raises(InputError, match="length 5 is listed twice"):
+        EvalConfig(lengths=(5, 10, 5))

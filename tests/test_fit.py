@@ -18,6 +18,7 @@ import regflood
 from regflood import fit as fit_module
 from regflood.cli import main
 from regflood.distributions import (
+    _PY_SUM_BELOW,
     SHAPE_EPS,
     GpParams,
     _gp_loglik,
@@ -955,8 +956,18 @@ def profile_points(draw):
     return pot, p, q, xi
 
 
+def _profile_point(n):
+    """A record of n peaks with q its true 10-year quantile, shape 0.1."""
+    params = GpParams(3.0, 2.0, 0.1)
+    pot = make_pot(gp_sample(params, n, seed=n), 3.0, n / 2.0)
+    return pot, 0.95, float(gp_quantile(params, 0.95)), 0.1
+
+
 @settings(deadline=None, max_examples=200, derandomize=True)
 @given(profile_points())
+# one record on each side of the kernel's switch from the builtin sum
+@example(_profile_point(_PY_SUM_BELOW - 1))
+@example(_profile_point(_PY_SUM_BELOW))
 def test_profile_loglik_equals_the_gp_logpdf_profile(point):
     pot, p, q, xi = point
     brent = []
