@@ -33,9 +33,9 @@ from .errors import (
     InputError,
 )
 from .fit import _check_rate_period, log_param_variances
-from .indexflood import AreaRegression, predict_index_flood
+from .indexflood import AreaRegression, fit_area_regression, predict_index_flood
 from .pot import PotSeries
-from .regional import Region
+from .regional import Region, RegionSite
 
 log = logging.getLogger("regflood")
 
@@ -81,6 +81,13 @@ class PriorSpec:
     def with_variances(self, d: Sequence[float]) -> "PriorSpec":
         """Same means with replaced variances (e.g. the flat d_i = 1000 mode)."""
         return replace(self, d=(float(d[0]), float(d[1]), float(d[2])))
+
+
+def _donor_regression(sites: Sequence[RegionSite], index_method: str) -> AreaRegression:
+    """Index-flood area regression over the donor sites, ``elicit_prior``'s donors."""
+    return fit_area_regression(
+        [(s.meta.code, s.meta.area_km2, s.index_flood(index_method).value) for s in sites]
+    )
 
 
 def elicit_prior(
@@ -211,13 +218,10 @@ class McmcConfig:
 
 @dataclass(frozen=True)
 class PosteriorChains:
-    """Retained posterior draws of (mu, sigma, xi) per chain."""
+    """Retained draws of (mu, sigma, xi) per chain; settings and seed stay with the caller."""
 
     draws: np.ndarray  # (chains, kept, 3)
     acceptance: np.ndarray  # (chains, 3), post-burn-in rates per coordinate
-    burn_in: int
-    thinning: int
-    seed: int
     warnings: tuple[str, ...] = ()
 
     def pooled(self) -> np.ndarray:
@@ -378,23 +382,15 @@ def mcmc_sample(
                 )
                 warnings.append(msg)
                 log.warning("%s", msg)
-    return PosteriorChains(
-        draws=draws,
-        acceptance=acceptance,
-        burn_in=config.burn_in,
-        thinning=config.thinning,
-        seed=seed,
-        warnings=tuple(warnings),
-    )
+    return PosteriorChains(draws=draws, acceptance=acceptance, warnings=tuple(warnings))
 
 
 @dataclass(frozen=True)
 class ChainDiagnostics:
-    """Convergence summaries: split-chain PSR, ESS, acceptance rates."""
+    """Split-chain PSR and ESS per parameter; acceptance is ``PosteriorChains.acceptance``."""
 
     psr: tuple[float, float, float] | None
     ess: tuple[float, float, float]
-    acceptance: np.ndarray
 
 
 def _split_psr(samples: np.ndarray) -> float:
@@ -446,7 +442,7 @@ def chain_diagnostics(chains: PosteriorChains) -> ChainDiagnostics:
         float(sum(_ess_single(draws[c, :, j]) for c in range(n_chains)))
         for j in range(3)
     )
-    return ChainDiagnostics(psr=psr, ess=ess, acceptance=chains.acceptance)
+    return ChainDiagnostics(psr=psr, ess=ess)
 
 
 @dataclass(frozen=True)

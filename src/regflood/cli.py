@@ -31,6 +31,7 @@ from .bayes import (
     MIN_RETAINED_DRAWS,
     McmcConfig,
     PriorSpec,
+    _donor_regression,
     chain_diagnostics,
     elicit_prior,
     mcmc_sample,
@@ -42,6 +43,7 @@ from .evaluation import EvalConfig, SynthSpec, run_experiment, synth_daily_serie
 from .fileio import (
     RegionConfig,
     SiteEntry,
+    _level_json,
     _num,
     build_region,
     eval_report_payload,
@@ -67,7 +69,6 @@ from .fit import (
     quantile_variance,
     return_level,
 )
-from .indexflood import fit_area_regression
 from .pot import IndependenceRule, extract_pot, select_threshold
 from .regional import Region, _check_nsim, discordancy, growth_curve, heterogeneity
 
@@ -76,6 +77,8 @@ __all__ = ["main"]
 log = logging.getLogger("regflood")
 
 _MIN_RECOMMENDED_NSIM = 100
+# argparse hands an option that is not given this very object
+_DEFAULT_LENGTHS = "5,10,15,20,25,30"
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -117,6 +120,21 @@ def _ints_arg(text: str, flag: str) -> tuple[int, ...]:
 def _fmt(x: float, nd: int = 2, width: int = 0) -> str:
     s = "--" if x is None or not math.isfinite(x) else f"{x:.{nd}f}"
     return f"{s:>{width}}" if width else s
+
+
+def _levels_args(args: argparse.Namespace) -> tuple[float, ...]:
+    """The ``--ci`` check and ``--return-periods`` parse of ``fit`` and ``bayes``."""
+    if not 0.0 < args.ci < 1.0:
+        raise InputError(f"--ci must lie in (0, 1), got {args.ci!r}")
+    return _floats_arg(args.return_periods, "--return-periods")
+
+
+def _print_levels(title: str, rows) -> None:
+    """A ``T  Q  [lower, upper]`` table of (period, level, lower, upper) rows."""
+    print(title)
+    print(f"{'T':>6}  {'Q':>8}")
+    for T, value, lower, upper in rows:
+        print(f"{T:>6g}  {_fmt(value, 1, 8)}  [{_fmt(lower, 1, 7)}, {_fmt(upper, 1, 7)}]")
 
 
 def _now() -> str:
@@ -188,9 +206,7 @@ def cmd_fit(args) -> list[str]:
     method = args.method.lower()
     if method not in _FIT_METHODS:
         raise InputError(f"method must be one of mle, pwu, pwb; got {args.method!r}")
-    if not 0.0 < args.ci < 1.0:
-        raise InputError(f"--ci must lie in (0, 1), got {args.ci!r}")
-    periods = _floats_arg(args.return_periods, "--return-periods")
+    periods = _levels_args(args)
     fit = _FIT_METHODS[method](pot)
     ci_kind = "profile" if method == "mle" else "asymptotic"
     rows = _fit_quantiles(pot, fit, periods, args.ci, ci_kind)
@@ -216,15 +232,7 @@ def cmd_fit(args) -> list[str]:
             "covariance": None if fit.covariance is None else fit.covariance.tolist(),
             "ci_kind": ci_kind,
             "ci_level": args.ci,
-            "quantiles": [
-                {
-                    "period_years": T,
-                    "value": v,
-                    "lower": _num(lo),
-                    "upper": _num(hi),
-                }
-                for T, v, lo, hi in rows
-            ],
+            "quantiles": [_level_json(*row) for row in rows],
         },
     )
 
@@ -236,14 +244,7 @@ def cmd_fit(args) -> list[str]:
         f"params: location {fit.params.location:.2f}  scale {fit.params.scale:.2f}  "
         f"shape {fit.params.shape:.2f}"
     )
-    pct = f"{100 * args.ci:g}%"
-    print(f"{pct} {ci_kind} confidence intervals")
-    print(f"{'T':>6}  {'Q':>8}")
-    for T, value, lower, upper in rows:
-        print(
-            f"{T:>6g}  {_fmt(value, 1, 8)}  "
-            f"[{_fmt(lower, 1, 7)}, {_fmt(upper, 1, 7)}]"
-        )
+    _print_levels(f"{100 * args.ci:g}% {ci_kind} confidence intervals", rows)
     print(f"wrote {out}")
     return [out]
 
@@ -361,9 +362,7 @@ def _mcmc_config(
 
 def cmd_bayes(args) -> list[str]:
     mc = _mcmc_config(args.chains, args.iters, args.burn_in, quantiles=True)
-    if not 0.0 < args.ci < 1.0:
-        raise InputError(f"--ci must lie in (0, 1), got {args.ci!r}")
-    periods = _floats_arg(args.return_periods, "--return-periods")
+    periods = _levels_args(args)
     config = load_region_config(args.config)
     region = build_region(config)
     if args.target and args.target != region.target:
@@ -376,11 +375,7 @@ def cmd_bayes(args) -> list[str]:
     donors = region.others()
     if args.donors:  # the regression's sites are also the elicitation donors
         donors = tuple(region.site(c.strip()) for c in args.donors.split(",") if c.strip())
-    points = [
-        (s.meta.code, s.meta.area_km2, s.index_flood(config.index_method).value)
-        for s in donors
-    ]
-    regression = fit_area_regression(points)
+    regression = _donor_regression(donors, config.index_method)
     prior = elicit_prior(region, regression, index_method=config.index_method)
     if args.flat_prior:
         prior = prior.with_variances((1000.0, 1000.0, 1000.0))
@@ -388,6 +383,7 @@ def cmd_bayes(args) -> list[str]:
     chains = mcmc_sample(prior, pot, mc, seed=args.seed)
     diag = chain_diagnostics(chains)
     summaries = posterior_quantiles(chains, pot.rate, periods, level=args.ci)
+    rows = [(s.period_years, s.point, s.lower, s.upper) for s in summaries]
 
     write_prior_json(args.prior_out, prior)
     pooled = chains.pooled()
@@ -410,15 +406,7 @@ def cmd_bayes(args) -> list[str]:
             "warnings": list(chains.warnings),
             "posterior_means": [float(v) for v in pooled.mean(axis=0)],
             "ci_level": args.ci,
-            "quantiles": [
-                {
-                    "period_years": s.period_years,
-                    "value": s.point,
-                    "lower": s.lower,
-                    "upper": s.upper,
-                }
-                for s in summaries
-            ],
+            "quantiles": [_level_json(*row) for row in rows],
         },
     )
 
@@ -448,14 +436,7 @@ def cmd_bayes(args) -> list[str]:
     print(f"  acceptance ({acc})  PSR ({psr})  ESS ({ess})")
     for w in chains.warnings:
         print(f"  warning: {w}")
-    pct = f"{100 * args.ci:g}%"
-    print(f"posterior return levels ({pct} credible intervals)")
-    print(f"{'T':>6}  {'Q':>8}")
-    for s in summaries:
-        print(
-            f"{s.period_years:>6g}  {_fmt(s.point, 1, 8)}  "
-            f"[{_fmt(s.lower, 1, 7)}, {_fmt(s.upper, 1, 7)}]"
-        )
+    _print_levels(f"posterior return levels ({100 * args.ci:g}% credible intervals)", rows)
     outputs = [args.prior_out, args.posterior_out, density_out, curve_out]
     for out in outputs:
         print(f"wrote {out}")
@@ -496,6 +477,14 @@ def cmd_evaluate(args) -> list[str]:
         )
     region = build_region(config)
     span = region.target_site.pot.record_years
+    held = tuple(m for m in eval_config.lengths if m <= span)
+    if args.lengths is _DEFAULT_LENGTHS and held and held != eval_config.lengths:
+        log.warning(
+            "default lengths %s exceed the %.4f-year target record",
+            ", ".join(str(m) for m in eval_config.lengths if m > span),
+            span,
+        )
+        eval_config = dataclasses.replace(eval_config, lengths=held)
     for m in eval_config.lengths:
         if m > span:
             raise InputError(
@@ -514,13 +503,8 @@ def cmd_evaluate(args) -> list[str]:
     print(f"{'':8}{'NRMSE':^{8 * len(cols)}}{'NBIAS':^{8 * len(cols)}}{'Rank':>8}")
     print(f"{'model':<8}{head}{head}{'Score':>8}")
     for model in report.models:
-        cells = []
-        for T in cols:
-            nbias, nrmse, k = report.cell(model, T)
-            cells.append(_fmt(nrmse, 2, 8))
-        for T in cols:
-            nbias, nrmse, k = report.cell(model, T)
-            cells.append(_fmt(nbias, 2, 8))
+        stats = [report.cell(model, T) for T in cols]  # (NBIAS, NRMSE, k) per period
+        cells = [_fmt(s[1], 2, 8) for s in stats] + [_fmt(s[0], 2, 8) for s in stats]
         cells.append(_fmt(report.score(model), 2, 8))
         print(f"{model:<8}" + "".join(cells))
     if report.missing:
@@ -619,7 +603,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--station", help="station code (default: file stem)")
     p.add_argument("--out", help="output event-series JSON")
-    p.add_argument("--report", help="write a run report to this path")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("fit", help="fit the event-peak law at one site")
@@ -628,7 +611,6 @@ def build_parser() -> _Parser:
     p.add_argument("--return-periods", default="2,5,10,20", help="comma list of years")
     p.add_argument("--ci", type=float, default=0.90, help="confidence level")
     p.add_argument("--out", help="output fit JSON")
-    p.add_argument("--report", help="write a run report to this path")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("region", help="screen a region and fit its growth curve")
@@ -638,7 +620,6 @@ def build_parser() -> _Parser:
     p.add_argument("--nsim", type=int, default=500, help="homogeneity simulations")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="growth_curve.json", help="growth curve JSON")
-    p.add_argument("--report", help="write a run report to this path")
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("bayes", help="regional prior elicitation and posterior sampling")
@@ -658,12 +639,11 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--prior-out", default="prior.json")
     p.add_argument("--posterior-out", default="posterior.json")
-    p.add_argument("--report", help="write a run report to this path")
     p.set_defaults(func=cmd_bayes)
 
     p = sub.add_parser("evaluate", help="compare estimators on truncated records")
     p.add_argument("config", help="region config file")
-    p.add_argument("--lengths", default="5,10,15,20,25,30", help="record lengths, years")
+    p.add_argument("--lengths", default=_DEFAULT_LENGTHS, help="record lengths, years")
     p.add_argument("--models", default="mle,pwu,pwb,reg,bay", help="comma list")
     p.add_argument("--anchor", default="first", choices=("first", "last"))
     p.add_argument("--seed", type=int, default=0)
@@ -673,7 +653,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mcmc-iters", type=int, default=6000)
     p.add_argument("--mcmc-burn-in", type=int, help="default: mcmc iters // 4")
     p.add_argument("--out", default="evaluation.json", help="report JSON")
-    p.add_argument("--report", help="write a run report to this path")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("simulate", help="write a synthetic region directory")
@@ -689,8 +668,10 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--target", default="S0")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", help="write a run report to this path")
     p.set_defaults(func=cmd_simulate)
+    # last, so that it closes every command's --help
+    for p in sub.choices.values():
+        p.add_argument("--report", help="write a run report to this path")
     return parser
 
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bayes import McmcConfig, elicit_prior, mcmc_sample, posterior_quantiles
+from .bayes import McmcConfig, _donor_regression, elicit_prior, mcmc_sample, posterior_quantiles
 from .distributions import GpParams, gp_quantile, gp_rescale, gp_sample
 from .errors import InputError, NumericalError
 from .fit import GpFit, _check_rate_period, gp_fit_mle, gp_fit_pwm, profile_ci, return_level
-from .indexflood import StationMeta, fit_area_regression
+from .indexflood import StationMeta
 from .lmoments import gp_population_lmoments
 from .pot import (
     DAYS_PER_YEAR,
@@ -136,6 +136,11 @@ def benchmark_pot(
 # --------------------------------------------------------- error indices
 
 
+def _mean_rms(rel: np.ndarray) -> tuple[float, float]:
+    """Mean and root mean square of relative errors: NBIAS and NRMSE."""
+    return float(rel.mean()), float(np.sqrt((rel**2).mean()))
+
+
 def nbias_nrmse(estimates: Sequence[float], reference: float) -> tuple[float, float]:
     """Normalized bias and RMS error of estimates against a reference value."""
     est = np.asarray(estimates, dtype=float)
@@ -143,8 +148,7 @@ def nbias_nrmse(estimates: Sequence[float], reference: float) -> tuple[float, fl
         raise InputError("need at least one estimate")
     if reference == 0 or not math.isfinite(reference):
         raise InputError(f"reference value must be finite non-zero, got {reference!r}")
-    rel = (est - reference) / reference
-    return float(rel.mean()), float(np.sqrt((rel**2).mean()))
+    return _mean_rms((est - reference) / reference)
 
 
 @dataclass(frozen=True)
@@ -452,15 +456,10 @@ def _model_estimates(
     mcmc_seed: int,
 ) -> dict[float, float]:
     tpot = window.pot
-    if name == "MLE":
-        params = window.fit.params
-        return {T: return_level(params, tpot.rate, T) for T in periods}
-    if name == "PWU":
-        params = gp_fit_pwm(tpot, "unbiased").params
-        return {T: return_level(params, tpot.rate, T) for T in periods}
-    if name == "PWB":
-        params = gp_fit_pwm(tpot, "biased").params
-        return {T: return_level(params, tpot.rate, T) for T in periods}
+    if name in ("MLE", "PWU", "PWB"):
+        variant = "unbiased" if name == "PWU" else "biased"
+        fit = window.fit if name == "MLE" else gp_fit_pwm(tpot, variant)
+        return {T: return_level(fit.params, tpot.rate, T) for T in periods}
     if name == "REG":
         c = window.index_flood().value
         out = {}
@@ -524,11 +523,7 @@ def run_experiment(
             if "REG" in config.models:
                 curve = growth_curve(the_region, exclude=target)
             if "BAY" in config.models:
-                points = [
-                    (s.meta.code, s.meta.area_km2, s.index_flood().value)
-                    for s in the_region.others()
-                ]
-                prior = elicit_prior(the_region, fit_area_regression(points))
+                prior = elicit_prior(the_region, _donor_regression(the_region.others(), "gp-fit"))
         except (InputError, NumericalError) as exc:
             msg = f"replicate {r}: regional preparation failed: {exc}"
             missing.append(msg)
@@ -584,8 +579,7 @@ def run_experiment(
             errs = np.asarray(rels[(name, T)])
             counts[i, j] = errs.size
             if errs.size:
-                nbias[i, j] = float(errs.mean())
-                nrmse[i, j] = float(np.sqrt((errs**2).mean()))
+                nbias[i, j], nrmse[i, j] = _mean_rms(errs)
 
     if n_models >= 2:
         table = {}

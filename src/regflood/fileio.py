@@ -77,6 +77,16 @@ def _num(x) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _level_json(period_years, value, lower, upper) -> dict:
+    """One return level of a JSON report with its interval, each through ``_num``."""
+    return {
+        "period_years": _num(period_years),
+        "value": _num(value),
+        "lower": _num(lower),
+        "upper": _num(upper),
+    }
+
+
 # ---------------------------------------------------------------- CSV records
 
 
@@ -432,13 +442,7 @@ def eval_report_payload(report: EvalReport) -> dict:
         "r_o": [_num(x) for x in report.r_o],
         "r_s": [_num(x) for x in report.r_s],
         "benchmark": [
-            {
-                "period_years": b.period_years,
-                "value": _num(b.value),
-                "lower": _num(b.lower),
-                "upper": _num(b.upper),
-                "reliable": b.reliable,
-            }
+            _level_json(b.period_years, b.value, b.lower, b.upper) | {"reliable": b.reliable}
             for b in report.benchmark
         ],
         "missing": list(report.missing),

@@ -5,9 +5,11 @@ Grimshaw's (1993) reduction: at fixed theta = shape / scale the best shape
 is mean log(1 + theta * y), so the likelihood is profiled over theta on a
 grid and refined by bounded Brent, and the best interior stationary point
 is the MLE (Smith 1985).  A certificate checks that the closed-form
-score there is zero to rounding, after at most one Newton step.
-That step and the reported covariance share one closed-form observed
-information of (scale, shape).  The log likelihood itself comes from
+score there is zero to rounding, after at most one Newton step.  One
+pass, ``_derivatives``, gives the score and the closed-form observed
+information of (scale, shape) at a point: the information takes the
+Newton step, and the one at the certified point is inverted for the
+reported covariance.  The log likelihood itself comes from
 ``distributions._gp_loglik``, as the profile and PWM ones do.  Bounded
 Brent is the package's own ``_brent_bounded`` and no BLAS-backed
 optimizer runs, so a fit never wakes OpenBLAS's thread pool; scipy
@@ -84,52 +86,42 @@ class GpFit:
     boundary: bool = False
 
 
-def _observed_information(x: np.ndarray, location: float, scale: float, shape: float) -> np.ndarray:
-    """Hessian of the negative log likelihood in (scale, shape), in closed form.
+def _derivatives(d: np.ndarray, scale: float, shape: float) -> tuple[np.ndarray, np.ndarray]:
+    """Score and observed information of the negative log likelihood.
 
-    With y = (x - location) / scale, a = shape * y and t = 1 + a, it needs
-    every t > 0; |shape| < SHAPE_EPS is the exponential law, as in
-    ``_score``.  The shape-shape term is y**3 * phi(a) - (y / t)**2 per
-    peak, phi(a) = (2 log(1 + a) / a - 2 / t - a / t**2) / a**2.  That form
-    cancels to rounding noise for small |a|, so below 1e-3 phi's Taylor
-    series (2/3 at a = 0) takes over.
+    ``d`` holds the exceedances x - location.  With y = d / scale,
+    a = shape * y, t = 1 + a and w = y / t, every t > 0, and |shape| <
+    SHAPE_EPS taken as the exponential law, returns the gradient in
+    (log scale, shape) and the Hessian in (scale, shape), both in closed
+    form from one pass over the peaks.  Per peak the shape gradient is
+    w + y**2 * chi(a), chi(a) = (a / t - log1p(a)) / a**2, and the
+    shape-shape term y**3 * phi(a) - w**2, phi(a) = (2 log(1 + a) / a -
+    2 / t - a / t**2) / a**2.  Both forms cancel to rounding noise for
+    small |a|, so Taylor series take over: chi's when every |a| < 1e-3,
+    phi's (2/3 at a = 0) peak by peak below that size.
     """
     xi = 0.0 if abs(shape) < SHAPE_EPS else shape
-    y = (x - location) / scale
+    y = d / scale
     a = xi * y
     t = 1.0 + a
     w = y / t
+    sum_w = float(np.sum(w))
+    g_logs = y.size - (1.0 + xi) * sum_w
+    if float(np.max(np.abs(a))) < 1e-3:
+        chi = -0.5 + a * (2.0 / 3.0 + a * (-0.75 + a * (0.8 + a * (-5.0 / 6.0))))
+        g_xi = float(np.sum(w + y * y * chi))
+    else:
+        g_xi = (1.0 + 1.0 / xi) * sum_w - (1.0 / xi**2) * float(np.sum(np.log(t)))
     phi = np.empty_like(a)
     small = np.abs(a) < 1e-3
     b = a[small]
     phi[small] = 2.0 / 3.0 + b * (-1.5 + b * (2.4 + b * (-10.0 / 3.0 + b * 30.0 / 7.0)))
     b, tb = a[~small], t[~small]
     phi[~small] = (2.0 * np.log1p(b) / b - 2.0 / tb - b / tb**2) / b**2
-    h_ss = ((1.0 + xi) * float(np.sum(w + w / t)) - x.size) / scale**2
+    h_ss = ((1.0 + xi) * float(np.sum(w + w / t)) - y.size) / scale**2
     h_sx = float(np.sum(w * (y - 1.0) / t)) / scale
     h_xx = float(np.sum(y**3 * phi - w * w))
-    return np.array([[h_ss, h_sx], [h_sx, h_xx]])
-
-
-def _score(y: np.ndarray, shape: float) -> np.ndarray:
-    """Gradient of the negative log likelihood in (log scale, shape).
-
-    y, a, t and w as in ``_observed_information``, every t > 0.  Per peak
-    the shape gradient is w + y**2 * chi(a), chi(a) = (a / t - log1p(a)) /
-    a**2, whose closed form cancels to noise for small |a|; when every
-    |a| < 1e-3 chi's Taylor series takes over.
-    """
-    xi = 0.0 if abs(shape) < SHAPE_EPS else shape
-    a = xi * y
-    t = 1.0 + a
-    w = y / t
-    g_logs = y.size - (1.0 + xi) * float(np.sum(w))
-    if float(np.max(np.abs(a))) < 1e-3:
-        chi = -0.5 + a * (2.0 / 3.0 + a * (-0.75 + a * (0.8 + a * (-5.0 / 6.0))))
-        g_xi = float(np.sum(w + y * y * chi))
-    else:
-        g_xi = (1.0 + 1.0 / xi) * float(np.sum(w)) - (1.0 / xi**2) * float(np.sum(np.log(t)))
-    return np.array([g_logs, g_xi])
+    return np.array([g_logs, g_xi]), np.array([[h_ss, h_sx], [h_sx, h_xx]])
 
 
 # the golden-section fraction and tolerance unit of scipy's bounded Brent
@@ -271,7 +263,7 @@ def _profile_search(x: np.ndarray, u: float) -> np.ndarray:
     return np.array([math.log(sigma), xi])
 
 
-def _polish(z: np.ndarray, x: np.ndarray, u: float) -> tuple[np.ndarray, float]:
+def _polish(z: np.ndarray, x: np.ndarray, u: float) -> tuple[np.ndarray, float, np.ndarray]:
     """Certify (log scale, shape) as a stationary point of the likelihood.
 
     On a shape bound the outward shape component of the score is projected
@@ -281,8 +273,9 @@ def _polish(z: np.ndarray, x: np.ndarray, u: float) -> tuple[np.ndarray, float]:
     raise the nll beyond rounding and lowers that norm; a norm still above
     max(tol, 1e-6) raises FitError.  Its message says so when the point is
     on the shape bound 5 and more than a sixth of the peaks lie on the
-    threshold, where the likelihood has no maximum.  Returns the point and
-    the nll there.
+    threshold, where the likelihood has no maximum.  Returns the point, the
+    nll there and the observed information in (scale, shape) there, all
+    from the ``_derivatives`` pass that certified it.
     """
 
     def projected(zv, g):
@@ -297,15 +290,15 @@ def _polish(z: np.ndarray, x: np.ndarray, u: float) -> tuple[np.ndarray, float]:
         return -_gp_loglik(d, d_min, d_max, math.exp(zv[0]), float(zv[1]))
 
     f_val = nll(z)
-    g_full = _score(d / math.exp(z[0]), z[1])
+    sigma = math.exp(z[0])
+    g_full, info = _derivatives(d, sigma, z[1])
     g_proj = projected(z, g_full)
     g_norm = float(np.max(np.abs(g_proj)))
     tol = 1e-8 * max(1.0, abs(f_val))
     if g_norm > tol:
         work = [0] if g_proj[1] == 0.0 and g_full[1] != 0.0 else [0, 1]
         # chain rule from (scale, shape) to (log scale, shape)
-        sigma = math.exp(z[0])
-        hess = _observed_information(x, u, sigma, z[1]) * np.outer([sigma, 1.0], [sigma, 1.0])
+        hess = info * np.outer([sigma, 1.0], [sigma, 1.0])
         hess[0, 0] += g_full[0]
         try:
             step = np.linalg.solve(hess[np.ix_(work, work)], -g_proj[work])
@@ -320,10 +313,10 @@ def _polish(z: np.ndarray, x: np.ndarray, u: float) -> tuple[np.ndarray, float]:
         f_try = nll(z_try)
         # off the support f_try is inf, so the step is refused here
         if f_try <= f_val + 1e-12 * max(1.0, abs(f_val)):
-            s_try = _score(d / math.exp(z_try[0]), z_try[1])
+            s_try, info_try = _derivatives(d, math.exp(z_try[0]), z_try[1])
             g_try = float(np.max(np.abs(projected(z_try, s_try))))
             if g_try < g_norm:
-                z, f_val, g_norm = z_try, f_try, g_try
+                z, f_val, g_norm, info = z_try, f_try, g_try, info_try
     if g_norm > max(tol, 1e-6):
         message = f"MLE did not converge (gradient norm {g_norm:.2e})"
         # n0 peaks at y = 0 give log L ~ ((1 + 1/shape) * (n - n0) - n) * log(scale)
@@ -335,7 +328,7 @@ def _polish(z: np.ndarray, x: np.ndarray, u: float) -> tuple[np.ndarray, float]:
                 "falls to 0 and has no maximum"
             )
         raise FitError(message)
-    return z, f_val
+    return z, f_val, info
 
 
 def gp_fit_mle(pot: PotSeries) -> GpFit:
@@ -346,7 +339,9 @@ def gp_fit_mle(pot: PotSeries) -> GpFit:
     best fit with the shape on a search bound (short-tailed samples pile up
     at -0.99, marked by ``boundary``); a certificate on the score, after at
     most one Newton step, confirms it, and a fit it cannot certify raises
-    FitError.  When every one of five starts around the PWM estimate lies
+    FitError.  The covariance inverts the observed information that
+    certificate computed at the fit; it is None unless that information
+    is positive definite.  When every one of five starts around the PWM estimate lies
     off the data's support, the start with the least penalty is returned
     instead, with minus that penalty as its log likelihood, no covariance
     and a WARNING on the ``regflood`` logger: its likelihood, covariance
@@ -391,10 +386,9 @@ def gp_fit_mle(pot: PotSeries) -> GpFit:
         params = GpParams(u, math.exp(starts[k][0]), float(starts[k][1]))
         return GpFit(params=params, covariance=None, loglik=-penalties[k], method="mle", n=x.size)
 
-    z, f_val = _polish(_profile_search(x, u), x, u)
+    z, f_val, info = _polish(_profile_search(x, u), x, u)
     params = GpParams(u, math.exp(z[0]), float(z[1]))
     covariance = None
-    info = _observed_information(x, u, params.scale, params.shape)
     det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
     if info[0, 0] > 0.0 and det > 0.0:
         covariance = np.array([[info[1, 1], -info[0, 1]], [-info[0, 1], info[0, 0]]]) / det

@@ -400,10 +400,10 @@ def regional_average_lmoments(
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise InputError("record lengths must be positive and finite")
     w = w / w.sum()
+    t3 = float(np.dot(w, [lm.t3 for lm in lmoms]))
+    t4 = float(np.dot(w, [lm.t4 for lm in lmoms]))
     if scale_factors is None:
         t = float(np.dot(w, [lm.t for lm in lmoms]))
-        t3 = float(np.dot(w, [lm.t3 for lm in lmoms]))
-        t4 = float(np.dot(w, [lm.t4 for lm in lmoms]))
         return LmomentSet(l1=1.0, l2=t, t=t, t3=t3, t4=t4)
     c = np.asarray(scale_factors, dtype=float)
     if c.shape != w.shape:
@@ -412,8 +412,6 @@ def regional_average_lmoments(
         raise InputError("scale factors must be positive and finite")
     l1 = float(np.dot(w, [lm.l1 / ci for lm, ci in zip(lmoms, c)]))
     l2 = float(np.dot(w, [lm.l2 / ci for lm, ci in zip(lmoms, c)]))
-    t3 = float(np.dot(w, [lm.t3 for lm in lmoms]))
-    t4 = float(np.dot(w, [lm.t4 for lm in lmoms]))
     if l1 == 0:
         raise DegenerateSampleError("regional mean is zero; L-CV undefined")
     return LmomentSet(l1=l1, l2=l2, t=l2 / l1, t3=t3, t4=t4)

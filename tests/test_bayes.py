@@ -638,13 +638,7 @@ def iid_chains(n_chains=2, kept=2000, seed=0):
     draws[:, :, 0] = rng.normal(5.0, 1.0, (n_chains, kept))
     draws[:, :, 1] = rng.normal(2.0, 0.5, (n_chains, kept))
     draws[:, :, 2] = rng.normal(0.1, 0.05, (n_chains, kept))
-    return PosteriorChains(
-        draws=draws,
-        acceptance=np.full((n_chains, 3), 0.35),
-        burn_in=0,
-        thinning=1,
-        seed=seed,
-    )
+    return PosteriorChains(draws=draws, acceptance=np.full((n_chains, 3), 0.35))
 
 
 def test_diagnostics_iid_chains():
@@ -658,13 +652,7 @@ def test_diagnostics_iid_chains():
 def test_diagnostics_separated_chains():
     draws = np.zeros((2, 500, 3))
     draws[1] = 1.0
-    chains = PosteriorChains(
-        draws=draws,
-        acceptance=np.full((2, 3), 0.3),
-        burn_in=0,
-        thinning=1,
-        seed=0,
-    )
+    chains = PosteriorChains(draws=draws, acceptance=np.full((2, 3), 0.3))
     diag = chain_diagnostics(chains)
     assert all(v > 5.0 for v in diag.psr)
 
@@ -681,13 +669,7 @@ def test_diagnostics_single_chain():
 def test_posterior_quantiles_degenerate_chain():
     theta = GpParams(5.0, 2.0, 0.1)
     draws = np.tile(np.array([5.0, 2.0, 0.1]), (1, 600, 1))
-    chains = PosteriorChains(
-        draws=draws,
-        acceptance=np.full((1, 3), 0.3),
-        burn_in=0,
-        thinning=1,
-        seed=0,
-    )
+    chains = PosteriorChains(draws=draws, acceptance=np.full((1, 3), 0.3))
     out = posterior_quantiles(chains, rate=2.0, periods=(10.0, 100.0))
     for summary, period in zip(out, (10.0, 100.0)):
         want = return_level(theta, 2.0, period)

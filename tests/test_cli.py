@@ -643,6 +643,26 @@ def test_evaluate_length_beyond_record(sim_dir, capsys):
         assert message in err
 
 
+def test_evaluate_default_lengths_fit_a_short_target_record(tmp_path, capsys, caplog):
+    # the README's 25-year daily records span 25 years less a day, so the
+    # default lengths 25 and 30 do not fit; an explicit list still fails
+    argv = ["simulate", str(tmp_path / "region"), "--sites", "6", "--years", "25"]
+    assert run(capsys, argv)[0] == 0
+    cfg, out = str(tmp_path / "region" / "region.yaml"), tmp_path / "eval.json"
+    with caplog.at_level(logging.WARNING, logger="regflood"):
+        code, stdout, _ = run(capsys, ["evaluate", cfg, "--models", "mle", "--out", str(out)])
+    assert code == 0
+    assert stdout.startswith("lengths 5,10,15,20  anchor first")
+    assert read_json(out, "eval-report")["lengths"] == [5, 10, 15, 20]
+    (record,) = [r for r in caplog.records if r.name == "regflood"]
+    assert record.getMessage() == "default lengths 25, 30 exceed the 24.9993-year target record"
+    code, _, err = run(capsys, [
+        "evaluate", cfg, "--lengths", "5,10,15,20,25,30", "--models", "mle", "--out", str(out),
+    ])
+    assert code == 1
+    assert "truncation length 25 exceeds the 24.9993-year target record" in err
+
+
 @pytest.mark.parametrize("method,rescale,ignored", [
     ("gp-fit", "index", None),
     ("empirical", "index", "index_flood_method empirical"),
@@ -754,25 +774,57 @@ def test_version_flag(capsys):
     assert "regflood" in capsys.readouterr().out
 
 
-def test_run_report_records_flags_and_outputs(sim_dir, tmp_path, capsys):
-    pot_out = tmp_path / "p.json"
-    report = tmp_path / "run.json"
-    code, _, _ = run(capsys, [
-        "extract", str(sim_dir / "S0.csv"), "--target-rate", "2",
-        "--out", str(pot_out), "--report", str(report),
-    ])
+@pytest.mark.parametrize("command", ["extract", "fit", "region", "bayes", "evaluate", "simulate"])
+def test_run_report_records_flags_and_outputs(command, sim_dir, pot_file, tmp_path, capsys):
+    t, cfg = tmp_path, str(sim_dir / "region.yaml")
+    argv, flag, outputs = {
+        "extract": (
+            ["extract", str(sim_dir / "S0.csv"), "--target-rate", "2", "--out", str(t / "p.json")],
+            ("target_rate", 2.0),
+            ["p.json"],
+        ),
+        "fit": (["fit", str(pot_file), "--out", str(t / "f.json")], ("method", "mle"), ["f.json"]),
+        "region": (
+            ["region", cfg, "--nsim", "50", "--out", str(t / "g.json")], ("nsim", 50), ["g.json"],
+        ),
+        "bayes": (
+            ["bayes", cfg, "--chains", "2", "--iters", "1000", "--prior-out", str(t / "prior.json"),
+             "--posterior-out", str(t / "post.json")],
+            ("iters", 1000),
+            ["prior.json", "post.json", "post_density.csv", "post_curve.csv"],
+        ),
+        "evaluate": (
+            ["evaluate", cfg, "--lengths", "5", "--models", "mle", "--out", str(t / "e.json")],
+            ("lengths", "5"),
+            ["e.json"],
+        ),
+        "simulate": (
+            ["simulate", str(t / "r"), "--sites", "3", "--years", "8"],
+            ("sites", 3),
+            [f"r/{f}" for f in (
+                "S0.csv", "S1.csv", "S2.csv", "metadata.csv", "region.yaml", "truth.json")],
+        ),
+    }[command]
+    report = t / "run.json"
+    code, _, _ = run(capsys, [*argv, "--report", str(report)])
     assert code == 0
     obj = read_json(report, "run-report")
     assert list(obj) == [
         "schema_version", "kind", "command", "config", "seed", "version",
         "started", "finished", "outputs",
     ]
-    assert obj["command"] == "extract"
-    assert obj["config"]["target_rate"] == 2.0
-    assert obj["outputs"] == [str(pot_out)]
+    assert obj["command"] == command
+    assert obj["config"][flag[0]] == flag[1]
+    assert obj["outputs"] == [str(t / f) for f in outputs]
     assert obj["started"] <= obj["finished"]
     # timestamps live only in the run report, never in machine outputs
-    assert "started" not in pot_out.read_text()
+    for f in outputs:
+        assert "started" not in (t / f).read_text()
+    # --report closes the command's option list
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    options = [ln.split()[0] for ln in capsys.readouterr().out.splitlines() if ln.startswith("  -")]
+    assert options[-1] == "--report"
 
 
 def test_log_env_var_sets_level(sim_dir, tmp_path, monkeypatch, capsys):

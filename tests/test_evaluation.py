@@ -393,7 +393,7 @@ def test_return_periods_share_one_rule():
     with pytest.raises(InputError, match=rule):
         _model_estimates("MLE", window, (0.5,), curve, None, McmcConfig(), 0)
     draws = np.tile([10.0, 5.0, 0.1], (1, 500, 1))
-    chains = PosteriorChains(draws, np.full((1, 3), 0.3), burn_in=0, thinning=1, seed=0)
+    chains = PosteriorChains(draws, np.full((1, 3), 0.3))
     with pytest.raises(InputError, match=rule):
         posterior_quantiles(chains, 2.0, (5.0, 0.5))
 

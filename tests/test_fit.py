@@ -35,13 +35,12 @@ from regflood.fit import (
     GpFit,
     ProfileCi,
     _brent_bounded,
-    _observed_information,
+    _derivatives,
     _polish,
     _profile_grid,
     _profile_loglik,
     _profile_nll,
     _profile_search,
-    _score,
     gp_fit_mle,
     gp_fit_pwm,
     log_param_variances,
@@ -139,7 +138,7 @@ def test_observed_information_matches_gradient_differences(point):
     margin = 1.0 + min(shape, 0.0) * y_max
 
     def grad(s, k):
-        g = _score(x / s, k)
+        g = _derivatives(x, s, k)[0]
         return np.array([g[0] / s, g[1]])
 
     def derivative(g, h):
@@ -152,7 +151,7 @@ def test_observed_information_matches_gradient_differences(point):
     # closed form cancels to rounding noise at small shapes once some peak
     # has |shape * y| >= 1e-3
     numeric = np.array([[d_scale[0], d_shape[0]], [d_shape[0], d_shape[1]]])
-    info = _observed_information(x, 0.0, scale, shape)
+    info = _derivatives(x, scale, shape)[1]
     assert info[0, 1] == info[1, 0]
     assert np.max(np.abs(info - numeric)) <= 2e-5 * np.max(np.abs(info))
 
@@ -162,8 +161,8 @@ def test_observed_information_is_continuous_where_the_series_takes_over():
     # series to the closed form at shape * y = 1e-3
     x = np.array([4.0])
     for edge in (1e-3 / 4.0, -1e-3 / 4.0):
-        below = _observed_information(x, 0.0, 1.0, edge * (1.0 - 1e-9))
-        above = _observed_information(x, 0.0, 1.0, edge * (1.0 + 1e-9))
+        below = _derivatives(x, 1.0, edge * (1.0 - 1e-9))[1]
+        above = _derivatives(x, 1.0, edge * (1.0 + 1e-9))[1]
         np.testing.assert_allclose(below, above, rtol=1e-9)
 
 
@@ -177,7 +176,7 @@ def test_shape_gradient_is_accurate_at_small_shapes(shape):
         + shape * np.sum(2.0 * y**3 / 3.0 - y * y)
         + shape**2 * np.sum(y**3 - 0.75 * y**4)
     )
-    assert _score(y, shape)[1] == pytest.approx(series, rel=1e-9)
+    assert _derivatives(y, 1.0, shape)[0][1] == pytest.approx(series, rel=1e-9)
 
 
 def test_mle_at_the_shape_bound_has_no_covariance():
@@ -375,7 +374,7 @@ def _former_nll_grad(z: np.ndarray, x: np.ndarray, u: float):
     y = d / sigma
     if f == math.inf:
         return 1e10 * (1.0 + float(np.sum(np.maximum(-(1.0 + z[1] * y), 0.0)))), np.zeros(2)
-    return f, _score(y, z[1])
+    return f, _derivatives(d, sigma, z[1])[0]
 
 
 def _former_polish(z: np.ndarray, x: np.ndarray, u: float):
@@ -402,7 +401,7 @@ def _former_polish(z: np.ndarray, x: np.ndarray, u: float):
         work = [0] if g_proj[1] == 0.0 and g_full[1] != 0.0 else [0, 1]
         # chain rule from (scale, shape) to (log scale, shape)
         sigma = math.exp(z[0])
-        hess = _observed_information(x, u, sigma, z[1]) * np.outer([sigma, 1.0], [sigma, 1.0])
+        hess = _derivatives(x - u, sigma, z[1])[1] * np.outer([sigma, 1.0], [sigma, 1.0])
         hess[0, 0] += g_full[0]
         try:
             step = np.linalg.solve(hess[np.ix_(work, work)], -g_proj[work])
@@ -486,7 +485,7 @@ def _lbfgsb_fit(pot):
         z, f_val = _lbfgsb_search_from(s_on, max(xi0, -0.98), x, u)
     has_cov = False
     if f_val < 1e9:
-        info = _observed_information(x, u, math.exp(z[0]), float(z[1]))
+        info = _derivatives(x - u, math.exp(z[0]), float(z[1]))[1]
         det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
         has_cov = bool(info[0, 0] > 0.0 and det > 0.0)
     boundary = bool(z[1] <= _XI_MIN + 1e-9 or z[1] >= _XI_MAX - 1e-9)
@@ -507,7 +506,7 @@ def short_records(draw):
 
 def _stationary(fit, pot):
     """Whether the (projected) likelihood gradient vanishes at the fit."""
-    g = _score((pot.peaks - pot.threshold) / fit.params.scale, fit.params.shape)
+    g = _derivatives(pot.peaks - pot.threshold, fit.params.scale, fit.params.shape)[0]
     if fit.boundary:
         g = g[:1]
     return float(np.max(np.abs(g))) <= 1e-6 * max(1.0, abs(fit.loglik))
@@ -560,12 +559,38 @@ def test_polish_is_the_former_polish(pot):
 
     def outcome(polish):
         try:
-            z, f_val = polish(z0.copy(), x, u)
+            z, f_val = polish(z0.copy(), x, u)[:2]
         except FitError as exc:
             return str(exc)
         return z.tolist(), f_val
 
     assert outcome(_polish) == outcome(_former_polish)
+
+
+def _covariance_from(info: np.ndarray) -> np.ndarray:
+    """The inverse of a 2 x 2 information matrix as gp_fit_mle forms it."""
+    det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
+    return np.array([[info[1, 1], -info[0, 1]], [-info[0, 1], info[0, 0]]]) / det
+
+
+@pytest.mark.parametrize("pot, steps", [
+    # certified where the profile search left it
+    (sample_pot(GpParams(5.0, 3.0, 0.1), 74, 37.0, seed=51), False),
+    # a short_records draw (unrounded) on which the certificate takes its Newton step
+    (make_pot(gp_sample(GpParams(28.3, 20.4, -0.7), 116, seed=791), 28.3, 58.0), True),
+], ids=["no-step", "newton-step"])
+def test_covariance_is_the_inverse_information_at_the_certified_point(pot, steps):
+    x, u = pot.peaks, pot.threshold
+    z0 = _profile_search(x, u)
+    z = _polish(z0.copy(), x, u)[0]
+    assert (z.tolist() != z0.tolist()) == steps
+    fit = gp_fit_mle(pot)
+    info = _derivatives(x - u, fit.params.scale, fit.params.shape)[1]
+    assert fit.covariance.tobytes() == _covariance_from(info).tobytes()
+    if steps:
+        # the information before the step gives another covariance
+        before = _derivatives(x - u, math.exp(z0[0]), float(z0[1]))[1]
+        assert _covariance_from(before).tobytes() != fit.covariance.tobytes()
 
 
 def test_mle_prefers_an_interior_stationary_point():
