@@ -10,10 +10,11 @@ is enforced, not just documented.  Posterior sampling is a component-wise
 random-walk Metropolis in (log mu, log sigma, xi).  Each chain owns a
 generator stream spawned from the seed and draws its random numbers in
 blocks, one step normal and one acceptance uniform per proposal.  A
-proposal recomputes only its coordinate's prior term and the likelihood,
-``distributions._gp_loglik`` on the residuals x - mu: only a location move
-recomputes them, so a scale or shape move does no array work beyond the
-kernel's.
+proposal recomputes its coordinate's prior term and bounds its likelihood
+from the record's moments (``distributions._gp_loglik_interval``); most
+Metropolis steps are decided on those bounds, and only the rest read the
+peaks through ``distributions._gp_loglik``.  The bounds are exact, so the
+draws are those of evaluating every proposal in full.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import SHAPE_EPS, GpParams, _gp_loglik, gp_rescale
+from .distributions import (
+    SHAPE_EPS,
+    GpParams,
+    _gp_loglik,
+    _gp_loglik_interval,
+    _record_moments,
+    gp_rescale,
+)
 from .errors import (
     ContractViolationError,
     ElicitationError,
@@ -266,16 +274,27 @@ def mcmc_sample(
     acceptance uniforms in blocks of ``_BLOCK`` iterations and spends one
     normal and one uniform on every proposal, off-support ones included.
 
-    A proposal recomputes one prior term and the likelihood.  The
-    residuals ``y = x - mu`` and their extremes are the only residual
-    state: a location move subtracts once, and one that falls above the
-    smallest peak is rejected before any array work; a scale or shape
-    move passes them to the kernel as they are.
+    A proposal recomputes one prior term, then bounds its log likelihood
+    by ``_gp_loglik_interval``, scalar arithmetic on the record's moments
+    and the residuals' extremes.  A location move above the smallest peak
+    is rejected before that.  The step accepts when log u < lp - lt for
+    every log target lp and lt within their bounds and rejects when it
+    holds for none; rounding is monotone, so either verdict is the one
+    the exact floats give.  Otherwise the kernel evaluates lp, and lt too
+    when the current state was accepted on bounds, as the full target
+    ``-0.5 (q0 + q1 + q2) + _gp_loglik(x - mu, ...)`` that an accepting
+    move would have stored; the step is then decided on them.  So the
+    draws and acceptance are bit for bit those of evaluating every
+    proposal: this is early rejection (Solonen et al. 2012) and delayed
+    acceptance (Christen & Fox 2005) with exact bounds in place of a
+    surrogate.  The residuals ``y = x - mu`` are built only when the
+    kernel runs, and kept until a location move is accepted.
     """
     x = np.asarray(pot.peaks, dtype=float)
     g0, g1, g2 = prior.gamma
     d0, d1, d2 = prior.d
-    # an empty record has no extremes; _gp_loglik returns 0 before using them
+    # an empty record has no extremes; _gp_loglik and its interval return 0
+    # before using them
     xmin, xmax = (float(x.min()), float(x.max())) if x.size else (math.inf, -math.inf)
 
     def log_target(z: np.ndarray) -> float:
@@ -284,6 +303,11 @@ def mcmc_sample(
         quad = -0.5 * float((dz * dz / np.asarray(prior.d)).sum())
         return quad + _gp_loglik(x - mu, xmin - mu, xmax - mu, sigma, z[2])
 
+    def target(y, y_min, y_max, sigma, xi, q0, q1, q2):
+        # the log target as the move that accepted it computed it
+        return -0.5 * (q0 + q1 + q2) + _gp_loglik(y, y_min, y_max, sigma, xi)
+
+    moments = _record_moments(x)
     sd = np.sqrt(np.asarray(prior.d))
     base = _initial_state(prior, x)
     if log_target(base) == -math.inf:
@@ -304,14 +328,17 @@ def mcmc_sample(
         else:
             z = base.copy()
         lt = log_target(z)
+        # bounds on the current log target: equal, and the float a full
+        # evaluation gives, except after a move accepted on its interval
+        lt_lo = lt_hi = lt
         lm, ls, xi = z.tolist()
         mu, sigma = math.exp(lm), math.exp(ls)
-        # the prior's quadratic term per coordinate, and the residuals x - mu
-        # with their extremes; a proposal recomputes only what it moves
+        # the prior's quadratic term per coordinate, and the residuals'
+        # extremes; the residuals y = x - mu are built when a kernel needs them
         q0 = (lm - g0) * (lm - g0) / d0
         q1 = (ls - g1) * (ls - g1) / d1
         q2 = (xi - g2) * (xi - g2) / d2
-        y, y_min, y_max = x - mu, xmin - mu, xmax - mu
+        y, y_min, y_max = None, xmin - mu, xmax - mu
         scales = 2.4 * sd
         s0, s1, s2 = scales.tolist()
         acc = [0, 0, 0]  # accepted proposals per coordinate in this window
@@ -326,35 +353,80 @@ def mcmc_sample(
             u0, u1, u2 = log_u[row]
             post = it >= burn_in
 
+            # Each move accepts when u < lp - lt holds for every lp and lt in
+            # their bounds, rejects when it holds for none, and otherwise
+            # evaluates lp, and lt if it is not exact, as the full target.
             lm_p = lm + s0 * n0
             mu_p = math.exp(lm_p)
-            q_p = (lm_p - g0) * (lm_p - g0) / d0
             y_min_p = xmin - mu_p
-            if y_min_p < 0.0:  # above the smallest peak: off support
-                lp = -math.inf
-            else:
-                y_p, y_max_p = x - mu_p, xmax - mu_p
-                lp = -0.5 * (q_p + q1 + q2) + _gp_loglik(y_p, y_min_p, y_max_p, sigma, xi)
-            if u0 < lp - lt:
-                lm, mu, q0, lt = lm_p, mu_p, q_p, lp
-                y, y_min, y_max = y_p, y_min_p, y_max_p
-                acc[0] += 1
-                post_acc[0] += post
+            # a location above the smallest peak is off the support: rejected
+            if y_min_p >= 0.0:
+                q_p = (lm_p - g0) * (lm_p - g0) / d0
+                y_max_p = xmax - mu_p
+                prior_p = -0.5 * (q_p + q1 + q2)
+                lo, hi = _gp_loglik_interval(moments, mu_p, y_min_p, y_max_p, sigma, xi)
+                if u0 < (prior_p + lo) - lt_hi:
+                    accept, y_p = True, None
+                    lt_lo, lt_hi = prior_p + lo, prior_p + hi
+                elif u0 >= (prior_p + hi) - lt_lo:
+                    accept = False
+                else:
+                    if lt_lo != lt_hi:
+                        y = x - mu if y is None else y
+                        lt_lo = lt_hi = target(y, y_min, y_max, sigma, xi, q0, q1, q2)
+                    y_p = x - mu_p
+                    lp = target(y_p, y_min_p, y_max_p, sigma, xi, q_p, q1, q2)
+                    accept = u0 < lp - lt_lo
+                    if accept:
+                        lt_lo = lt_hi = lp
+                if accept:
+                    lm, mu, q0, y = lm_p, mu_p, q_p, y_p
+                    y_min, y_max = y_min_p, y_max_p
+                    acc[0] += 1
+                    post_acc[0] += post
 
             ls_p = ls + s1 * n1
             sigma_p = math.exp(ls_p)
             q_p = (ls_p - g1) * (ls_p - g1) / d1
-            lp = -0.5 * (q0 + q_p + q2) + _gp_loglik(y, y_min, y_max, sigma_p, xi)
-            if u1 < lp - lt:
-                ls, sigma, q1, lt = ls_p, sigma_p, q_p, lp
+            prior_p = -0.5 * (q0 + q_p + q2)
+            lo, hi = _gp_loglik_interval(moments, mu, y_min, y_max, sigma_p, xi)
+            if u1 < (prior_p + lo) - lt_hi:
+                accept = True
+                lt_lo, lt_hi = prior_p + lo, prior_p + hi
+            elif u1 >= (prior_p + hi) - lt_lo:
+                accept = False
+            else:
+                y = x - mu if y is None else y
+                if lt_lo != lt_hi:
+                    lt_lo = lt_hi = target(y, y_min, y_max, sigma, xi, q0, q1, q2)
+                lp = target(y, y_min, y_max, sigma_p, xi, q0, q_p, q2)
+                accept = u1 < lp - lt_lo
+                if accept:
+                    lt_lo = lt_hi = lp
+            if accept:
+                ls, sigma, q1 = ls_p, sigma_p, q_p
                 acc[1] += 1
                 post_acc[1] += post
 
             xi_p = xi + s2 * n2
             q_p = (xi_p - g2) * (xi_p - g2) / d2
-            lp = -0.5 * (q0 + q1 + q_p) + _gp_loglik(y, y_min, y_max, sigma, xi_p)
-            if u2 < lp - lt:
-                xi, q2, lt = xi_p, q_p, lp
+            prior_p = -0.5 * (q0 + q1 + q_p)
+            lo, hi = _gp_loglik_interval(moments, mu, y_min, y_max, sigma, xi_p)
+            if u2 < (prior_p + lo) - lt_hi:
+                accept = True
+                lt_lo, lt_hi = prior_p + lo, prior_p + hi
+            elif u2 >= (prior_p + hi) - lt_lo:
+                accept = False
+            else:
+                y = x - mu if y is None else y
+                if lt_lo != lt_hi:
+                    lt_lo = lt_hi = target(y, y_min, y_max, sigma, xi, q0, q1, q2)
+                lp = target(y, y_min, y_max, sigma, xi_p, q0, q1, q_p)
+                accept = u2 < lp - lt_lo
+                if accept:
+                    lt_lo = lt_hi = lp
+            if accept:
+                xi, q2 = xi_p, q_p
                 acc[2] += 1
                 post_acc[2] += post
 

@@ -27,7 +27,9 @@ never divides its residuals by the scale; ``gp_logpdf`` computes each term
 the same way and makes the same support decision.  Its sums go through
 ``_term_sum``: the builtin ``sum`` on records of fewer than ``_PY_SUM_BELOW``
 terms, where numpy's per-call cost exceeds the loop's, and numpy's pairwise
-sum on longer ones.
+sum on longer ones.  ``_gp_loglik_interval`` bounds the float the kernel
+returns from the record's moments (``_record_moments``) without reading the
+peaks, so the sampler reads them only for the moves the bounds leave open.
 
 A Gaussian kernel density estimate of a sample (``_kde_pdf``) serves the
 posterior density output and the empirical index flood.
@@ -62,6 +64,10 @@ SHAPE_EPS = 1e-8
 # the float next to -1 towards 0: every t > -1 is at least this, so clamping
 # log1p's argument here moves no on-support term
 _ABOVE_MINUS_ONE = math.nextafter(-1.0, 0.0)
+# u: one rounding of a float64 operation moves its result by at most u times it
+_UNIT_ROUNDOFF = 2.0**-53
+# bounds the rounding of 1 + theta y at the extremes, in units of 1 + |theta y|
+_SLACK = 8.0 * _UNIT_ROUNDOFF
 # Values per temporary array in blocked array work. 15,000 float64 values
 # stay under glibc's default 128 KiB mmap threshold, so such temporaries are
 # reused heap memory instead of fresh mmapped pages, whose page faults cost
@@ -211,6 +217,7 @@ def _gp_loglik(
     is -n log sigma - sum(y) / sigma.  Both sums are ``_term_sum``'s, so on
     a record of fewer than ``_PY_SUM_BELOW`` peaks they are the builtin
     ``sum``'s, which ``fit._profile_grid`` repeats row by row.
+    ``_gp_loglik_interval`` bounds the result from scalars only.
     """
     n = y.size
     if n == 0:
@@ -225,6 +232,116 @@ def _gp_loglik(
     t = theta * y
     np.log1p(t, out=t)
     return -n * math.log(sigma) - (1.0 / xi + 1.0) * _term_sum(t)
+
+
+def _record_moments(x: np.ndarray) -> tuple[int, float, float, float, float, float, float]:
+    """The scalars of the peaks ``x`` that ``_gp_loglik_interval`` reads.
+
+    They are n, the mean c, the central sums m2, m3 and m4 about c,
+    max |x|, and ``eps_n`` = 2 n (n + 16) u (u the unit roundoff), the
+    rounding allowance of the interval's margin.  The sums go through
+    ``math.fsum``, so each is within a few roundings of its value at c,
+    and c is within 2u |mean| of the mean.
+    """
+    n = x.size
+    if n == 0:
+        return 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    mean = math.fsum(x.tolist()) / n
+    d = x - mean
+    d2 = d * d
+    return (
+        n,
+        mean,
+        math.fsum(d2.tolist()),
+        math.fsum((d2 * d).tolist()),
+        math.fsum((d2 * d2).tolist()),
+        float(np.abs(x).max()),
+        2.0 * n * (n + 16) * _UNIT_ROUNDOFF,
+    )
+
+
+def _gp_loglik_interval(
+    moments: tuple, mu: float, y_min: float, y_max: float, sigma: float, xi: float
+) -> tuple[float, float]:
+    """Bounds ``(lo, hi)`` on the float ``_gp_loglik(x - mu, y_min, y_max,
+    sigma, xi)`` returns, from ``_record_moments(x)`` and scalars only.
+
+    ``y_min`` and ``y_max`` are the kernel's ``x.min() - mu`` and
+    ``x.max() - mu``, so its support tests give (-inf, -inf) here too.
+    With theta = xi / sigma, the residual mean ybar = c - mu and
+    g = theta / (1 + theta ybar), the third-order expansion about ybar is
+
+        sum log1p(theta y) = n log1p(theta ybar) - g^2 m2 / 2 + g^3 m3 / 3 + R,
+
+    and Lagrange's remainder puts R in [-theta^4 m4 / (4 lo^4),
+    -theta^4 m4 / (4 hi^4)], lo and hi being the smaller and larger of
+    1 + theta y_min and 1 + theta y_max, each widened by its rounding.
+    The exponential law (|xi| < ``SHAPE_EPS``) is -n log sigma
+    - n ybar / sigma.  The margin, in units of ``eps_n``, has two parts:
+
+    - q (1 + q)^4, where slope = |theta| / min(lo, 1) bounds the slope of
+      log1p(theta y) and q = slope y_max bounds |log1p(theta y)| and
+      |g (x - c)|: the rounding of the kernel's terms, of its sum and of
+      its residuals fl(x - mu), and of this evaluation;
+    - slope max|x|: the rounding of the centre c, which is within
+      2u max|x| of the peaks' mean, so it moves ybar and leaves
+      sum(x - c) off 0.  Residuals far smaller than the peaks need it.
+
+    The kernel ends in fl(-n log sigma - fl(C S)), C = 1/xi + 1, which
+    rounding keeps monotone in its sum S, so bounds on S bound its
+    result.  When 1 + theta y may reach 0 within rounding, or the margin
+    overflows, the interval is (-inf, inf).
+    """
+    n, mean, m2, m3, m4, xabs, eps_n = moments
+    if n == 0:
+        return 0.0, 0.0
+    if y_min < 0.0:
+        return -math.inf, -math.inf
+    base = -n * math.log(sigma)
+    ybar = mean - mu
+    if abs(xi) < SHAPE_EPS:
+        # the kernel's fl(sum y) is n ybar within e
+        sy = n * ybar
+        e = eps_n * (y_max + xabs)
+        return base - (sy + e) / sigma, base - (sy - e) / sigma
+    theta = xi / sigma
+    b = 1.0 + theta * y_max
+    if b <= 0.0:
+        return -math.inf, -math.inf
+    a = 1.0 + theta * y_min
+    if theta > 0.0:
+        slope = theta
+        slack = _SLACK * (1.0 + theta * y_max)
+        lo, hi = a - slack, b + slack
+    else:
+        slope = -theta
+        slack = _SLACK * (1.0 - theta * y_max)
+        lo, hi = b - slack, a + slack
+        if lo <= 0.0:
+            return -math.inf, math.inf
+        if lo < 1.0:
+            slope /= lo
+    q = slope * y_max
+    q1 = 1.0 + q
+    q1 *= q1
+    e = eps_n * (q * q1 * q1 + slope * xabs)
+    if not e < math.inf:
+        return -math.inf, math.inf
+    g = theta / (1.0 + theta * ybar)
+    g2 = g * g
+    t2 = 0.5 * g2 * m2
+    tt = theta * theta
+    t4 = 0.25 * tt * tt * m4
+    lo *= lo
+    r_lo = t4 / (lo * lo)
+    s = n * math.log1p(theta * ybar) - t2 + g2 * g * m3 / 3.0
+    hi *= hi
+    s_lo = s - r_lo - e
+    s_hi = s - t4 / (hi * hi) + e
+    c = 1.0 / xi + 1.0
+    if c >= 0.0:
+        return base - c * s_hi, base - c * s_lo
+    return base - c * s_lo, base - c * s_hi
 
 
 def _term_sum(t: np.ndarray) -> float:

@@ -19,7 +19,14 @@ from regflood.bayes import (
     mcmc_sample,
     posterior_quantiles,
 )
-from regflood.distributions import _PY_SUM_BELOW, GpParams, gp_logpdf, gp_sample
+from regflood.distributions import (
+    _PY_SUM_BELOW,
+    SHAPE_EPS,
+    GpParams,
+    _gp_loglik,
+    gp_logpdf,
+    gp_sample,
+)
 from regflood.errors import ContractViolationError, ElicitationError, FitError, InputError
 from regflood.fit import GpFit, gp_fit_mle, return_level
 from regflood.indexflood import (
@@ -514,6 +521,111 @@ def reference_chains(prior, pot, config, seed):
     return draws, acceptance
 
 
+def exact_chains(prior, pot, config, seed):
+    """The sampler as it was before it decided moves on the likelihood's
+    interval: every proposal evaluates the kernel, in the same order of
+    operations, so its draws and acceptance are the sampler's bit for bit."""
+    x = np.asarray(pot.peaks, dtype=float)
+    g0, g1, g2 = prior.gamma
+    d0, d1, d2 = prior.d
+    xmin, xmax = (float(x.min()), float(x.max())) if x.size else (math.inf, -math.inf)
+
+    def log_target(z):
+        mu, sigma = math.exp(z[0]), math.exp(z[1])
+        dz = z - np.asarray(prior.gamma)
+        quad = -0.5 * float((dz * dz / np.asarray(prior.d)).sum())
+        return quad + _gp_loglik(x - mu, xmin - mu, xmax - mu, sigma, z[2])
+
+    sd = np.sqrt(np.asarray(prior.d))
+    base = bayes._initial_state(prior, x)
+    burn_in, thinning = config.burn_in, config.thinning
+    draws = np.empty((config.chains, len(range(burn_in, config.iterations, thinning)), 3))
+    acceptance = np.empty((config.chains, 3))
+    streams = np.random.SeedSequence(seed).spawn(config.chains)
+    for c in range(config.chains):
+        rng = np.random.default_rng(streams[c])
+        z = base + 0.1 * sd * rng.standard_normal(3)
+        for _ in range(20):
+            if log_target(z) > -math.inf:
+                break
+            z = 0.5 * (z + base)
+        else:
+            z = base.copy()
+        lt = log_target(z)
+        lm, ls, xi = z.tolist()
+        mu, sigma = math.exp(lm), math.exp(ls)
+        q0 = (lm - g0) * (lm - g0) / d0
+        q1 = (ls - g1) * (ls - g1) / d1
+        q2 = (xi - g2) * (xi - g2) / d2
+        y, y_min, y_max = x - mu, xmin - mu, xmax - mu
+        scales = 2.4 * sd
+        s0, s1, s2 = scales.tolist()
+        acc = [0, 0, 0]
+        post_acc = [0, 0, 0]
+        kept = []
+        for it in range(config.iterations):
+            row = it % bayes._BLOCK
+            if row == 0:
+                steps = rng.standard_normal((bayes._BLOCK, 3)).tolist()
+                log_u = np.log(rng.random((bayes._BLOCK, 3))).tolist()
+            n0, n1, n2 = steps[row]
+            u0, u1, u2 = log_u[row]
+            post = it >= burn_in
+
+            lm_p = lm + s0 * n0
+            mu_p = math.exp(lm_p)
+            q_p = (lm_p - g0) * (lm_p - g0) / d0
+            y_min_p = xmin - mu_p
+            if y_min_p < 0.0:
+                lp = -math.inf
+            else:
+                y_p, y_max_p = x - mu_p, xmax - mu_p
+                lp = -0.5 * (q_p + q1 + q2) + _gp_loglik(y_p, y_min_p, y_max_p, sigma, xi)
+            if u0 < lp - lt:
+                lm, mu, q0, lt = lm_p, mu_p, q_p, lp
+                y, y_min, y_max = y_p, y_min_p, y_max_p
+                acc[0] += 1
+                post_acc[0] += post
+
+            ls_p = ls + s1 * n1
+            sigma_p = math.exp(ls_p)
+            q_p = (ls_p - g1) * (ls_p - g1) / d1
+            lp = -0.5 * (q0 + q_p + q2) + _gp_loglik(y, y_min, y_max, sigma_p, xi)
+            if u1 < lp - lt:
+                ls, sigma, q1, lt = ls_p, sigma_p, q_p, lp
+                acc[1] += 1
+                post_acc[1] += post
+
+            xi_p = xi + s2 * n2
+            q_p = (xi_p - g2) * (xi_p - g2) / d2
+            lp = -0.5 * (q0 + q1 + q_p) + _gp_loglik(y, y_min, y_max, sigma, xi_p)
+            if u2 < lp - lt:
+                xi, q2, lt = xi_p, q_p, lp
+                acc[2] += 1
+                post_acc[2] += post
+
+            if not post:
+                if (it + 1) % bayes._ADAPT_WINDOW == 0:
+                    rates = np.asarray(acc, dtype=float) / bayes._ADAPT_WINDOW
+                    factor = np.exp(1.2 * (rates - 0.35))
+                    scales *= np.clip(factor, 0.5, 2.0)
+                    scales = np.clip(scales, 1e-6, 100.0)
+                    s0, s1, s2 = scales.tolist()
+                    acc = [0, 0, 0]
+            elif (it - burn_in) % thinning == 0:
+                kept.append((mu, sigma, xi))
+        draws[c] = kept
+        acceptance[c] = np.asarray(post_acc, dtype=float) / (config.iterations - burn_in)
+    return draws, acceptance
+
+
+def assert_exact(chains, prior, pot, config, seed):
+    """The sampler's draws and acceptance are ``exact_chains``' bit for bit."""
+    draws, acceptance = exact_chains(prior, pot, config, seed)
+    assert np.array_equal(chains.draws, draws)
+    assert np.array_equal(chains.acceptance, acceptance)
+
+
 KERNEL_RUN = McmcConfig(chains=2, iterations=1200, burn_in=400)
 
 
@@ -536,6 +648,7 @@ def test_mcmc_matches_the_reference_kernel(pot, config):
     draws, acceptance = reference_chains(PRIOR, pot, config, seed=21)
     assert np.array_equal(chains.acceptance, acceptance)
     np.testing.assert_allclose(chains.draws, draws, rtol=1e-12, atol=0.0)
+    assert_exact(chains, PRIOR, pot, config, seed=21)
 
 
 @st.composite
@@ -569,6 +682,46 @@ def test_mcmc_matches_the_reference_kernel_on_drawn_records(case):
     draws, acceptance = reference_chains(prior, pot, KERNEL_RUN, seed=seed)
     assert np.array_equal(chains.acceptance, acceptance)
     np.testing.assert_allclose(chains.draws, draws, rtol=1e-12, atol=0.0)
+    assert_exact(chains, prior, pot, KERNEL_RUN, seed=seed)
+
+
+@st.composite
+def interval_sampler_cases(draw):
+    """Records and priors from the interval's hard families: offsets up to
+    1e5 times the spread, shapes held within about 1e-6 of 0 or at
+    +-SHAPE_EPS, shapes near -1 on records near their upper endpoint, peaks
+    on the threshold, and n = 1."""
+    n = draw(st.one_of(st.just(1), st.integers(1, 120)))
+    spread = draw(st.floats(0.3, 20.0))
+    u = spread * draw(st.one_of(st.floats(1.0, 10.0), st.floats(10.0, 1e5)))
+    family = draw(st.sampled_from(["drawn", "near-zero", "at-eps", "near-minus-one"]))
+    shape = {"drawn": draw(st.floats(-0.4, 0.6)), "near-minus-one": -0.9}.get(family, 0.0)
+    peaks = gp_sample(GpParams(u, spread, shape), n, seed=draw(st.integers(0, 2**20)))
+    peaks[: draw(st.integers(0, min(n, 4)))] = u
+    gamma2, d2 = {
+        "drawn": (draw(st.floats(-0.3, 0.4)), draw(st.floats(0.002, 0.05))),
+        # steps of about 1e-6 and SHAPE_EPS: the exponential branch switches
+        "near-zero": (0.0, 1e-13),
+        "at-eps": (draw(st.sampled_from([-1.0, 1.0])) * SHAPE_EPS, 1e-17),
+        "near-minus-one": (-0.9, 1e-3),
+    }[family]
+    prior = PriorSpec(
+        gamma=(
+            math.log(u) + draw(st.floats(-0.3, 0.3)) * spread / u,
+            math.log(spread) + draw(st.floats(-0.5, 0.5)),
+            gamma2,
+        ),
+        d=(draw(st.floats(0.005, 0.2)) * (spread / u) ** 2, draw(st.floats(0.005, 0.2)), d2),
+    )
+    pot = make_pot(peaks, u, max(1.0, n / 2.0))
+    return prior, pot, draw(st.integers(0, 2**16))
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(interval_sampler_cases())
+def test_mcmc_is_the_exact_sampler_on_the_intervals_hard_records(case):
+    prior, pot, seed = case
+    assert_exact(mcmc_sample(prior, pot, KERNEL_RUN, seed=seed), prior, pot, KERNEL_RUN, seed)
 
 
 # (acceptance, last draw of each chain, fsum of each coordinate's draws) of
@@ -607,9 +760,10 @@ def test_mcmc_draws_are_pinned_on_both_sides_of_the_sum_switch(n, record_seed):
 
 
 def test_mcmc_passes_the_kernel_the_extremes_of_its_residuals(monkeypatch):
-    # the sampler keeps y = x - mu with its extremes xmin - mu and xmax - mu;
-    # subtracting a scalar is monotone under rounding, so they are y's own
-    # extremes exactly, after every accepted location move too
+    # the sampler builds y = x - mu when the kernel runs and keeps the
+    # extremes xmin - mu and xmax - mu; subtracting a scalar is monotone
+    # under rounding, so they are y's own extremes exactly, after every
+    # accepted location move too
     kernel = bayes._gp_loglik
     calls = []
 
@@ -623,8 +777,9 @@ def test_mcmc_passes_the_kernel_the_extremes_of_its_residuals(monkeypatch):
     peaks = gp_sample(GpParams(5.0, 2.0, -0.2), 60, seed=10)
     peaks[:3] = 5.0
     chains = mcmc_sample(PRIOR, make_pot(peaks, 5.0, 30.0), KERNEL_RUN, seed=21)
-    # every scale and shape move calls the kernel; location moves did move y
-    assert len(calls) > 2 * KERNEL_RUN.chains * KERNEL_RUN.iterations
+    # the likelihood's interval decides most moves, the kernel the rest;
+    # location moves did move y
+    assert 0 < len(calls) < KERNEL_RUN.chains * KERNEL_RUN.iterations
     assert len(set(calls)) > 100
     assert chains.acceptance[:, 0].min() > 0.05
 

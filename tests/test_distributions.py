@@ -10,6 +10,8 @@ from regflood.distributions import (
     _PY_SUM_BELOW,
     SHAPE_EPS,
     _gp_loglik,
+    _gp_loglik_interval,
+    _record_moments,
     _term_sum,
     _kde_pdf,
     GpParams,
@@ -230,6 +232,8 @@ def test_residual_loglik_matches_gp_logpdf(params):
     empty = np.empty(0)
     assert _gp_loglik(empty, math.inf, -math.inf, sigma, xi) == 0.0
     assert float(gp_logpdf(GpParams(mu, sigma, xi), empty).sum()) == 0.0
+    moments = _record_moments(empty)
+    assert _gp_loglik_interval(moments, mu, math.inf, -math.inf, sigma, xi) == (0.0, 0.0)
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)
@@ -313,6 +317,67 @@ def test_log1p_never_sees_minus_one_at_the_support_edges():
                     assert got == -math.inf
     # some shapes put the largest peak exactly on the endpoint
     assert exact > 0
+
+
+@st.composite
+def interval_cases(draw):
+    """A record of 1-120 peaks and (mu, sigma, xi) from the families where
+    the interval's margin is thinnest: offsets up to 1e5 times the spread,
+    shapes within 1e-6 of 0 and at +-SHAPE_EPS, shapes near -1 with the
+    largest peak near the upper endpoint, peaks on the threshold, n = 1."""
+    n = draw(st.one_of(st.just(1), st.integers(1, 120)))
+    spread = draw(st.floats(0.05, 50.0))
+    offset = draw(st.one_of(st.floats(0.0, 10.0), st.floats(10.0, 1e5)))
+    u = spread * offset
+    peaks = gp_sample(
+        GpParams(u, spread, draw(st.floats(-0.5, 0.8))), n, seed=draw(st.integers(0, 2**20))
+    )
+    peaks[: draw(st.integers(0, n))] = u
+    xmin, xmax = float(peaks.min()), float(peaks.max())
+    mu = draw(
+        st.one_of(
+            st.sampled_from([xmin, math.nextafter(xmin, math.inf)]),
+            st.floats(xmin - 3.0 * spread, xmin),
+            st.floats(0.0, 1e-6).map(lambda f: xmin - f * spread),
+        )
+    )
+    sigma = spread * draw(st.floats(0.05, 20.0))
+    xi = draw(
+        st.one_of(
+            st.floats(-0.9, 1.5),
+            st.floats(-1e-6, 1e-6),
+            st.sampled_from([-1.0, 1.0]).map(lambda sign: sign * SHAPE_EPS),
+            st.sampled_from([-1.0, 1.0]).map(lambda sign: sign * math.nextafter(SHAPE_EPS, 0.0)),
+            st.floats(-1.2, -0.8),
+        )
+    )
+    if xi < -0.5 and xmax > mu and draw(st.booleans()):
+        # the upper endpoint just beyond (or on) the largest peak
+        sigma = -xi * (xmax - mu) * (1.0 + draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-4, 0.1])))
+    return peaks, mu, sigma, xi
+
+
+@settings(deadline=None, max_examples=1500, derandomize=True)
+@given(interval_cases())
+def test_loglik_interval_encloses_the_kernel(case):
+    peaks, mu, sigma, xi = case
+    y = peaks - mu
+    y_min, y_max = float(y.min()), float(y.max())
+    got = _gp_loglik(y, y_min, y_max, sigma, xi)
+    lo, hi = _gp_loglik_interval(_record_moments(peaks), mu, y_min, y_max, sigma, xi)
+    assert lo <= got <= hi
+    # the interval makes the kernel's support decision
+    assert (hi == -math.inf) == (got == -math.inf)
+
+
+def test_loglik_interval_is_narrow_on_an_ordinary_record():
+    # what lets the sampler decide most moves without the kernel
+    x = EDGE_PEAKS
+    moments = _record_moments(x)
+    mu = float(x.min()) - 0.1
+    for xi, width in ((0.0, 1e-9), (0.1, 0.05)):
+        lo, hi = _gp_loglik_interval(moments, mu, x.min() - mu, x.max() - mu, 2.0, xi)
+        assert 0.0 < hi - lo < width
 
 
 def test_kappa_params_validation():
