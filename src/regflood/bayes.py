@@ -94,7 +94,7 @@ class PriorSpec:
 def _donor_regression(sites: Sequence[RegionSite], index_method: str) -> AreaRegression:
     """Index-flood area regression over the donor sites, ``elicit_prior``'s donors."""
     return fit_area_regression(
-        [(s.meta.code, s.meta.area_km2, s.index_flood(index_method).value) for s in sites]
+        [(s.meta.code, s.meta.area_km2, s.index_flood(index_method)) for s in sites]
     )
 
 
@@ -136,7 +136,7 @@ def elicit_prior(
     for site in donors:
         code = site.meta.code
         try:
-            c = site.index_flood(index_method).value
+            c = site.index_flood(index_method)
             vm, vs, _ = log_param_variances(site.fit)
         except (FitError, InputError) as exc:
             log.warning("dropping donor site %s from elicitation: %s", code, exc)
@@ -297,15 +297,17 @@ def mcmc_sample(
     # before using them
     xmin, xmax = (float(x.min()), float(x.max())) if x.size else (math.inf, -math.inf)
 
-    def log_target(z: np.ndarray) -> float:
-        mu, sigma = math.exp(z[0]), math.exp(z[1])
-        dz = z - np.asarray(prior.gamma)
-        quad = -0.5 * float((dz * dz / np.asarray(prior.d)).sum())
-        return quad + _gp_loglik(x - mu, xmin - mu, xmax - mu, sigma, z[2])
-
     def target(y, y_min, y_max, sigma, xi, q0, q1, q2):
         # the log target as the move that accepted it computed it
         return -0.5 * (q0 + q1 + q2) + _gp_loglik(y, y_min, y_max, sigma, xi)
+
+    def log_target(z: np.ndarray) -> float:
+        lm, ls, xi = z.tolist()
+        mu = math.exp(lm)
+        q0 = (lm - g0) * (lm - g0) / d0
+        q1 = (ls - g1) * (ls - g1) / d1
+        q2 = (xi - g2) * (xi - g2) / d2
+        return target(x - mu, xmin - mu, xmax - mu, math.exp(ls), xi, q0, q1, q2)
 
     moments = _record_moments(x)
     sd = np.sqrt(np.asarray(prior.d))

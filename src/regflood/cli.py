@@ -45,6 +45,7 @@ from .fileio import (
     SiteEntry,
     _level_json,
     _num,
+    _params_payload,
     build_region,
     eval_report_payload,
     load_region_config,
@@ -222,11 +223,7 @@ def cmd_fit(args) -> list[str]:
             "rate": pot.rate,
             "threshold": pot.threshold,
             "record_years": pot.record_years,
-            "params": {
-                "location": fit.params.location,
-                "scale": fit.params.scale,
-                "shape": fit.params.shape,
-            },
+            "params": _params_payload(fit.params),
             "boundary": fit.boundary,
             "loglik": _num(fit.loglik),
             "covariance": None if fit.covariance is None else fit.covariance.tolist(),
@@ -676,6 +673,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; return 0, or 1, 2 or 3 for input, numerical or contract errors."""
     _setup_logging()
     parser = build_parser()
     try:

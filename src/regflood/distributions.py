@@ -32,7 +32,7 @@ returns from the record's moments (``_record_moments``) without reading the
 peaks, so the sampler reads them only for the moves the bounds leave open.
 
 A Gaussian kernel density estimate of a sample (``_kde_pdf``) serves the
-posterior density output and the empirical index flood.
+posterior density output.
 """
 
 from __future__ import annotations

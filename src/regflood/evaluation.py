@@ -443,6 +443,7 @@ class EvalReport:
         return self.nbias[i][j], self.nrmse[i][j], self.k[i][j]
 
     def score(self, model: str) -> float:
+        """Standardized rank score R_S of one model (1 = best everywhere)."""
         return self.r_s[self.models.index(model)]
 
 
@@ -461,7 +462,7 @@ def _model_estimates(
         fit = window.fit if name == "MLE" else gp_fit_pwm(tpot, variant)
         return {T: return_level(fit.params, tpot.rate, T) for T in periods}
     if name == "REG":
-        c = window.index_flood().value
+        c = window.index_flood()
         out = {}
         for T in periods:
             _check_rate_period(tpot.rate, T)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -200,6 +201,7 @@ def _series_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_metadata_csv(path, metas: Sequence[StationMeta]) -> None:
+    """Write station metadata, one row per station, floats in round-trip form."""
     with open(Path(path), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(_META_HEADER)
@@ -218,6 +220,7 @@ def write_metadata_csv(path, metas: Sequence[StationMeta]) -> None:
 
 
 def read_metadata_csv(path) -> tuple[StationMeta, ...]:
+    """Read station metadata; errors name the file and the data row."""
     path = Path(path)
     out: list[StationMeta] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -268,6 +271,7 @@ def write_json(path, kind: str, body: Mapping) -> None:
 
 
 def read_json(path, kind: str) -> dict:
+    """Read a JSON artifact, refusing another ``kind`` or schema version."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -290,6 +294,7 @@ def read_json(path, kind: str) -> dict:
 
 
 def write_pot_json(path, pot: PotSeries) -> None:
+    """Write an event series as a ``pot-series`` artifact."""
     write_json(
         path,
         "pot-series",
@@ -303,9 +308,19 @@ def write_pot_json(path, pot: PotSeries) -> None:
     )
 
 
-def read_pot_json(path) -> PotSeries:
-    obj = read_json(path, "pot-series")
+@contextmanager
+def _artifact(path, kind: str, what: str):
+    """The body of a ``kind`` artifact; a missing or invalid value names the file."""
+    obj = read_json(path, kind)
     try:
+        yield obj
+    except (KeyError, IndexError, ValueError, TypeError, AttributeError, InputError) as exc:
+        raise InputError(f"{Path(path).name}: malformed {what}: {exc}") from exc
+
+
+def read_pot_json(path) -> PotSeries:
+    """Read a ``pot-series`` artifact; errors name the file."""
+    with _artifact(path, "pot-series", "event series") as obj:
         return PotSeries(
             station=obj["station"],
             threshold=float(obj["threshold"]),
@@ -313,10 +328,6 @@ def read_pot_json(path) -> PotSeries:
             peaks=np.array(obj["peaks"], dtype=float),
             record_years=float(obj["record_years"]),
         )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{Path(path).name}: malformed event series: {exc}") from exc
-    except InputError as exc:
-        raise InputError(f"{Path(path).name}: {exc}") from exc
 
 
 def _params_payload(params: GpParams) -> dict:
@@ -332,6 +343,7 @@ def _params_from(obj: Mapping) -> GpParams:
 
 
 def write_growth_curve_json(path, curve: GrowthCurve) -> None:
+    """Write a regional growth curve as a ``growth-curve`` artifact."""
     write_json(
         path,
         "growth-curve",
@@ -345,19 +357,18 @@ def write_growth_curve_json(path, curve: GrowthCurve) -> None:
 
 
 def read_growth_curve_json(path) -> GrowthCurve:
-    obj = read_json(path, "growth-curve")
-    try:
+    """Read a ``growth-curve`` artifact; errors name the file."""
+    with _artifact(path, "growth-curve", "growth curve") as obj:
         return GrowthCurve(
             params=_params_from(obj["params"]),
             members=tuple(obj["members"]),
             rescale=obj["rescale"],
             index_floods={k: float(v) for k, v in obj["index_floods"].items()},
         )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{Path(path).name}: malformed growth curve: {exc}") from exc
 
 
 def write_prior_json(path, prior: PriorSpec) -> None:
+    """Write prior hyper-parameters and their provenance as a ``prior`` artifact."""
     body: dict = {
         "gamma": [float(g) for g in prior.gamma],
         "d": [float(v) for v in prior.d],
@@ -376,8 +387,8 @@ def write_prior_json(path, prior: PriorSpec) -> None:
 
 
 def read_prior_json(path) -> PriorSpec:
-    obj = read_json(path, "prior")
-    try:
+    """Read a ``prior`` artifact; errors name the file."""
+    with _artifact(path, "prior", "prior") as obj:
         prov = None
         if obj.get("provenance") is not None:
             p = obj["provenance"]
@@ -394,11 +405,10 @@ def read_prior_json(path) -> PriorSpec:
             d=(float(d[0]), float(d[1]), float(d[2])),
             provenance=prov,
         )
-    except (KeyError, IndexError, ValueError, TypeError) as exc:
-        raise InputError(f"{Path(path).name}: malformed prior: {exc}") from exc
 
 
 def write_truth_json(path, truth: RegionTruth) -> None:
+    """Write a synthetic region's ground truth as a ``region-truth`` artifact."""
     sites = {}
     for code in truth.site_params:
         sites[code] = {
@@ -414,8 +424,8 @@ def write_truth_json(path, truth: RegionTruth) -> None:
 
 
 def read_truth_json(path) -> RegionTruth:
-    obj = read_json(path, "region-truth")
-    try:
+    """Read a ``region-truth`` artifact; errors name the file."""
+    with _artifact(path, "region-truth", "ground truth") as obj:
         sites = obj["sites"]
         return RegionTruth(
             curve=_params_from(obj["curve"]),
@@ -423,8 +433,6 @@ def read_truth_json(path) -> RegionTruth:
             scale_factors={c: float(s["scale_factor"]) for c, s in sites.items()},
             index_floods={c: float(s["index_flood"]) for c, s in sites.items()},
         )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{Path(path).name}: malformed ground truth: {exc}") from exc
 
 
 def eval_report_payload(report: EvalReport) -> dict:

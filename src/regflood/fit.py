@@ -58,7 +58,7 @@ log = logging.getLogger("regflood")
 _XI_MIN, _XI_MAX = -0.99, 5.0
 _MIN_EVENTS = 5
 # coefficient of variation of a POT threshold, the uncertainty that stands in
-# for the fixed location's in index-flood and prior variances
+# for the fixed location's in the prior variances
 THRESHOLD_CV = 0.1
 _BOOTSTRAP_SIZE = 500
 # shapes on which _profile_loglik starts its search
@@ -524,6 +524,8 @@ def log_param_variances(fit: GpFit) -> tuple[float, float, float]:
 
 
 class ProfileCi(NamedTuple):
+    """Profile-likelihood interval; an unbounded side stopped at its search limit."""
+
     lower: float
     upper: float
     lower_unbounded: bool

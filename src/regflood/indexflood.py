@@ -5,10 +5,6 @@ exceeded once a year on average, i.e. non-exceedance 1 - 1/rate of the
 event-peak law. Sites in a homogeneous region share a dimensionless
 growth curve; each site's curve scales by its index flood.
 
-The empirical index flood is the sample quantile of the peaks, whose
-asymptotic variance needs the peak density there: a Gaussian kernel
-density estimate with Scott's bandwidth (``distributions._kde_pdf``).
-
 For ungauged or weakly gauged targets the index flood is predicted from
 basin area through the log-log regression C = a * A**b; the prediction
 variance on the log scale carries both the curve uncertainty and the
@@ -23,9 +19,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import _kde_pdf
-from .errors import InputError
-from .fit import THRESHOLD_CV, GpFit, gp_fit_mle, quantile_variance, return_level
+from .errors import DegenerateSampleError, InputError
+from .fit import GpFit, gp_fit_mle, return_level
 from .pot import PotSeries
 
 __all__ = [
@@ -62,25 +57,24 @@ class StationMeta:
 
 
 class IndexFlood(NamedTuple):
+    """Index flood predicted from basin area, with its log-scale variance."""
+
     value: float
     var_log: float
 
 
-def at_site_index_flood(pot: PotSeries, method: str = "gp-fit") -> IndexFlood:
-    """One-year return level of a site with its log-scale variance.
+def at_site_index_flood(pot: PotSeries, method: str = "gp-fit") -> float:
+    """One-year return level of a site.
 
-    ``gp-fit`` propagates the MLE covariance through the quantile gradient,
-    plus the threshold-uncertainty term (``THRESHOLD_CV`` times the
-    threshold, squared) for the fixed location;
-    ``empirical`` uses the sample quantile of the peaks with its
-    asymptotic density-based variance, the density from a Gaussian KDE of
-    the peaks; equal peaks raise DegenerateSampleError.  A region site
+    ``gp-fit`` takes it from the site's GP maximum likelihood fit;
+    ``empirical`` is the sample quantile of the peaks, at least 10 of
+    them, and equal peaks raise DegenerateSampleError.  A region site
     gives the same value from its one kept fit: ``RegionSite.index_flood``.
     """
     return _index_flood(pot, lambda: gp_fit_mle(pot), method)
 
 
-def _index_flood(pot: PotSeries, fit_of: Callable[[], GpFit], method: str) -> IndexFlood:
+def _index_flood(pot: PotSeries, fit_of: Callable[[], GpFit], method: str) -> float:
     # also RegionSite.index_flood; only gp-fit calls fit_of, for the MLE of pot
     rate = pot.rate
     if rate <= 1.0:
@@ -88,27 +82,21 @@ def _index_flood(pot: PotSeries, fit_of: Callable[[], GpFit], method: str) -> In
             f"one-year level needs more than one event per year, got rate {rate!r}"
         )
     if method == "gp-fit":
-        fit = fit_of()
-        c = return_level(fit.params, rate, 1.0)
-        var_q = quantile_variance(fit, rate, 1.0) if fit.covariance is not None else 0.0
-        var_q += (THRESHOLD_CV * pot.threshold) ** 2
-        if c <= 0:
-            raise InputError(f"index flood must be positive, got {c!r}")
-        return IndexFlood(c, var_q / c**2)
-    if method == "empirical":
+        c = return_level(fit_of().params, rate, 1.0)
+    elif method == "empirical":
         x = pot.peaks
         if x.size < 10:
             raise InputError(
                 f"empirical index flood needs at least 10 events, got {x.size}"
             )
-        p = 1.0 - 1.0 / rate
-        c = float(np.quantile(x, p))
-        density = float(_kde_pdf(x, c)[0])
-        if density <= 0 or c <= 0:
-            raise InputError("degenerate peak distribution; no empirical index flood")
-        var_q = p * (1.0 - p) / (x.size * density**2)
-        return IndexFlood(c, var_q / c**2)
-    raise InputError(f"method must be 'gp-fit' or 'empirical', got {method!r}")
+        if x.min() == x.max():
+            raise DegenerateSampleError("equal peaks; no empirical index flood")
+        c = float(np.quantile(x, 1.0 - 1.0 / rate))
+    else:
+        raise InputError(f"method must be 'gp-fit' or 'empirical', got {method!r}")
+    if c <= 0:
+        raise InputError(f"index flood must be positive, got {c!r}")
+    return c
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,7 @@ class PotSeries:
 
     @property
     def exceedances(self) -> np.ndarray:
+        """Peaks minus the threshold."""
         return self.peaks - self.threshold
 
     def rescaled(self, factor: float) -> "PotSeries":
@@ -239,6 +240,8 @@ def extract_pot(
 
 
 class ThresholdSelection(NamedTuple):
+    """A selected threshold and the event rate per year it gives."""
+
     threshold: float
     rate: float
 

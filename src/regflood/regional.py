@@ -40,7 +40,7 @@ from .distributions import (
 )
 from .errors import DegenerateSampleError, FitError, InputError, InsufficientDataError
 from .fit import GpFit, gp_fit_mle
-from .indexflood import IndexFlood, StationMeta, _index_flood
+from .indexflood import StationMeta, _index_flood
 from .lmoments import (
     LmomentSet,
     _lmoments_from_pwm,
@@ -91,11 +91,12 @@ class RegionSite:
 
     @property
     def fit(self) -> GpFit:
+        """The record's GP maximum likelihood fit, or the error it raised, kept."""
         if isinstance(self._fit, Exception):
             raise self._fit
         return self._fit
 
-    def index_flood(self, method: str = "gp-fit") -> IndexFlood:
+    def index_flood(self, method: str = "gp-fit") -> float:
         """``at_site_index_flood`` of the record, from ``fit`` for ``gp-fit``."""
         return _index_flood(self.pot, lambda: self.fit, method)
 
@@ -124,9 +125,11 @@ class Region:
 
     @property
     def codes(self) -> tuple[str, ...]:
+        """Station codes of the sites, in region order."""
         return tuple(s.meta.code for s in self.sites)
 
     def site(self, code: str) -> RegionSite:
+        """The site with station ``code``; InputError if there is none."""
         for s in self.sites:
             if s.meta.code == code:
                 return s
@@ -134,9 +137,11 @@ class Region:
 
     @property
     def target_site(self) -> RegionSite:
+        """The analysis target's site."""
         return self.site(self.target)
 
     def others(self, code: str | None = None) -> tuple[RegionSite, ...]:
+        """Every site but ``code``'s, by default every site but the target."""
         code = self.target if code is None else code
         return tuple(s for s in self.sites if s.meta.code != code)
 
@@ -149,6 +154,7 @@ _D_CRITICAL = {
 
 
 def discordancy_critical_value(n_sites: int) -> float:
+    """Critical discordancy value for a region of ``n_sites`` sites (3.0 from 15)."""
     if n_sites >= 15:
         return 3.0
     return _D_CRITICAL.get(n_sites, 1.333)
@@ -156,6 +162,8 @@ def discordancy_critical_value(n_sites: int) -> float:
 
 @dataclass(frozen=True)
 class DiscordancyReport:
+    """Discordancy of each site, the critical value and the sites above it."""
+
     codes: tuple[str, ...]
     values: tuple[float, ...]
     critical: float
@@ -234,6 +242,8 @@ def fit_simulation_parent(lmom: LmomentSet) -> tuple[KappaParams | GpParams, str
 
 @dataclass(frozen=True)
 class HeterogeneityReport:
+    """Heterogeneity measures H1-H3, their V statistics and the simulation behind them."""
+
     h1: float
     h2: float
     h3: float
@@ -249,6 +259,7 @@ class HeterogeneityReport:
 
 
 def classify_h1(h1: float) -> str:
+    """Hosking-Wallis verdict on H1: homogeneous below 1, definitively heterogeneous from 2."""
     if h1 < 1.0:
         return "acceptably homogeneous"
     if h1 < 2.0:
@@ -368,7 +379,7 @@ def growth_curve(
     lmoms = [sample_lmoments(s.pot.peaks) for s in members]
     lengths = [len(s.pot) for s in members]
     if rescale == "index":
-        factors = [s.index_flood(index_method).value for s in members]
+        factors = [s.index_flood(index_method) for s in members]
         avg = regional_average_lmoments(lmoms, lengths, scale_factors=factors)
     else:
         factors = [float(lm.l1) for lm in lmoms]

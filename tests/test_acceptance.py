@@ -343,7 +343,7 @@ def test_criterion_07_short_record_model_ordering():
 
 def _elicited(region):
     points = [
-        (s.meta.code, s.meta.area_km2, at_site_index_flood(s.pot).value)
+        (s.meta.code, s.meta.area_km2, at_site_index_flood(s.pot))
         for s in region.others()
     ]
     return elicit_prior(region, fit_area_regression(points))
@@ -371,7 +371,7 @@ def test_criterion_08_leave_target_out_contract(tmp_path):
 
     with_target = fit_area_regression(
         [
-            (s.meta.code, s.meta.area_km2, at_site_index_flood(s.pot).value)
+            (s.meta.code, s.meta.area_km2, at_site_index_flood(s.pot))
             for s in region.sites
         ]
     )

@@ -76,7 +76,7 @@ def synth_region(n_sites=10, seed=0, years=30.0, shape=0.1, sigma_rel=0.55):
 
 def donor_regression(region):
     points = [
-        (s.meta.code, s.meta.area_km2, at_site_index_flood(s.pot).value)
+        (s.meta.code, s.meta.area_km2, at_site_index_flood(s.pot))
         for s in region.others()
     ]
     return fit_area_regression(points)
@@ -281,7 +281,7 @@ def test_too_few_donors(site_fits):
 def test_donors_are_the_regression_sites():
     region, _ = synth_region(n_sites=8, seed=2)
     points = [
-        (s.meta.code, s.meta.area_km2, s.index_flood().value)
+        (s.meta.code, s.meta.area_km2, s.index_flood())
         for s in region.sites
         if s.meta.code in ("S2", "S4", "S5", "S7")
     ]

@@ -293,6 +293,67 @@ def test_truth_json_round_trip(tmp_path):
     assert read_truth_json(path) == truth
 
 
+_CURVE = GpParams(1.0, 0.55, 0.1)
+
+
+@pytest.mark.parametrize(
+    "write, read, artifact, old, new, what",
+    [
+        (
+            write_pot_json,
+            read_pot_json,
+            make_pot([12.5, 14.0], 12.0, 1.0),
+            '"record_years": 1.0',
+            '"record_years": -1.0',
+            "event series",
+        ),
+        (
+            write_growth_curve_json,
+            read_growth_curve_json,
+            GrowthCurve(_CURVE, ("S1", "S2"), "index", {"S1": 10.0, "S2": 20.5}),
+            '"scale": 0.55',
+            '"scale": -1.0',
+            "growth curve",
+        ),
+        (
+            write_growth_curve_json,
+            read_growth_curve_json,
+            GrowthCurve(_CURVE, ("S1", "S2"), "mean", {}),
+            '"index_floods": {}',
+            '"index_floods": []',
+            "growth curve",
+        ),
+        (
+            write_prior_json,
+            read_prior_json,
+            PriorSpec(gamma=(2.5, 1.8, 0.11), d=(0.04, 0.02, 0.01)),
+            "0.04",
+            "-0.04",
+            "prior",
+        ),
+        (
+            write_truth_json,
+            read_truth_json,
+            RegionTruth(_CURVE, {"S0": GpParams(5.0, 2.75, 0.1)}, {"S0": 5.0}, {"S0": 9.1}),
+            '"scale": 2.75',
+            '"scale": -1.0',
+            "ground truth",
+        ),
+    ],
+    ids=["pot", "growth-curve", "growth-curve-list", "prior", "truth"],
+)
+def test_typed_json_readers_name_the_file_of_an_invalid_value(
+    tmp_path, write, read, artifact, old, new, what
+):
+    path = tmp_path / "artifact.json"
+    write(path, artifact)
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    with pytest.raises(InputError, match=f"^artifact.json: malformed {what}: "):
+        read(path)
+
+
 def test_eval_report_payload_nan_becomes_null(tmp_path):
     config = EvalConfig(lengths=(5,), models=("MLE", "PWU"), seed=1)
     spec = SynthSpec(n_sites=4, years=30.0, lcv_dispersion=1.0)

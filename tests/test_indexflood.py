@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import gaussian_kde
 
 from regflood.distributions import GpParams, gp_quantile, gp_sample
 from regflood.errors import DegenerateSampleError, InputError
+from regflood.fit import gp_fit_mle, return_level
 from regflood.indexflood import (
     StationMeta,
     at_site_index_flood,
@@ -22,19 +22,10 @@ def test_at_site_gp_fit_recovers_one_year_level():
     true_c = float(gp_quantile(params, 0.5))
     pot = make_pot(gp_sample(params, 8000, seed=3), 5.0, 4000.0)
     got = at_site_index_flood(pot)
-    assert got.value == pytest.approx(true_c, rel=0.02)
-    assert got.var_log > 0
-    emp = at_site_index_flood(pot, method="empirical")
-    assert emp.value == pytest.approx(true_c, rel=0.05)
-    assert emp.var_log > 0
-
-
-def test_at_site_variance_shrinks_with_record():
-    params = GpParams(5.0, 3.0, 0.1)
-    small = at_site_index_flood(make_pot(gp_sample(params, 40, seed=5), 5.0, 20.0))
-    large = at_site_index_flood(make_pot(gp_sample(params, 400, seed=5), 5.0, 200.0))
-    # the threshold-uncertainty floor stays; the fit part must shrink
-    assert large.var_log < small.var_log
+    assert type(got) is float
+    assert got == return_level(gp_fit_mle(pot).params, pot.rate, 1.0)
+    assert got == pytest.approx(true_c, rel=0.02)
+    assert at_site_index_flood(pot, method="empirical") == pytest.approx(true_c, rel=0.05)
 
 
 def test_at_site_requires_more_than_one_event_per_year():
@@ -45,18 +36,15 @@ def test_at_site_requires_more_than_one_event_per_year():
         at_site_index_flood(make_pot([6.0] * 12, 5.0, 3.0), method="mystery")
 
 
-def test_empirical_index_flood_uses_the_kde_density():
+def test_empirical_index_flood_is_the_sample_quantile():
     pot = make_pot(gp_sample(GpParams(10.0, 4.0, 0.1), 60, 5), 10.0, 20.0)
     got = at_site_index_flood(pot, "empirical")
-    p = 1.0 - 1.0 / pot.rate
-    c = float(np.quantile(pot.peaks, p))
-    density = float(gaussian_kde(pot.peaks)(c)[0])
-    assert got.value == c
-    expected = p * (1.0 - p) / (pot.peaks.size * density**2) / c**2
-    assert got.var_log == pytest.approx(expected, rel=1e-11)
-    # equal peaks have no kernel bandwidth
-    with pytest.raises(DegenerateSampleError):
-        at_site_index_flood(make_pot([12.0] * 12, 10.0, 4.0), "empirical")
+    assert type(got) is float
+    assert got == np.quantile(pot.peaks, 1.0 - 1.0 / pot.rate)
+    # equal peaks, also those whose rounded mean differs from their value
+    for value, threshold in ((12.0, 10.0), (0.1, 0.0)):
+        with pytest.raises(DegenerateSampleError):
+            at_site_index_flood(make_pot([value] * 12, threshold, 4.0), "empirical")
 
 
 def test_area_regression_exact_power_law():
