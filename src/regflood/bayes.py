@@ -98,19 +98,14 @@ def _donor_regression(sites: Sequence[RegionSite], index_method: str) -> AreaReg
     )
 
 
-def elicit_prior(
-    region: Region,
-    regression: AreaRegression,
-    *,
-    index_method: str = "gp-fit",
-) -> PriorSpec:
+def elicit_prior(region: Region, regression: AreaRegression) -> PriorSpec:
     """Elicit the prior for the region's target site from its donor sites.
 
     The donors are the sites of the index-flood regression.  Each donor's
     one at-site fit (``RegionSite.fit``) is rescaled by the donor's own
-    index flood; the resulting dimensionless parameters times the
-    regression-predicted target index flood form the pseudo-parameter
-    sample behind the hyper-parameters.  The MLE is equivariant under
+    ``region.index_method`` index flood; the resulting dimensionless
+    parameters times the regression-predicted target index flood form the
+    pseudo-parameter sample behind the hyper-parameters.  The MLE is equivariant under
     rescaling and the log-scale and shape variances are invariant, so no
     donor is refitted.  Donors whose fit or index flood fails are dropped
     with a warning.
@@ -136,7 +131,7 @@ def elicit_prior(
     for site in donors:
         code = site.meta.code
         try:
-            c = site.index_flood(index_method)
+            c = site.index_flood(region.index_method)
             vm, vs, _ = log_param_variances(site.fit)
         except (FitError, InputError) as exc:
             log.warning("dropping donor site %s from elicitation: %s", code, exc)
@@ -546,11 +541,11 @@ def posterior_quantiles(
     mu, sigma, xi = pooled[:, 0], pooled[:, 1], pooled[:, 2]
     lo_p = 0.5 * (1.0 - level)
     out = []
+    small = np.abs(xi) < SHAPE_EPS
+    safe = np.where(small, 1.0, xi)
     for period in periods:
         _check_rate_period(rate, period)
         y = -math.log1p(-(1.0 - 1.0 / (rate * period)))
-        small = np.abs(xi) < SHAPE_EPS
-        safe = np.where(small, 1.0, xi)
         levels = mu + sigma * np.where(small, y, np.expm1(safe * y) / safe)
         point, lo, hi = np.quantile(levels, [0.5, lo_p, 1.0 - lo_p])
         out.append(QuantileSummary(float(period), float(point), float(lo), float(hi)))

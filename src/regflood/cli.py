@@ -71,7 +71,7 @@ from .fit import (
     return_level,
 )
 from .pot import IndependenceRule, extract_pot, select_threshold
-from .regional import Region, _check_nsim, discordancy, growth_curve, heterogeneity
+from .regional import _check_nsim, discordancy, growth_curve, heterogeneity
 
 __all__ = ["main"]
 
@@ -260,8 +260,7 @@ def cmd_region(args) -> list[str]:
                 args.nsim,
                 _MIN_RECOMMENDED_NSIM,
             )
-    config = load_region_config(args.config)
-    region = build_region(config)
+    region = build_region(load_region_config(args.config))
     outputs: list[str] = []
 
     if do_check:
@@ -284,9 +283,7 @@ def cmd_region(args) -> list[str]:
             )
 
     if do_curve:
-        curve = growth_curve(
-            region, rescale=config.rescale, index_method=config.index_method
-        )
+        curve = growth_curve(region)
         out = args.out
         write_growth_curve_json(out, curve)
         print(
@@ -360,8 +357,7 @@ def _mcmc_config(
 def cmd_bayes(args) -> list[str]:
     mc = _mcmc_config(args.chains, args.iters, args.burn_in, quantiles=True)
     periods = _levels_args(args)
-    config = load_region_config(args.config)
-    region = build_region(config)
+    region = build_region(load_region_config(args.config))
     if args.target and args.target != region.target:
         region = dataclasses.replace(region, target=args.target)
     target = region.target
@@ -372,8 +368,8 @@ def cmd_bayes(args) -> list[str]:
     donors = region.others()
     if args.donors:  # the regression's sites are also the elicitation donors
         donors = tuple(region.site(c.strip()) for c in args.donors.split(",") if c.strip())
-    regression = _donor_regression(donors, config.index_method)
-    prior = elicit_prior(region, regression, index_method=config.index_method)
+    regression = _donor_regression(donors, region.index_method)
+    prior = elicit_prior(region, regression)
     if args.flat_prior:
         prior = prior.with_variances((1000.0, 1000.0, 1000.0))
 
@@ -398,7 +394,7 @@ def cmd_bayes(args) -> list[str]:
             "retained_draws": int(pooled.shape[0]),
             "rate": pot.rate,
             "acceptance": chains.acceptance.tolist(),
-            "psr": None if diag.psr is None else list(diag.psr),
+            "psr": None if diag.psr is None else [_num(v) for v in diag.psr],
             "ess": list(diag.ess),
             "warnings": list(chains.warnings),
             "posterior_means": [float(v) for v in pooled.mean(axis=0)],
@@ -457,22 +453,7 @@ def cmd_evaluate(args) -> list[str]:
         sliding=args.sliding,
         mcmc=mcmc,
     )
-    config = load_region_config(args.config)
-    ignored = [
-        f"{key} {value}"
-        for key, value, default in (
-            ("index_flood_method", config.index_method, "gp-fit"),
-            ("rescale", config.rescale, "index"),
-        )
-        if value != default
-    ]
-    if ignored:
-        log.warning(
-            "evaluate ignores the config's %s; it always uses the gp-fit index "
-            "flood and index rescaling",
-            " and ".join(ignored),
-        )
-    region = build_region(config)
+    region = build_region(load_region_config(args.config))
     span = region.target_site.pot.record_years
     held = tuple(m for m in eval_config.lengths if m <= span)
     if args.lengths is _DEFAULT_LENGTHS and held and held != eval_config.lengths:

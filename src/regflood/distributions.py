@@ -354,6 +354,14 @@ def _term_sum(t: np.ndarray) -> float:
     return float(np.add.reduce(t))
 
 
+def _row_sums(t: np.ndarray) -> np.ndarray:
+    """Sums of the rows of the 2-D float array ``t``, each summed as
+    ``_term_sum`` sums a record of that many terms."""
+    if t.shape[1] < _PY_SUM_BELOW:
+        return np.array([sum(r) for r in t.tolist()])
+    return t.sum(axis=1)
+
+
 def gp_quantile(params: GpParams, p):
     """GP quantile for non-exceedance probability p in [0, 1).
 

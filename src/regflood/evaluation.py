@@ -22,7 +22,7 @@ from .distributions import GpParams, gp_quantile, gp_rescale, gp_sample
 from .errors import InputError, NumericalError
 from .fit import GpFit, _check_rate_period, gp_fit_mle, gp_fit_pwm, profile_ci, return_level
 from .indexflood import StationMeta
-from .lmoments import gp_population_lmoments
+from .lmoments import gp_population_lmoments, sample_lmoments
 from .pot import (
     DAYS_PER_YEAR,
     DischargeSeries,
@@ -251,14 +251,14 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.n_sites < 2:
             raise InputError(f"need at least 2 sites, got {self.n_sites}")
-        if self.rate <= 1.0:
-            raise InputError(f"event rate must exceed 1/year, got {self.rate}")
-        if self.lcv_dispersion < 1.0:
+        if not (math.isfinite(self.rate) and self.rate > 1.0):
+            raise InputError(f"event rate must be finite and exceed 1/year, got {self.rate}")
+        if not (math.isfinite(self.lcv_dispersion) and self.lcv_dispersion >= 1.0):
             raise InputError(
-                f"L-CV dispersion factor must be >= 1, got {self.lcv_dispersion}"
+                f"L-CV dispersion factor must be finite and >= 1, got {self.lcv_dispersion}"
             )
-        if self.years <= 0:
-            raise InputError("record lengths must be positive")
+        if not (math.isfinite(self.years) and self.years > 0):
+            raise InputError(f"record lengths must be finite and positive, got {self.years}")
         if round(self.rate * self.years) < 5:
             raise InputError("records too short: fewer than 5 events per site")
 
@@ -455,6 +455,7 @@ def _model_estimates(
     prior,
     mcmc: McmcConfig,
     mcmc_seed: int,
+    index_method: str,
 ) -> dict[float, float]:
     tpot = window.pot
     if name in ("MLE", "PWU", "PWB"):
@@ -462,7 +463,11 @@ def _model_estimates(
         fit = window.fit if name == "MLE" else gp_fit_pwm(tpot, variant)
         return {T: return_level(fit.params, tpot.rate, T) for T in periods}
     if name == "REG":
-        c = window.index_flood()
+        # the window's own factor, as the curve's members were rescaled
+        if curve.rescale == "index":
+            c = window.index_flood(index_method)
+        else:
+            c = float(sample_lmoments(tpot.peaks).l1)
         out = {}
         for T in periods:
             _check_rate_period(tpot.rate, T)
@@ -488,8 +493,10 @@ def run_experiment(
     one-year shift when ``sliding``), every model re-estimates the return
     levels, and relative errors against the full-record MLE benchmark are
     pooled into NBIAS/NRMSE per model and period.  Each record, truncated
-    windows included, is fitted once (``RegionSite.fit``).  Failures leave
-    missing cells, which shrink the ranking field rather than abort the run.
+    windows included, is fitted once (``RegionSite.fit``).  The REG and BAY
+    models take the region's index flood method and growth-curve rescaling.
+    Failures leave missing cells, which shrink the ranking field rather than
+    abort the run.
     """
     if (region is None) == (synth is None):
         raise InputError("provide exactly one of region and synth")
@@ -524,7 +531,8 @@ def run_experiment(
             if "REG" in config.models:
                 curve = growth_curve(the_region, exclude=target)
             if "BAY" in config.models:
-                prior = elicit_prior(the_region, _donor_regression(the_region.others(), "gp-fit"))
+                regression = _donor_regression(the_region.others(), the_region.index_method)
+                prior = elicit_prior(the_region, regression)
         except (InputError, NumericalError) as exc:
             msg = f"replicate {r}: regional preparation failed: {exc}"
             missing.append(msg)
@@ -561,6 +569,7 @@ def run_experiment(
                             prior,
                             config.mcmc,
                             int(window_seeds[iw]),
+                            the_region.index_method,
                         )
                     except (InputError, NumericalError) as exc:
                         msg = f"replicate {r} m={m} offset {offset} {name}: {exc}"

@@ -37,7 +37,7 @@ from .pot import (
     extract_pot,
     select_threshold,
 )
-from .regional import GrowthCurve, Region, RegionSite
+from .regional import GrowthCurve, Region, RegionSite, _check_policy
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -540,13 +540,7 @@ class RegionConfig:
                     "threshold policy: give either target_rate or per-site "
                     f"thresholds, not both (explicit: {', '.join(explicit)})"
                 )
-        if self.index_method not in ("gp-fit", "empirical"):
-            raise InputError(
-                f"index_flood_method must be 'gp-fit' or 'empirical', "
-                f"got {self.index_method!r}"
-            )
-        if self.rescale not in ("index", "mean"):
-            raise InputError(f"rescale must be 'index' or 'mean', got {self.rescale!r}")
+        _check_policy(self.index_method, self.rescale)
 
 
 def _cfg_float(section: Mapping, key: str, default: float, where: str) -> float:
@@ -675,7 +669,11 @@ def write_region_config(path, config: RegionConfig) -> None:
 
 
 def build_region(config: RegionConfig) -> Region:
-    """Read every station's files and extract events per the config policy."""
+    """Read every station's files and extract events per the config policy.
+
+    The region carries the config's index flood method and growth-curve
+    rescaling, so every estimate made from it follows them.
+    """
     meta_cache: dict[Path, tuple[StationMeta, ...]] = {}
     sites = []
     for entry in config.sites:
@@ -695,5 +693,5 @@ def build_region(config: RegionConfig) -> Region:
             threshold = select_threshold(series, config.target_rate, config.rule).threshold
         pot = extract_pot(series, threshold, config.rule)
         sites.append(RegionSite(meta, pot))
-    return Region(tuple(sites), config.target)
+    return Region(tuple(sites), config.target, config.index_method, config.rescale)
 

@@ -101,12 +101,29 @@ class RegionSite:
         return _index_flood(self.pot, lambda: self.fit, method)
 
 
+def _check_policy(index_method: str, rescale: str) -> None:
+    """Raise InputError unless both are a known index flood method and rescaling."""
+    if index_method not in ("gp-fit", "empirical"):
+        raise InputError(
+            f"index_flood_method must be 'gp-fit' or 'empirical', got {index_method!r}"
+        )
+    if rescale not in ("index", "mean"):
+        raise InputError(f"rescale must be 'index' or 'mean', got {rescale!r}")
+
+
 @dataclass(frozen=True)
 class Region:
-    """A pooling group of sites, one of which is the analysis target."""
+    """A pooling group of sites, one of which is the analysis target.
+
+    ``index_method`` (``"gp-fit"`` or ``"empirical"``) is the at-site index
+    flood estimator and ``rescale`` (``"index"`` or ``"mean"``) the growth
+    curve's rescaling; every regional estimate made from the region uses both.
+    """
 
     sites: tuple[RegionSite, ...]
     target: str
+    index_method: str = "gp-fit"
+    rescale: str = "index"
 
     def __post_init__(self):
         if len(self.sites) < 2:
@@ -122,6 +139,7 @@ class Region:
                 )
         if self.target not in codes:
             raise InputError(f"target {self.target!r} is not a region member")
+        _check_policy(self.index_method, self.rescale)
 
     @property
     def codes(self) -> tuple[str, ...]:
@@ -359,27 +377,20 @@ class GrowthCurve:
     index_floods: dict[str, float]
 
 
-def growth_curve(
-    region: Region,
-    exclude: str | None = None,
-    rescale: str = "index",
-    index_method: str = "gp-fit",
-) -> GrowthCurve:
+def growth_curve(region: Region, exclude: str | None = None) -> GrowthCurve:
     """Regional growth curve from record-length-weighted average L-moments.
 
-    Each member's L-moments are divided by its index flood (``rescale =
-    "index"``) or by its sample mean (``rescale = "mean"``); the curve is
-    the free-location GP matched to the averaged L-moments.
+    Each member's L-moments are divided by its ``region.index_method`` index
+    flood (``region.rescale == "index"``) or by its sample mean (``"mean"``);
+    the curve is the free-location GP matched to the averaged L-moments.
     """
-    if rescale not in ("index", "mean"):
-        raise InputError(f"rescale must be 'index' or 'mean', got {rescale!r}")
     members = region.sites if exclude is None else region.others(exclude)
     if len(members) < 2:
         raise InputError("growth curve needs at least 2 member sites")
     lmoms = [sample_lmoments(s.pot.peaks) for s in members]
     lengths = [len(s.pot) for s in members]
-    if rescale == "index":
-        factors = [s.index_flood(index_method) for s in members]
+    if region.rescale == "index":
+        factors = [s.index_flood(region.index_method) for s in members]
         avg = regional_average_lmoments(lmoms, lengths, scale_factors=factors)
     else:
         factors = [float(lm.l1) for lm in lmoms]
@@ -388,7 +399,7 @@ def growth_curve(
     return GrowthCurve(
         params=gp_fit_lmom(avg),
         members=codes,
-        rescale=rescale,
+        rescale=region.rescale,
         index_floods=dict(zip(codes, factors)),
     )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -15,14 +16,16 @@ from scipy.stats import gaussian_kde, lognorm, norm
 
 import regflood
 from regflood import cli
-from regflood.bayes import PriorSpec
+from regflood.bayes import McmcConfig, PriorSpec
 from regflood.cli import main
 from regflood.distributions import GpParams
-from regflood.evaluation import synth_daily_series
+from regflood.evaluation import EvalConfig, run_experiment, synth_daily_series
 from regflood.fit import gp_fit_pwm, quantile_variance
 from regflood.fileio import (
     RegionConfig,
     SiteEntry,
+    build_region,
+    eval_report_payload,
     load_region_config,
     read_json,
     read_pot_json,
@@ -85,6 +88,20 @@ def test_simulate_one_site_rejected(tmp_path, capsys):
     code, _, err = run(capsys, ["simulate", str(tmp_path / "x"), "--sites", "1"])
     assert code == 1
     assert "2 sites" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--years", "nan"),
+    ("--years", "inf"),
+    ("--rate", "nan"),
+    ("--rate", "inf"),
+    ("--lcv-dispersion", "inf"),
+])
+def test_simulate_non_finite_spec_is_input_error(tmp_path, capsys, flag, value):
+    code, _, err = run(capsys, ["simulate", str(tmp_path / "x"), flag, value])
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_simulate_bad_dispersion_rejected(tmp_path, capsys):
@@ -506,6 +523,23 @@ def test_bayes_deterministic_and_seed_sensitive(sim_dir, tmp_path, capsys):
     ).read_bytes()
 
 
+def test_bayes_writes_an_infinite_psr_as_null(sim_dir, tmp_path, capsys, monkeypatch):
+    # _split_psr is infinite when every half-chain is constant but their means differ
+    diagnostics = cli.chain_diagnostics
+
+    def infinite_psr(chains):
+        diag = diagnostics(chains)
+        return dataclasses.replace(diag, psr=(math.inf,) + diag.psr[1:])
+
+    monkeypatch.setattr(cli, "chain_diagnostics", infinite_psr)
+    code, stdout, _ = run(capsys, bayes_argv(sim_dir, tmp_path))
+    assert code == 0
+    post = read_json(tmp_path / "post.json", "posterior-report")
+    assert post["psr"][0] is None
+    assert all(isinstance(v, float) for v in post["psr"][1:])
+    assert "PSR (inf, " in stdout
+
+
 def test_bayes_flat_prior_widens_variances(sim_dir, tmp_path, capsys):
     code, stdout, _ = run(capsys, bayes_argv(sim_dir, tmp_path, "--flat-prior"))
     assert code == 0
@@ -663,37 +697,51 @@ def test_evaluate_default_lengths_fit_a_short_target_record(tmp_path, capsys, ca
     assert "truncation length 25 exceeds the 24.9993-year target record" in err
 
 
-@pytest.mark.parametrize("method,rescale,ignored", [
-    ("gp-fit", "index", None),
-    ("empirical", "index", "index_flood_method empirical"),
-    ("gp-fit", "mean", "rescale mean"),
-    ("empirical", "mean", "index_flood_method empirical and rescale mean"),
+@pytest.mark.parametrize("method,rescale", [
+    ("gp-fit", "index"),
+    ("empirical", "index"),
+    ("gp-fit", "mean"),
+    ("empirical", "mean"),
 ], ids=["defaults", "empirical", "mean", "both"])
-def test_evaluate_warns_of_the_config_keys_it_ignores(
-    sim_dir, tmp_path, capsys, caplog, method, rescale, ignored
-):
-    region = shutil.copytree(sim_dir, tmp_path / "region")
-    config = region / "region.yaml"
+def test_evaluate_honours_the_config_keys(sim_dir, tmp_path, capsys, caplog, method, rescale):
+    region_dir = shutil.copytree(sim_dir, tmp_path / "region")
+    config = region_dir / "region.yaml"
     text = config.read_text()
     assert "index_flood_method: gp-fit\nrescale: index\n" in text
     config.write_text(text.replace(
         "index_flood_method: gp-fit\nrescale: index\n",
         f"index_flood_method: {method}\nrescale: {rescale}\n",
     ))
+    out = tmp_path / "eval.json"
     with caplog.at_level(logging.WARNING, logger="regflood"):
         code, _, _ = run(capsys, [
-            "evaluate", str(config), "--lengths", "5", "--models", "mle,reg",
-            "--out", str(tmp_path / "eval.json"),
+            "evaluate", str(config), "--lengths", "5", "--models", "mle,reg,bay",
+            "--mcmc-iters", "2000", "--out", str(out),
         ])
     assert code == 0
-    warnings = [r.getMessage() for r in caplog.records if r.name == "regflood"]
-    if ignored is None:
-        assert warnings == []
-    else:
-        assert warnings == [
-            f"evaluate ignores the config's {ignored}; it always uses the gp-fit "
-            "index flood and index rescaling"
-        ]
+    assert [r.getMessage() for r in caplog.records if r.name == "regflood"] == []
+    region = build_region(load_region_config(config))
+    assert (region.index_method, region.rescale) == (method, rescale)
+    eval_config = EvalConfig(
+        lengths=(5,),
+        models=("MLE", "REG", "BAY"),
+        mcmc=McmcConfig(chains=2, iterations=2000, burn_in=500),
+    )
+
+    def payload(the_region):
+        return json.loads(json.dumps(
+            eval_report_payload(run_experiment(eval_config, region=the_region))
+        ))
+
+    got = read_json(out, "eval-report")
+    del got["schema_version"], got["kind"]
+    assert got == payload(region)
+    # the MLE rows never read the policy; REG's rows and BAY's rows do
+    defaults = payload(dataclasses.replace(region, index_method="gp-fit", rescale="index"))
+    assert got["nbias"][0] == defaults["nbias"][0]
+    if (method, rescale) != ("gp-fit", "index"):
+        assert got["nbias"][1] != defaults["nbias"][1]
+    assert (got["nbias"][2] != defaults["nbias"][2]) == (method == "empirical")
 
 
 def test_evaluate_too_few_draws_fails_before_reading(sim_dir, capsys, monkeypatch):

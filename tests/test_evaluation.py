@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -389,13 +390,32 @@ def test_return_periods_share_one_rule():
     curve = growth_curve(region, exclude=window.meta.code)
     rule = r"return period 0\.5 needs rate \* T > 1"
     with pytest.raises(InputError, match=rule):
-        _model_estimates("REG", window, (0.5,), curve, None, McmcConfig(), 0)
+        _model_estimates("REG", window, (0.5,), curve, None, McmcConfig(), 0, region.index_method)
     with pytest.raises(InputError, match=rule):
-        _model_estimates("MLE", window, (0.5,), curve, None, McmcConfig(), 0)
+        _model_estimates("MLE", window, (0.5,), curve, None, McmcConfig(), 0, region.index_method)
     draws = np.tile([10.0, 5.0, 0.1], (1, 500, 1))
     chains = PosteriorChains(draws, np.full((1, 3), 0.3))
     with pytest.raises(InputError, match=rule):
         posterior_quantiles(chains, 2.0, (5.0, 0.5))
+
+
+@pytest.mark.parametrize("rescale", ["index", "mean"])
+def test_reg_scales_the_curve_by_the_factor_its_members_were_rescaled_by(rescale):
+    ratios = []
+    for seed in range(5):
+        region, truth = synth_region(SynthSpec(), seed=seed)
+        region = replace(region, rescale=rescale)
+        window = region.target_site
+        curve = growth_curve(region, exclude=window.meta.code)
+        (est,) = _model_estimates(
+            "REG", window, (10.0,), curve, None, McmcConfig(), 0, region.index_method
+        ).values()
+        peaks = window.pot.peaks
+        c = window.index_flood("gp-fit") if rescale == "index" else float(np.mean(peaks))
+        assert est == pytest.approx(c * float(gp_quantile(curve.params, 0.95)), rel=1e-12)
+        ratios.append(est / return_level(truth.site_params["S0"], window.pot.rate, 10.0))
+    # a mean-rescaled curve times the one-year level reads about 10 % low here
+    assert np.mean(ratios) == pytest.approx(1.0, abs=0.05)
 
 
 def test_eval_config_validation():

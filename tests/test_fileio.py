@@ -440,6 +440,20 @@ def test_load_region_config_and_build(tmp_path):
     for site in region.sites:
         assert 1.4 <= site.pot.rate <= 2.6
         assert site.meta.area_km2 > 0
+    assert (region.index_method, region.rescale) == ("gp-fit", "index")
+
+
+def test_build_region_carries_the_index_flood_policy(tmp_path):
+    mpath, entries = region_files(tmp_path)
+    cpath = tmp_path / "region.yaml"
+    cpath.write_text(
+        config_doc(mpath, entries).replace(
+            "index_flood_method: gp-fit\nrescale: index\n",
+            "index_flood_method: empirical\nrescale: mean\n",
+        )
+    )
+    region = build_region(load_region_config(cpath))
+    assert (region.index_method, region.rescale) == ("empirical", "mean")
 
 
 def test_region_config_per_site_thresholds(tmp_path):

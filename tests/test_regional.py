@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,9 @@ def test_region_validation():
         Region(region.sites[:1], target="S0")
     with pytest.raises(InputError):
         Region(region.sites + (region.sites[0],), target="S0")
+    assert (region.index_method, region.rescale) == ("gp-fit", "index")
+    with pytest.raises(InputError, match="index_flood_method must be"):
+        replace(region, index_method="median")
     mismatched = RegionSite(meta_for("X1"), region.sites[0].pot)
     with pytest.raises(InputError):
         Region((mismatched, region.sites[1]), target="S1")
@@ -87,7 +92,7 @@ def test_region_site_fits_once_and_only_when_asked(fit_calls):
     region = homogeneous_region(6, seed=3)
     discordancy(region)
     heterogeneity(region, nsim=60, seed=0)
-    growth_curve(region, index_method="empirical")
+    growth_curve(replace(region, index_method="empirical"))
     assert fit_calls == []
     site = region.sites[2]
     assert site.fit is site.fit
@@ -280,7 +285,7 @@ def test_growth_curve_recovers_dimensionless_parent():
         )
         index[code] = c
     region = Region(tuple(sites), "S0")
-    curve = growth_curve(region, rescale="mean")
+    curve = growth_curve(replace(region, rescale="mean"))
     pop_ratio = 0.45 / (0.8 + 0.45 / 0.88)  # population t of the parent
     assert curve.params.shape == pytest.approx(0.12, abs=0.05)
     assert curve.members == region.codes
@@ -307,8 +312,8 @@ def test_growth_curve_index_rescale_normalizes_one_year_level():
                 meta_for(code), make_pot(peaks, site_params.location, 500.0, station=code)
             )
         )
-    region = Region(tuple(sites), "S0")
-    curve = growth_curve(region, rescale="index")
+    region = Region(tuple(sites), "S0", rescale="index")
+    curve = growth_curve(region)
     # rate 2/yr: the curve's median should sit near 1
     assert float(gp_quantile(curve.params, 0.5)) == pytest.approx(1.0, abs=0.05)
     assert set(curve.index_floods) == set(region.codes)
@@ -316,16 +321,16 @@ def test_growth_curve_index_rescale_normalizes_one_year_level():
 
 def test_growth_curve_exclude_target():
     region = homogeneous_region(6, seed=17)
-    curve = growth_curve(region, exclude="S0", rescale="mean")
+    curve = growth_curve(replace(region, rescale="mean"), exclude="S0")
     assert "S0" not in curve.members
     assert len(curve.members) == 5
-    with pytest.raises(InputError):
-        growth_curve(region, rescale="median")
+    with pytest.raises(InputError, match="rescale must be 'index' or 'mean'"):
+        replace(region, rescale="median")
 
 
 def test_index_flood_quantile_scaling_identity():
     region = homogeneous_region(5, seed=19)
-    curve = growth_curve(region, rescale="mean")
+    curve = growth_curve(replace(region, rescale="mean"))
     q = index_flood_quantile(curve, 25.0, 0.95)
     assert q == pytest.approx(25.0 * float(gp_quantile(curve.params, 0.95)), rel=1e-14)
     assert q == pytest.approx(
