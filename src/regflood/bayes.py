@@ -11,10 +11,14 @@ random-walk Metropolis in (log mu, log sigma, xi).  Each chain owns a
 generator stream spawned from the seed and draws its random numbers in
 blocks, one step normal and one acceptance uniform per proposal.  A
 proposal recomputes its coordinate's prior term and bounds its likelihood
-from the record's moments (``distributions._gp_loglik_interval``); most
-Metropolis steps are decided on those bounds, and only the rest read the
-peaks through ``distributions._gp_loglik``.  The bounds are exact, so the
-draws are those of evaluating every proposal in full.
+from the record's moments and its largest peak's exact term
+(``distributions._gp_loglik_interval``); most Metropolis steps are
+decided on those bounds.  The rest read the peaks through
+``distributions._gp_loglik``: the proposal first, and the current state
+only when the proposal's exact value still leaves the step open.  The
+bounds are exact, so the draws are those of evaluating every proposal in
+full.  Each chain logs one DEBUG line with its proposals, kernel calls
+and acceptances.
 """
 
 from __future__ import annotations
@@ -270,20 +274,29 @@ def mcmc_sample(
     normal and one uniform on every proposal, off-support ones included.
 
     A proposal recomputes one prior term, then bounds its log likelihood
-    by ``_gp_loglik_interval``, scalar arithmetic on the record's moments
-    and the residuals' extremes.  A location move above the smallest peak
-    is rejected before that.  The step accepts when log u < lp - lt for
-    every log target lp and lt within their bounds and rejects when it
-    holds for none; rounding is monotone, so either verdict is the one
-    the exact floats give.  Otherwise the kernel evaluates lp, and lt too
-    when the current state was accepted on bounds, as the full target
+    by ``_gp_loglik_interval``, scalar arithmetic on the record's moments,
+    the residuals' extremes and the largest peak's exact term.  A
+    location move above the smallest peak is rejected before that.  The
+    step accepts when log u < lp - lt for every log target lp and lt
+    within their bounds and rejects when it holds for none; rounding is
+    monotone, so either verdict is the one the exact floats give.
+    Otherwise the kernel evaluates lp as the full target
     ``-0.5 (q0 + q1 + q2) + _gp_loglik(x - mu, ...)`` that an accepting
-    move would have stored; the step is then decided on them.  So the
-    draws and acceptance are bit for bit those of evaluating every
-    proposal: this is early rejection (Solonen et al. 2012) and delayed
-    acceptance (Christen & Fox 2005) with exact bounds in place of a
-    surrogate.  The residuals ``y = x - mu`` are built only when the
-    kernel runs, and kept until a location move is accepted.
+    move would have stored, and the step is decided on lp against lt's
+    bounds the same way.  Only if that still leaves it open, which needs
+    a current state accepted on bounds, does the kernel evaluate lt as
+    well, and the step is decided on both floats.  So the draws and
+    acceptance are bit for bit those of evaluating every proposal: this
+    is early rejection (Solonen et al. 2012) and delayed acceptance
+    (Christen & Fox 2005) with exact bounds in place of a surrogate.
+    The residuals ``y = x - mu`` are built only when the kernel runs, for
+    a location move's current state only when that state is evaluated,
+    and kept until a location move is accepted.
+
+    Each chain logs one DEBUG line: its proposals (three per iteration),
+    the kernel calls its moves made and its post-burn-in acceptances per
+    coordinate.  The calls are counted where the kernel runs, never per
+    proposal.
     """
     x = np.asarray(pot.peaks, dtype=float)
     g0, g1, g2 = prior.gamma
@@ -340,6 +353,7 @@ def mcmc_sample(
         s0, s1, s2 = scales.tolist()
         acc = [0, 0, 0]  # accepted proposals per coordinate in this window
         post_acc = [0, 0, 0]
+        kernel_calls = 0  # of the moves, counted only where the kernel runs
         kept = []
         for it in range(config.iterations):
             row = it % _BLOCK
@@ -351,8 +365,9 @@ def mcmc_sample(
             post = it >= burn_in
 
             # Each move accepts when u < lp - lt holds for every lp and lt in
-            # their bounds, rejects when it holds for none, and otherwise
-            # evaluates lp, and lt if it is not exact, as the full target.
+            # their bounds and rejects when it holds for none.  Otherwise it
+            # evaluates lp as the full target, and lt too only if u still
+            # lies between lp - lt_hi and lp - lt_lo; lt_hi is then lt.
             lm_p = lm + s0 * n0
             mu_p = math.exp(lm_p)
             y_min_p = xmin - mu_p
@@ -368,12 +383,14 @@ def mcmc_sample(
                 elif u0 >= (prior_p + hi) - lt_lo:
                     accept = False
                 else:
-                    if lt_lo != lt_hi:
-                        y = x - mu if y is None else y
-                        lt_lo = lt_hi = target(y, y_min, y_max, sigma, xi, q0, q1, q2)
+                    kernel_calls += 1
                     y_p = x - mu_p
                     lp = target(y_p, y_min_p, y_max_p, sigma, xi, q_p, q1, q2)
-                    accept = u0 < lp - lt_lo
+                    if lp - lt_hi <= u0 < lp - lt_lo:
+                        kernel_calls += 1
+                        y = x - mu if y is None else y
+                        lt_lo = lt_hi = target(y, y_min, y_max, sigma, xi, q0, q1, q2)
+                    accept = u0 < lp - lt_hi
                     if accept:
                         lt_lo = lt_hi = lp
                 if accept:
@@ -393,11 +410,13 @@ def mcmc_sample(
             elif u1 >= (prior_p + hi) - lt_lo:
                 accept = False
             else:
+                kernel_calls += 1
                 y = x - mu if y is None else y
-                if lt_lo != lt_hi:
-                    lt_lo = lt_hi = target(y, y_min, y_max, sigma, xi, q0, q1, q2)
                 lp = target(y, y_min, y_max, sigma_p, xi, q0, q_p, q2)
-                accept = u1 < lp - lt_lo
+                if lp - lt_hi <= u1 < lp - lt_lo:
+                    kernel_calls += 1
+                    lt_lo = lt_hi = target(y, y_min, y_max, sigma, xi, q0, q1, q2)
+                accept = u1 < lp - lt_hi
                 if accept:
                     lt_lo = lt_hi = lp
             if accept:
@@ -415,11 +434,13 @@ def mcmc_sample(
             elif u2 >= (prior_p + hi) - lt_lo:
                 accept = False
             else:
+                kernel_calls += 1
                 y = x - mu if y is None else y
-                if lt_lo != lt_hi:
-                    lt_lo = lt_hi = target(y, y_min, y_max, sigma, xi, q0, q1, q2)
                 lp = target(y, y_min, y_max, sigma, xi_p, q0, q1, q_p)
-                accept = u2 < lp - lt_lo
+                if lp - lt_hi <= u2 < lp - lt_lo:
+                    kernel_calls += 1
+                    lt_lo = lt_hi = target(y, y_min, y_max, sigma, xi, q0, q1, q2)
+                accept = u2 < lp - lt_hi
                 if accept:
                     lt_lo = lt_hi = lp
             if accept:
@@ -439,6 +460,11 @@ def mcmc_sample(
                 kept.append((mu, sigma, xi))
         draws[c] = kept
         acceptance[c] = np.asarray(post_acc, dtype=float) / (config.iterations - burn_in)
+        log.debug(
+            "mcmc chain %d: %d proposals, %d kernel calls, "
+            "accepted %d/%d/%d of %d post-burn-in per coordinate",
+            c, 3 * config.iterations, kernel_calls, *post_acc, config.iterations - burn_in,
+        )
 
     warnings = []
     for c in range(config.chains):

@@ -28,8 +28,9 @@ the same way and makes the same support decision.  Its sums go through
 ``_term_sum``: the builtin ``sum`` on records of fewer than ``_PY_SUM_BELOW``
 terms, where numpy's per-call cost exceeds the loop's, and numpy's pairwise
 sum on longer ones.  ``_gp_loglik_interval`` bounds the float the kernel
-returns from the record's moments (``_record_moments``) without reading the
-peaks, so the sampler reads them only for the moves the bounds leave open.
+returns without reading the peaks: it takes the largest peak's term
+exactly and bounds the others' from their moments (``_record_moments``),
+so the sampler reads the peaks only for the moves the bounds leave open.
 
 A Gaussian kernel density estimate of a sample (``_kde_pdf``) serves the
 posterior density output.
@@ -234,20 +235,29 @@ def _gp_loglik(
     return -n * math.log(sigma) - (1.0 / xi + 1.0) * _term_sum(t)
 
 
-def _record_moments(x: np.ndarray) -> tuple[int, float, float, float, float, float, float]:
+def _record_moments(
+    x: np.ndarray,
+) -> tuple[int, float, float, float, float, float, float, float]:
     """The scalars of the peaks ``x`` that ``_gp_loglik_interval`` reads.
 
-    They are n, the mean c, the central sums m2, m3 and m4 about c,
-    max |x|, and ``eps_n`` = 2 n (n + 16) u (u the unit roundoff), the
-    rounding allowance of the interval's margin.  The sums go through
+    The interval takes the largest peak's term exactly, so the moments
+    describe the rest: one largest peak is set apart (one of them, if
+    several tie), and the scalars are n, the mean c of the other n - 1
+    peaks, their central sums m2, m3 and m4 about c, the largest of them
+    (the record's second largest), max |x| over all n,
+    and ``eps_n`` = 2 n (n + 16) u (u the unit roundoff), the rounding
+    allowance of the interval's margin.  The sums go through
     ``math.fsum``, so each is within a few roundings of its value at c,
-    and c is within 2u |mean| of the mean.
+    and c is within 2u |c| of their mean.  A single peak stands in for
+    its own empty rest: the interval weighs the rest by n - 1 = 0.
     """
     n = x.size
     if n == 0:
-        return 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
-    mean = math.fsum(x.tolist()) / n
-    d = x - mean
+        return 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    # a single peak stands in for its own rest, which has weight n - 1 = 0
+    rest = np.delete(x, int(np.argmax(x))) if n > 1 else x
+    mean = math.fsum(rest.tolist()) / rest.size
+    d = rest - mean
     d2 = d * d
     return (
         n,
@@ -255,6 +265,7 @@ def _record_moments(x: np.ndarray) -> tuple[int, float, float, float, float, flo
         math.fsum(d2.tolist()),
         math.fsum((d2 * d).tolist()),
         math.fsum((d2 * d2).tolist()),
+        float(rest.max()),
         float(np.abs(x).max()),
         2.0 * n * (n + 16) * _UNIT_ROUNDOFF,
     )
@@ -268,73 +279,91 @@ def _gp_loglik_interval(
 
     ``y_min`` and ``y_max`` are the kernel's ``x.min() - mu`` and
     ``x.max() - mu``, so its support tests give (-inf, -inf) here too.
-    With theta = xi / sigma, the residual mean ybar = c - mu and
-    g = theta / (1 + theta ybar), the third-order expansion about ybar is
+    With theta = xi / sigma, the largest peak's term log1p(theta y_max)
+    is taken exactly, on the float the kernel's own residual holds.  The
+    other n - 1 peaks, with residual mean ybar = c - mu and
+    g = theta / (1 + theta ybar), are expanded to third order about ybar:
 
-        sum log1p(theta y) = n log1p(theta ybar) - g^2 m2 / 2 + g^3 m3 / 3 + R,
+        sum' log1p(theta y) = (n - 1) log1p(theta ybar) - g^2 m2 / 2
+                              + g^3 m3 / 3 + R,
 
     and Lagrange's remainder puts R in [-theta^4 m4 / (4 lo^4),
     -theta^4 m4 / (4 hi^4)], lo and hi being the smaller and larger of
-    1 + theta y_min and 1 + theta y_max, each widened by its rounding.
-    The exponential law (|xi| < ``SHAPE_EPS``) is -n log sigma
-    - n ybar / sigma.  The margin, in units of ``eps_n``, has two parts:
+    1 + theta y_min and 1 + theta y_sec, y_sec = x_(n-1) - mu the second
+    largest residual, each widened by its rounding.  Leaving the largest
+    peak out of the remainder is what keeps the interval narrow on heavy
+    tails and near the upper endpoint, where 1 + theta y_max is far from
+    1 + theta ybar.  The exponential law (|xi| < ``SHAPE_EPS``) is
+    -n log sigma - ((n - 1) ybar + y_max) / sigma.  The margin, in units
+    of ``eps_n``, has three parts:
 
     - q (1 + q)^4, where slope = |theta| / min(lo, 1) bounds the slope of
-      log1p(theta y) and q = slope y_max bounds |log1p(theta y)| and
-      |g (x - c)|: the rounding of the kernel's terms, of its sum and of
-      its residuals fl(x - mu), and of this evaluation;
+      log1p(theta y) over the other peaks and q = slope y_sec bounds
+      their |log1p(theta y)| and |g (x - c)|: the rounding of the
+      kernel's terms, of its sum and of its residuals fl(x - mu), and of
+      this evaluation;
     - slope max|x|: the rounding of the centre c, which is within
-      2u max|x| of the peaks' mean, so it moves ybar and leaves
-      sum(x - c) off 0.  Residuals far smaller than the peaks need it.
+      2u max|x| of the mean, so it moves ybar and leaves sum'(x - c)
+      off 0.  Residuals far smaller than the peaks need it;
+    - |log1p(theta y_max)|: the exact term's weight in the kernel's sum,
+      and the few ulps by which the kernel's ``np.log1p`` and
+      ``math.log1p`` may differ on it.
 
     The kernel ends in fl(-n log sigma - fl(C S)), C = 1/xi + 1, which
     rounding keeps monotone in its sum S, so bounds on S bound its
-    result.  When 1 + theta y may reach 0 within rounding, or the margin
-    overflows, the interval is (-inf, inf).
+    result.  When 1 + theta y may reach 0 within rounding below the
+    largest peak, or the margin overflows, the interval is (-inf, inf).
     """
-    n, mean, m2, m3, m4, xabs, eps_n = moments
+    n, mean, m2, m3, m4, x_sec, xabs, eps_n = moments
     if n == 0:
         return 0.0, 0.0
     if y_min < 0.0:
         return -math.inf, -math.inf
     base = -n * math.log(sigma)
+    k = n - 1
     ybar = mean - mu
     if abs(xi) < SHAPE_EPS:
-        # the kernel's fl(sum y) is n ybar within e
-        sy = n * ybar
+        # the kernel's fl(sum y) is (n - 1) ybar + y_max within e
+        sy = k * ybar + y_max
         e = eps_n * (y_max + xabs)
         return base - (sy + e) / sigma, base - (sy - e) / sigma
     theta = xi / sigma
-    b = 1.0 + theta * y_max
-    if b <= 0.0:
+    if 1.0 + theta * y_max <= 0.0:
         return -math.inf, -math.inf
+    t_max = math.log1p(theta * y_max)
+    y_sec = x_sec - mu
     a = 1.0 + theta * y_min
+    b = 1.0 + theta * y_sec
     if theta > 0.0:
         slope = theta
-        slack = _SLACK * (1.0 + theta * y_max)
+        slack = _SLACK * b
         lo, hi = a - slack, b + slack
     else:
         slope = -theta
-        slack = _SLACK * (1.0 - theta * y_max)
+        slack = _SLACK * (1.0 - theta * y_sec)
         lo, hi = b - slack, a + slack
         if lo <= 0.0:
             return -math.inf, math.inf
         if lo < 1.0:
             slope /= lo
-    q = slope * y_max
+    q = slope * y_sec
     q1 = 1.0 + q
     q1 *= q1
-    e = eps_n * (q * q1 * q1 + slope * xabs)
+    e = eps_n * (q * q1 * q1 + slope * xabs + abs(t_max))
     if not e < math.inf:
         return -math.inf, math.inf
-    g = theta / (1.0 + theta * ybar)
+    w = 1.0 + theta * ybar
+    if not w > 0.0:
+        # the rounded centre crossed the endpoint: no expansion point
+        return -math.inf, math.inf
+    g = theta / w
     g2 = g * g
     t2 = 0.5 * g2 * m2
     tt = theta * theta
     t4 = 0.25 * tt * tt * m4
     lo *= lo
     r_lo = t4 / (lo * lo)
-    s = n * math.log1p(theta * ybar) - t2 + g2 * g * m3 / 3.0
+    s = t_max + k * math.log1p(theta * ybar) - t2 + g2 * g * m3 / 3.0
     hi *= hi
     s_lo = s - r_lo - e
     s_hi = s - t4 / (hi * hi) + e

@@ -8,7 +8,7 @@ the smaller of the two peaks. Otherwise they merge and the larger value
 becomes the event peak. Building events from candidate peaks (rather
 than from runs of exceedances alone) keeps the event count monotone:
 raising the threshold never adds events.  ``select_threshold`` rests its
-binary search on this.
+search on this.
 
 Record length is the span from first to last sample plus one median
 sampling interval, with data gaps longer than ``max_missing_gap_days``
@@ -256,31 +256,48 @@ def select_threshold(
     The grid takes 200 levels from the 50th to the 99.99th percentile of
     the discharge values.  Raising the threshold never adds events (see the
     module docstring), so the event rate is non-increasing along the grid
-    and one binary search finds the answer: the last probe that met the
-    target.  That takes at most 8 probes.  Each costs one declustering
-    sweep, as in ``extract_pot`` but building no ``PotSeries``; its rate is
-    the event count over the record length, which the search computes once.
+    and the answer is the last grid level that meets the target.  A probe
+    costs one declustering sweep, as in ``extract_pot`` but building no
+    ``PotSeries``, and a low threshold's sweep walks far more candidate
+    peaks than a high one's.  So the search gallops down from the top of
+    the grid, probing indices top, top - 1, top - 3, top - 7, ... until a
+    probe meets the target or index 0 has been probed, then
+    binary-searches the last gap.  With the answer d levels below the
+    top, no probe lies below top - 2d, and the search takes at most 2b
+    probes, b the bit length of d (1 probe when d = 0).  When no level
+    meets the target it takes at most 9 probes on the 200-level grid,
+    the last at ``grid[0]``, whose rate the error reports.  A probe's
+    rate is the event count over the record length, which the search
+    computes once.
     """
     if not math.isfinite(target_rate) or target_rate <= 0:
         raise InputError(f"target rate must be positive, got {target_rate!r}")
     levels = np.linspace(0.5, 0.9999, 200)
     grid = np.unique(np.quantile(series.discharge, levels))
     years = record_years(series, rule.max_missing_gap_days)
-    best = None
-    lo, hi = 0, grid.size - 1
+
+    def rate_at(index: int) -> float:
+        return _event_indices(series, float(grid[index]), rule).size / years
+
+    # gallop: above is the lowest index known to miss the target
+    above, step, index = grid.size, 1, grid.size - 1
+    while (rate := rate_at(index)) < target_rate:
+        if index == 0:
+            raise SelectionError(
+                f"no grid threshold reaches {target_rate!r} events per year for "
+                f"station {series.station} (best {rate:.3f})"
+            )
+        above, index = index, max(0, index - step)
+        step *= 2
+    best = ThresholdSelection(float(grid[index]), rate)
+    # binary search of the gap (index, above): the answer lies in [index, above)
+    lo, hi = index + 1, above - 1
     while lo <= hi:
         mid = (lo + hi) // 2
-        threshold = float(grid[mid])
-        rate = _event_indices(series, threshold, rule).size / years
+        rate = rate_at(mid)
         if rate >= target_rate:
-            best = ThresholdSelection(threshold, rate)
+            best = ThresholdSelection(float(grid[mid]), rate)
             lo = mid + 1
         else:
             hi = mid - 1
-    if best is None:
-        # every probe failed, so the last one was grid[0]
-        raise SelectionError(
-            f"no grid threshold reaches {target_rate!r} events per year for "
-            f"station {series.station} (best {rate:.3f})"
-        )
     return best

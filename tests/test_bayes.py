@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -782,6 +784,56 @@ def test_mcmc_passes_the_kernel_the_extremes_of_its_residuals(monkeypatch):
     assert 0 < len(calls) < KERNEL_RUN.chains * KERNEL_RUN.iterations
     assert len(set(calls)) > 100
     assert chains.acceptance[:, 0].min() > 0.05
+
+
+def _family(n, shape, seed):
+    peaks = gp_sample(GpParams(5.0, 2.0, shape), n, seed=seed)
+    prior = replace(PRIOR, gamma=(PRIOR.gamma[0], PRIOR.gamma[1], shape))
+    return prior, make_pot(peaks, 5.0, n / 2.2)
+
+
+def _walkthrough_style():
+    # a 65-peak target and the prior its nine donors give, as `bayes` runs it
+    region, _ = synth_region(n_sites=10, seed=3, years=29.5)
+    return elicit_prior(region, donor_regression(region)), region.target_site.pot
+
+
+FAMILY_RUN = McmcConfig(chains=2, iterations=2000, burn_in=500)
+
+
+@pytest.mark.parametrize(
+    "case, before",
+    [
+        # kernel calls when the sampler evaluated the current state before
+        # the proposal and bounded every peak's term by the remainder
+        (lambda: _family(30, 0.3, 40), 6401),
+        (lambda: _family(65, 0.5, 41), 10077),
+        (lambda: _family(65, -0.4, 42), 4384),
+        (_walkthrough_style, 1466),
+    ],
+    ids=["30-peaks-xi-0.3", "65-peaks-xi-0.5", "65-peaks-xi-minus-0.4", "walkthrough-65"],
+)
+def test_mcmc_kernel_calls_fall_on_the_hard_record_families(case, before, monkeypatch, caplog):
+    prior, pot = case()
+    kernel = bayes._gp_loglik
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(bayes, "_gp_loglik", counted)
+    with caplog.at_level(logging.DEBUG, logger="regflood"):
+        chains = mcmc_sample(prior, pot, FAMILY_RUN, seed=5)
+    assert len(calls) < before
+    # one DEBUG line per chain counts the moves' kernel calls; the rest are
+    # the start's: one check of the base state, two evaluations per chain
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("mcmc chain")]
+    assert len(lines) == FAMILY_RUN.chains
+    counts = [re.search(r"(\d+) proposals, (\d+) kernel calls", line).groups() for line in lines]
+    assert all(int(p) == 3 * FAMILY_RUN.iterations for p, _ in counts)
+    assert sum(int(k) for _, k in counts) + 1 + 2 * FAMILY_RUN.chains == len(calls)
+    assert_exact(chains, prior, pot, FAMILY_RUN, seed=5)
 
 
 # -------------------------------------------------------------- diagnostics

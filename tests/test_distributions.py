@@ -319,13 +319,23 @@ def test_log1p_never_sees_minus_one_at_the_support_edges():
     assert exact > 0
 
 
+def _ulp_beyond(edge_sigma):
+    # the scale that puts the upper endpoint on a peak, or an ulp either side
+    return st.sampled_from([-math.inf, 0.0, math.inf]).map(
+        lambda side: edge_sigma if side == 0.0 else math.nextafter(edge_sigma, side)
+    )
+
+
 @st.composite
 def interval_cases(draw):
     """A record of 1-120 peaks and (mu, sigma, xi) from the families where
     the interval's margin is thinnest: offsets up to 1e5 times the spread,
     shapes within 1e-6 of 0 and at +-SHAPE_EPS, shapes near -1 with the
-    largest peak near the upper endpoint, peaks on the threshold, n = 1."""
-    n = draw(st.one_of(st.just(1), st.integers(1, 120)))
+    largest or second-largest peak near the upper endpoint (on it, within
+    an ulp, or further), peaks on the threshold, peaks tied at the
+    maximum, n = 1 and n = 2, and theta y_max up to 1e3, where the exact
+    term is large."""
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 120)))
     spread = draw(st.floats(0.05, 50.0))
     offset = draw(st.one_of(st.floats(0.0, 10.0), st.floats(10.0, 1e5)))
     u = spread * offset
@@ -333,6 +343,9 @@ def interval_cases(draw):
         GpParams(u, spread, draw(st.floats(-0.5, 0.8))), n, seed=draw(st.integers(0, 2**20))
     )
     peaks[: draw(st.integers(0, n))] = u
+    if n >= 2 and draw(st.booleans()):
+        # two or more peaks tied at the maximum
+        peaks[: draw(st.integers(2, n))] = peaks.max()
     xmin, xmax = float(peaks.min()), float(peaks.max())
     mu = draw(
         st.one_of(
@@ -354,11 +367,31 @@ def interval_cases(draw):
     if xi < -0.5 and xmax > mu and draw(st.booleans()):
         # the upper endpoint just beyond (or on) the largest peak
         sigma = -xi * (xmax - mu) * (1.0 + draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-4, 0.1])))
+    elif xi < -0.5 and xmax > mu and draw(st.booleans()):
+        # the upper endpoint within an ulp of the largest or the second
+        # largest peak; beyond the second one, the largest is off the support
+        ordered = np.sort(peaks)
+        top = float(ordered[-1 if n == 1 or draw(st.booleans()) else -2])
+        if top > mu:
+            sigma = draw(_ulp_beyond(-xi * (top - mu)))
+    elif xmax > mu and draw(st.booleans()):
+        # theta y_max up to 1e3: the largest peak's exact term dominates
+        xi = min(1e6, 10.0 ** draw(st.floats(-1.0, 3.0)) * sigma / (xmax - mu))
     return peaks, mu, sigma, xi
+
+
+# equal peaks whose upper endpoint is the peak itself, within rounding: the
+# rounded mean of three of them lands beyond the endpoint, where log1p at
+# the expansion point would raise, so the interval must widen instead
+_TIED_AT_THE_ENDPOINT = (
+    np.full(4, 378442.5888156333), 378442.58880763926, 7.804198824823164e-06, -0.9762490425909505
+)
 
 
 @settings(deadline=None, max_examples=1500, derandomize=True)
 @given(interval_cases())
+@example(_TIED_AT_THE_ENDPOINT)
+@example((np.full(3, 378442.5888156333),) + _TIED_AT_THE_ENDPOINT[1:])
 def test_loglik_interval_encloses_the_kernel(case):
     peaks, mu, sigma, xi = case
     y = peaks - mu
@@ -378,6 +411,18 @@ def test_loglik_interval_is_narrow_on_an_ordinary_record():
     for xi, width in ((0.0, 1e-9), (0.1, 0.05)):
         lo, hi = _gp_loglik_interval(moments, mu, x.min() - mu, x.max() - mu, 2.0, xi)
         assert 0.0 < hi - lo < width
+    # near the upper endpoint: the largest peak, moved out to 25, lies at
+    # nine tenths of the way to it.  With that peak inside the remainder
+    # the interval was 1,497 nats wide; its exact term leaves the others'
+    # remainder, whose smallest 1 + theta y is about 0.6
+    x = np.sort(EDGE_PEAKS)
+    x[-1] = 25.0
+    y_min, y_max = float(x.min()) - mu, float(x.max()) - mu
+    sigma = 8.0
+    xi = -0.9 * sigma / y_max
+    lo, hi = _gp_loglik_interval(_record_moments(x), mu, y_min, y_max, sigma, xi)
+    assert lo <= _gp_loglik(x - mu, y_min, y_max, sigma, xi) <= hi
+    assert 0.0 < hi - lo < 0.05
 
 
 def test_kappa_params_validation():

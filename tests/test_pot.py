@@ -199,6 +199,29 @@ def _grid(series):
     return np.unique(np.quantile(series.discharge, np.linspace(0.5, 0.9999, 200)))
 
 
+def _scan_rates(series, rule):
+    """(threshold, rate) at every grid level, rate None where no event is
+    left: the linear scan's sweeps."""
+    out = []
+    for th in _grid(series):
+        try:
+            out.append((float(th), extract_pot(series, float(th), rule).rate))
+        except InsufficientDataError:
+            out.append((float(th), None))
+    return out
+
+
+def _assert_selects_as_the_scan(series, target, rule, scan=None):
+    # the answer is the last grid threshold whose rate meets the target
+    scan = _scan_rates(series, rule) if scan is None else scan
+    met = [(th, rate) for th, rate in scan if rate is not None and rate >= target]
+    if not met:
+        with pytest.raises(SelectionError, match=rf"\(best {scan[0][1]:.3f}\)"):
+            select_threshold(series, target, rule)
+        return
+    assert select_threshold(series, target, rule) == met[-1]
+
+
 @pytest.mark.parametrize("seed,n_days,rule,target", [
     (99, 3650, IndependenceRule(), 2.0),
     (0, 2000, IndependenceRule(), 3.0),
@@ -208,25 +231,38 @@ def _grid(series):
     (4, 2000, IndependenceRule(), 400.0),
 ])
 def test_select_threshold_matches_linear_scan(seed, n_days, rule, target):
+    _assert_selects_as_the_scan(_random_series(seed, n_days), target, rule)
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    n_days=st.integers(400, 3000),
+    rule=st.builds(
+        IndependenceRule,
+        min_gap_days=st.sampled_from([0.0, 3.0, 10.0, 20.0]),
+        trough_fraction=st.sampled_from([0.3, 2.0 / 3.0, 0.9, 1.0]),
+    ),
+    # each target is the rate at a drawn grid level, met there exactly or
+    # missed there by a hair, so the crossings lie anywhere on the grid
+    levels=st.lists(st.integers(0, 199), min_size=1, max_size=12),
+    nudge=st.sampled_from([1.0, 1.0 + 1e-9]),
+)
+def test_select_threshold_matches_linear_scan_on_drawn_series(seed, n_days, rule, levels, nudge):
     series = _random_series(seed, n_days)
-    grid = _grid(series)
-    best = None
-    for th in grid:
-        try:
-            rate = extract_pot(series, float(th), rule).rate
-        except InsufficientDataError:
-            continue
-        if rate >= target:
-            best = (float(th), rate)
-    if best is None:
-        lowest = extract_pot(series, float(grid[0]), rule).rate
-        with pytest.raises(SelectionError, match=rf"\(best {lowest:.3f}\)"):
-            select_threshold(series, target, rule)
-        return
-    assert select_threshold(series, target, rule) == best
+    scan = _scan_rates(series, rule)
+    # a rate no level meets, then the drawn levels' rates
+    _assert_selects_as_the_scan(series, 400.0, rule, scan)
+    for level in levels:
+        rate = scan[min(level, len(scan) - 1)][1]
+        if rate is not None:
+            _assert_selects_as_the_scan(series, rate * nudge, rule, scan)
 
 
-def test_select_threshold_declusters_at_most_eight_times(monkeypatch):
+def test_select_threshold_probes_stay_near_the_crossing(monkeypatch):
+    # the work that matters is the low thresholds' sweeps: with the answer
+    # d levels below the top, no probe lies below top - 2d, and the search
+    # takes at most 2 * bit_length(d) probes (1 when d = 0)
     probes = []
 
     def counted(series, threshold, rule):
@@ -236,13 +272,20 @@ def test_select_threshold_declusters_at_most_eight_times(monkeypatch):
     monkeypatch.setattr(pot_module, "_event_indices", counted)
     for seed in range(4):
         series = _random_series(seed, 3650)
-        for target in (1.5, 2.0, 3.0, 400.0):
+        grid = _grid(series).tolist()
+        top = len(grid) - 1
+        for target in (0.5, 1.5, 2.0, 3.0, 400.0):
             probes.clear()
             try:
-                select_threshold(series, target)
+                chosen = select_threshold(series, target).threshold
             except SelectionError:
-                assert probes[-1] == _grid(series)[0]
-            assert 1 <= len(probes) <= 8
+                # every level missed: grid[0] was probed last, for the message
+                assert probes[-1] == grid[0]
+                assert len(probes) <= 9
+                continue
+            d = top - grid.index(chosen)
+            assert min(grid.index(th) for th in probes) >= top - 2 * d
+            assert len(probes) <= max(1, 2 * d.bit_length())
 
 
 def test_select_threshold_unreachable_rate(spike_series):
