@@ -11,14 +11,17 @@ random-walk Metropolis in (log mu, log sigma, xi).  Each chain owns a
 generator stream spawned from the seed and draws its random numbers in
 blocks, one step normal and one acceptance uniform per proposal.  A
 proposal recomputes its coordinate's prior term and bounds its likelihood
-from the record's moments and its largest peak's exact term
-(``distributions._gp_loglik_interval``); most Metropolis steps are
-decided on those bounds.  The rest read the peaks through
-``distributions._gp_loglik``: the proposal first, and the current state
-only when the proposal's exact value still leaves the step open.  The
-bounds are exact, so the draws are those of evaluating every proposal in
-full.  Each chain logs one DEBUG line with its proposals, kernel calls
-and acceptances.
+from the record's moments and its largest peak's exact term (the closure
+of ``distributions._loglik_bounds``); most Metropolis steps are decided
+on those bounds.  A chain carries the bounds' scalars of its state: per
+location the residuals of the other peaks' mean and of the smallest,
+second largest and largest peak, and per scale -n log sigma, so a scale
+move computes only the last and a shape move none.  The rest read the
+peaks through ``distributions._gp_loglik``: the proposal first, and the
+current state only when the proposal's exact value still leaves the
+step open.  The bounds are exact, so the draws are those of evaluating
+every proposal in full.  Each chain logs one DEBUG line with its
+proposals, kernel calls and acceptances.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from .distributions import (
     SHAPE_EPS,
     GpParams,
     _gp_loglik,
-    _gp_loglik_interval,
-    _record_moments,
+    _loglik_bounds,
     gp_rescale,
 )
 from .errors import (
@@ -272,14 +274,21 @@ def mcmc_sample(
     the three normals of its start, a chain draws its step normals and
     acceptance uniforms in blocks of ``_BLOCK`` iterations and spends one
     normal and one uniform on every proposal, off-support ones included.
+    A chain's start keeps the log target its support test evaluated.
 
     A proposal recomputes one prior term, then bounds its log likelihood
-    by ``_gp_loglik_interval``, scalar arithmetic on the record's moments,
-    the residuals' extremes and the largest peak's exact term.  A
-    location move above the smallest peak is rejected before that.  The
-    step accepts when log u < lp - lt for every log target lp and lt
-    within their bounds and rejects when it holds for none; rounding is
-    monotone, so either verdict is the one the exact floats give.
+    by the closure of ``_loglik_bounds``, scalar arithmetic on the
+    record's moments, the residuals' extremes and the largest peak's
+    exact term.  The chain carries the closure's scalars of its current
+    state: ybar = c - mu, y_min, y_sec = x_(n-1) - mu and y_max, the
+    residuals of the other peaks' mean c and of the smallest, second
+    largest and largest peak, are computed by a location proposal, and
+    base = -n log sigma, as the kernel computes it, by a scale proposal;
+    an accepted move stores them.  A location move above the smallest
+    peak is rejected before the bounds.  The step accepts when
+    log u < lp - lt for every log target lp and lt within their bounds
+    and rejects when it holds for none; rounding is monotone, so either
+    verdict is the one the exact floats give.
     Otherwise the kernel evaluates lp as the full target
     ``-0.5 (q0 + q1 + q2) + _gp_loglik(x - mu, ...)`` that an accepting
     move would have stored, and the step is decided on lp against lt's
@@ -299,11 +308,13 @@ def mcmc_sample(
     proposal.
     """
     x = np.asarray(pot.peaks, dtype=float)
+    n = x.size
     g0, g1, g2 = prior.gamma
     d0, d1, d2 = prior.d
-    # an empty record has no extremes; _gp_loglik and its interval return 0
+    # an empty record has no extremes; _gp_loglik and its bounds return 0
     # before using them
-    xmin, xmax = (float(x.min()), float(x.max())) if x.size else (math.inf, -math.inf)
+    xmin, xmax = (float(x.min()), float(x.max())) if n else (math.inf, -math.inf)
+    bounds, centre, x_sec = _loglik_bounds(x)
 
     def target(y, y_min, y_max, sigma, xi, q0, q1, q2):
         # the log target as the move that accepted it computed it
@@ -317,10 +328,10 @@ def mcmc_sample(
         q2 = (xi - g2) * (xi - g2) / d2
         return target(x - mu, xmin - mu, xmax - mu, math.exp(ls), xi, q0, q1, q2)
 
-    moments = _record_moments(x)
     sd = np.sqrt(np.asarray(prior.d))
-    base = _initial_state(prior, x)
-    if log_target(base) == -math.inf:
+    start = _initial_state(prior, x)
+    lt_start = log_target(start)
+    if lt_start == -math.inf:
         raise FitError("no support-valid starting point for the sampler")
 
     burn_in, thinning, window = config.burn_in, config.thinning, _ADAPT_WINDOW
@@ -330,29 +341,34 @@ def mcmc_sample(
 
     for c in range(config.chains):
         rng = np.random.default_rng(streams[c])
-        z = base + 0.1 * sd * rng.standard_normal(3)
+        z = start + 0.1 * sd * rng.standard_normal(3)
         for _ in range(20):
-            if log_target(z) > -math.inf:
+            lt = log_target(z)
+            if lt > -math.inf:
                 break
-            z = 0.5 * (z + base)
+            z = 0.5 * (z + start)
         else:
-            z = base.copy()
-        lt = log_target(z)
+            z, lt = start.copy(), lt_start
         # bounds on the current log target: equal, and the float a full
-        # evaluation gives, except after a move accepted on its interval
+        # evaluation gives, except after a move accepted on its bounds
         lt_lo = lt_hi = lt
         lm, ls, xi = z.tolist()
         mu, sigma = math.exp(lm), math.exp(ls)
-        # the prior's quadratic term per coordinate, and the residuals'
-        # extremes; the residuals y = x - mu are built when a kernel needs them
+        # the prior's quadratic term per coordinate; per location the
+        # residuals of the other peaks' mean and of the smallest, second
+        # largest and largest peak, and per scale -n log sigma, each kept
+        # until an accepted move changes it.  The residuals y = x - mu are
+        # built when a kernel needs them
         q0 = (lm - g0) * (lm - g0) / d0
         q1 = (ls - g1) * (ls - g1) / d1
         q2 = (xi - g2) * (xi - g2) / d2
         y, y_min, y_max = None, xmin - mu, xmax - mu
+        ybar, y_sec = centre - mu, x_sec - mu
+        base = -n * math.log(sigma)
         scales = 2.4 * sd
         s0, s1, s2 = scales.tolist()
-        acc = [0, 0, 0]  # accepted proposals per coordinate in this window
-        post_acc = [0, 0, 0]
+        # accepted proposals per coordinate in this window and after burn-in
+        acc0 = acc1 = acc2 = post0 = post1 = post2 = 0
         kernel_calls = 0  # of the moves, counted only where the kernel runs
         kept = []
         for it in range(config.iterations):
@@ -375,8 +391,9 @@ def mcmc_sample(
             if y_min_p >= 0.0:
                 q_p = (lm_p - g0) * (lm_p - g0) / d0
                 y_max_p = xmax - mu_p
+                ybar_p, y_sec_p = centre - mu_p, x_sec - mu_p
                 prior_p = -0.5 * (q_p + q1 + q2)
-                lo, hi = _gp_loglik_interval(moments, mu_p, y_min_p, y_max_p, sigma, xi)
+                lo, hi = bounds(base, ybar_p, y_min_p, y_sec_p, y_max_p, sigma, xi)
                 if u0 < (prior_p + lo) - lt_hi:
                     accept, y_p = True, None
                     lt_lo, lt_hi = prior_p + lo, prior_p + hi
@@ -395,15 +412,16 @@ def mcmc_sample(
                         lt_lo = lt_hi = lp
                 if accept:
                     lm, mu, q0, y = lm_p, mu_p, q_p, y_p
-                    y_min, y_max = y_min_p, y_max_p
-                    acc[0] += 1
-                    post_acc[0] += post
+                    y_min, y_max, ybar, y_sec = y_min_p, y_max_p, ybar_p, y_sec_p
+                    acc0 += 1
+                    post0 += post
 
             ls_p = ls + s1 * n1
             sigma_p = math.exp(ls_p)
+            base_p = -n * math.log(sigma_p)
             q_p = (ls_p - g1) * (ls_p - g1) / d1
             prior_p = -0.5 * (q0 + q_p + q2)
-            lo, hi = _gp_loglik_interval(moments, mu, y_min, y_max, sigma_p, xi)
+            lo, hi = bounds(base_p, ybar, y_min, y_sec, y_max, sigma_p, xi)
             if u1 < (prior_p + lo) - lt_hi:
                 accept = True
                 lt_lo, lt_hi = prior_p + lo, prior_p + hi
@@ -420,14 +438,14 @@ def mcmc_sample(
                 if accept:
                     lt_lo = lt_hi = lp
             if accept:
-                ls, sigma, q1 = ls_p, sigma_p, q_p
-                acc[1] += 1
-                post_acc[1] += post
+                ls, sigma, q1, base = ls_p, sigma_p, q_p, base_p
+                acc1 += 1
+                post1 += post
 
             xi_p = xi + s2 * n2
             q_p = (xi_p - g2) * (xi_p - g2) / d2
             prior_p = -0.5 * (q0 + q1 + q_p)
-            lo, hi = _gp_loglik_interval(moments, mu, y_min, y_max, sigma, xi_p)
+            lo, hi = bounds(base, ybar, y_min, y_sec, y_max, sigma, xi_p)
             if u2 < (prior_p + lo) - lt_hi:
                 accept = True
                 lt_lo, lt_hi = prior_p + lo, prior_p + hi
@@ -445,25 +463,26 @@ def mcmc_sample(
                     lt_lo = lt_hi = lp
             if accept:
                 xi, q2 = xi_p, q_p
-                acc[2] += 1
-                post_acc[2] += post
+                acc2 += 1
+                post2 += post
 
             if not post:
                 if (it + 1) % window == 0:
-                    rates = np.asarray(acc, dtype=float) / window
+                    rates = np.array([acc0, acc1, acc2], dtype=float) / window
                     factor = np.exp(1.2 * (rates - 0.35))
                     scales *= np.clip(factor, 0.5, 2.0)
                     scales = np.clip(scales, 1e-6, 100.0)
                     s0, s1, s2 = scales.tolist()
-                    acc = [0, 0, 0]
+                    acc0 = acc1 = acc2 = 0
             elif (it - burn_in) % thinning == 0:
                 kept.append((mu, sigma, xi))
         draws[c] = kept
-        acceptance[c] = np.asarray(post_acc, dtype=float) / (config.iterations - burn_in)
+        acceptance[c] = np.array([post0, post1, post2], dtype=float) / (config.iterations - burn_in)
         log.debug(
             "mcmc chain %d: %d proposals, %d kernel calls, "
             "accepted %d/%d/%d of %d post-burn-in per coordinate",
-            c, 3 * config.iterations, kernel_calls, *post_acc, config.iterations - burn_in,
+            c, 3 * config.iterations, kernel_calls, post0, post1, post2,
+            config.iterations - burn_in,
         )
 
     warnings = []

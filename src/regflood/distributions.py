@@ -27,10 +27,15 @@ never divides its residuals by the scale; ``gp_logpdf`` computes each term
 the same way and makes the same support decision.  Its sums go through
 ``_term_sum``: the builtin ``sum`` on records of fewer than ``_PY_SUM_BELOW``
 terms, where numpy's per-call cost exceeds the loop's, and numpy's pairwise
-sum on longer ones.  ``_gp_loglik_interval`` bounds the float the kernel
-returns without reading the peaks: it takes the largest peak's term
-exactly and bounds the others' from their moments (``_record_moments``),
-so the sampler reads the peaks only for the moves the bounds leave open.
+sum on longer ones.  ``_loglik_bounds`` bounds the float the kernel
+returns without reading the peaks: it computes the record's moments once
+and returns a closure that takes the largest peak's term exactly and
+bounds the others' from those moments.  The closure reads the scalars of
+a location (ybar, y_min, y_sec and y_max, the residuals of the other
+peaks' mean, of the smallest, second largest and largest peak) and of a
+scale (base = -n log sigma) as arguments, so the sampler carries them
+across the moves that keep them and reads the peaks only for the moves
+the bounds leave open.
 
 A Gaussian kernel density estimate of a sample (``_kde_pdf``) serves the
 posterior density output.
@@ -39,6 +44,7 @@ posterior density output.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,7 +224,7 @@ def _gp_loglik(
     is -n log sigma - sum(y) / sigma.  Both sums are ``_term_sum``'s, so on
     a record of fewer than ``_PY_SUM_BELOW`` peaks they are the builtin
     ``sum``'s, which ``fit._profile_grid`` repeats row by row.
-    ``_gp_loglik_interval`` bounds the result from scalars only.
+    ``_loglik_bounds`` bounds the result from scalars only.
     """
     n = y.size
     if n == 0:
@@ -235,67 +241,45 @@ def _gp_loglik(
     return -n * math.log(sigma) - (1.0 / xi + 1.0) * _term_sum(t)
 
 
-def _record_moments(
-    x: np.ndarray,
-) -> tuple[int, float, float, float, float, float, float, float]:
-    """The scalars of the peaks ``x`` that ``_gp_loglik_interval`` reads.
+def _loglik_bounds(x: np.ndarray) -> tuple[Callable[..., tuple[float, float]], float, float]:
+    """Bounds on the kernel's log likelihood of the peaks ``x``, from scalars.
 
-    The interval takes the largest peak's term exactly, so the moments
-    describe the rest: one largest peak is set apart (one of them, if
-    several tie), and the scalars are n, the mean c of the other n - 1
-    peaks, their central sums m2, m3 and m4 about c, the largest of them
-    (the record's second largest), max |x| over all n,
-    and ``eps_n`` = 2 n (n + 16) u (u the unit roundoff), the rounding
-    allowance of the interval's margin.  The sums go through
-    ``math.fsum``, so each is within a few roundings of its value at c,
-    and c is within 2u |c| of their mean.  A single peak stands in for
-    its own empty rest: the interval weighs the rest by n - 1 = 0.
-    """
-    n = x.size
-    if n == 0:
-        return 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
-    # a single peak stands in for its own rest, which has weight n - 1 = 0
-    rest = np.delete(x, int(np.argmax(x))) if n > 1 else x
-    mean = math.fsum(rest.tolist()) / rest.size
-    d = rest - mean
-    d2 = d * d
-    return (
-        n,
-        mean,
-        math.fsum(d2.tolist()),
-        math.fsum((d2 * d).tolist()),
-        math.fsum((d2 * d2).tolist()),
-        float(rest.max()),
-        float(np.abs(x).max()),
-        2.0 * n * (n + 16) * _UNIT_ROUNDOFF,
-    )
+    Returns ``(bounds, c, x_sec)``: c is the mean of the peaks but one
+    largest (one of them, if several tie), x_sec the largest of those
+    others (the record's second largest), and ``bounds(base, ybar, y_min,
+    y_sec, y_max, sigma, xi)`` gives ``(lo, hi)`` around the float
+    ``_gp_loglik(x - mu, y_min, y_max, sigma, xi)`` returns.  A caller
+    passes the scalars of one location mu, ``ybar = c - mu``, ``y_min =
+    x.min() - mu``, ``y_sec = x_sec - mu`` and ``y_max = x.max() - mu``,
+    and of one scale, ``base = -n * math.log(sigma)`` as the kernel
+    computes it, so the sampler carries them across the moves that keep mu
+    or sigma.  On an empty record ``bounds`` returns (0, 0).
 
+    The record's constants are computed once: n - 1, the central sums m2,
+    m3 and m4 of the other peaks about c, max |x| over all n, and
+    ``eps_n`` = 2 n (n + 16) u (u the unit roundoff), the rounding
+    allowance of the margin.  The sums go through ``math.fsum``, so each
+    is within a few roundings of its value at c, and c is within 2u |c| of
+    their mean.  A single peak stands in for its own empty rest, which the
+    bounds weigh by n - 1 = 0.
 
-def _gp_loglik_interval(
-    moments: tuple, mu: float, y_min: float, y_max: float, sigma: float, xi: float
-) -> tuple[float, float]:
-    """Bounds ``(lo, hi)`` on the float ``_gp_loglik(x - mu, y_min, y_max,
-    sigma, xi)`` returns, from ``_record_moments(x)`` and scalars only.
-
-    ``y_min`` and ``y_max`` are the kernel's ``x.min() - mu`` and
-    ``x.max() - mu``, so its support tests give (-inf, -inf) here too.
-    With theta = xi / sigma, the largest peak's term log1p(theta y_max)
-    is taken exactly, on the float the kernel's own residual holds.  The
-    other n - 1 peaks, with residual mean ybar = c - mu and
-    g = theta / (1 + theta ybar), are expanded to third order about ybar:
+    The kernel's support tests give (-inf, -inf) here too.  With theta =
+    xi / sigma, the largest peak's term log1p(theta y_max) is taken
+    exactly, on the float the kernel's own residual holds.  The other
+    n - 1 peaks, with g = theta / (1 + theta ybar), are expanded to third
+    order about ybar:
 
         sum' log1p(theta y) = (n - 1) log1p(theta ybar) - g^2 m2 / 2
                               + g^3 m3 / 3 + R,
 
     and Lagrange's remainder puts R in [-theta^4 m4 / (4 lo^4),
     -theta^4 m4 / (4 hi^4)], lo and hi being the smaller and larger of
-    1 + theta y_min and 1 + theta y_sec, y_sec = x_(n-1) - mu the second
-    largest residual, each widened by its rounding.  Leaving the largest
-    peak out of the remainder is what keeps the interval narrow on heavy
-    tails and near the upper endpoint, where 1 + theta y_max is far from
-    1 + theta ybar.  The exponential law (|xi| < ``SHAPE_EPS``) is
-    -n log sigma - ((n - 1) ybar + y_max) / sigma.  The margin, in units
-    of ``eps_n``, has three parts:
+    1 + theta y_min and 1 + theta y_sec, each widened by its rounding.
+    Leaving the largest peak out of the remainder is what keeps the bounds
+    narrow on heavy tails and near the upper endpoint, where
+    1 + theta y_max is far from 1 + theta ybar.  The exponential law
+    (|xi| < ``SHAPE_EPS``) is base - ((n - 1) ybar + y_max) / sigma.  The
+    margin, in units of ``eps_n``, has three parts:
 
     - q (1 + q)^4, where slope = |theta| / min(lo, 1) bounds the slope of
       log1p(theta y) over the other peaks and q = slope y_sec bounds
@@ -309,68 +293,82 @@ def _gp_loglik_interval(
       and the few ulps by which the kernel's ``np.log1p`` and
       ``math.log1p`` may differ on it.
 
-    The kernel ends in fl(-n log sigma - fl(C S)), C = 1/xi + 1, which
-    rounding keeps monotone in its sum S, so bounds on S bound its
-    result.  When 1 + theta y may reach 0 within rounding below the
-    largest peak, or the margin overflows, the interval is (-inf, inf).
+    The kernel ends in fl(base - fl(C S)), C = 1/xi + 1, which rounding
+    keeps monotone in its sum S, so bounds on S bound its result.  When
+    1 + theta y may reach 0 within rounding below the largest peak, or
+    the margin overflows, the bounds are (-inf, inf).
     """
-    n, mean, m2, m3, m4, x_sec, xabs, eps_n = moments
+    n = x.size
     if n == 0:
-        return 0.0, 0.0
-    if y_min < 0.0:
-        return -math.inf, -math.inf
-    base = -n * math.log(sigma)
+        return (lambda base, ybar, y_min, y_sec, y_max, sigma, xi: (0.0, 0.0)), 0.0, 0.0
+    # a single peak stands in for its own rest, which has weight n - 1 = 0
+    rest = np.delete(x, int(np.argmax(x))) if n > 1 else x
+    centre = math.fsum(rest.tolist()) / rest.size
+    d = rest - centre
+    d2 = d * d
+    m2 = math.fsum(d2.tolist())
+    m3 = math.fsum((d2 * d).tolist())
+    m4 = math.fsum((d2 * d2).tolist())
+    xabs = float(np.abs(x).max())
+    eps_n = 2.0 * n * (n + 16) * _UNIT_ROUNDOFF
     k = n - 1
-    ybar = mean - mu
-    if abs(xi) < SHAPE_EPS:
-        # the kernel's fl(sum y) is (n - 1) ybar + y_max within e
-        sy = k * ybar + y_max
-        e = eps_n * (y_max + xabs)
-        return base - (sy + e) / sigma, base - (sy - e) / sigma
-    theta = xi / sigma
-    if 1.0 + theta * y_max <= 0.0:
-        return -math.inf, -math.inf
-    t_max = math.log1p(theta * y_max)
-    y_sec = x_sec - mu
-    a = 1.0 + theta * y_min
-    b = 1.0 + theta * y_sec
-    if theta > 0.0:
-        slope = theta
-        slack = _SLACK * b
-        lo, hi = a - slack, b + slack
-    else:
-        slope = -theta
-        slack = _SLACK * (1.0 - theta * y_sec)
-        lo, hi = b - slack, a + slack
-        if lo <= 0.0:
-            return -math.inf, math.inf
-        if lo < 1.0:
-            slope /= lo
-    q = slope * y_sec
-    q1 = 1.0 + q
-    q1 *= q1
-    e = eps_n * (q * q1 * q1 + slope * xabs + abs(t_max))
-    if not e < math.inf:
-        return -math.inf, math.inf
-    w = 1.0 + theta * ybar
-    if not w > 0.0:
-        # the rounded centre crossed the endpoint: no expansion point
-        return -math.inf, math.inf
-    g = theta / w
-    g2 = g * g
-    t2 = 0.5 * g2 * m2
-    tt = theta * theta
-    t4 = 0.25 * tt * tt * m4
-    lo *= lo
-    r_lo = t4 / (lo * lo)
-    s = t_max + k * math.log1p(theta * ybar) - t2 + g2 * g * m3 / 3.0
-    hi *= hi
-    s_lo = s - r_lo - e
-    s_hi = s - t4 / (hi * hi) + e
-    c = 1.0 / xi + 1.0
-    if c >= 0.0:
-        return base - c * s_hi, base - c * s_lo
-    return base - c * s_lo, base - c * s_hi
+    log1p, inf = math.log1p, math.inf
+
+    def bounds(base, ybar, y_min, y_sec, y_max, sigma, xi):
+        if y_min < 0.0:
+            return -inf, -inf
+        if -SHAPE_EPS < xi < SHAPE_EPS:
+            # the kernel's fl(sum y) is (n - 1) ybar + y_max within e
+            sy = k * ybar + y_max
+            e = eps_n * (y_max + xabs)
+            return base - (sy + e) / sigma, base - (sy - e) / sigma
+        theta = xi / sigma
+        t_max = theta * y_max
+        if 1.0 + t_max <= 0.0:
+            return -inf, -inf
+        t_max = log1p(t_max)
+        a = 1.0 + theta * y_min
+        b = 1.0 + theta * y_sec
+        if theta > 0.0:
+            slope = theta
+            slack = _SLACK * b
+            lo, hi = a - slack, b + slack
+        else:
+            slope = -theta
+            slack = _SLACK * (1.0 - theta * y_sec)
+            lo, hi = b - slack, a + slack
+            if lo <= 0.0:
+                return -inf, inf
+            if lo < 1.0:
+                slope /= lo
+        q = slope * y_sec
+        q1 = 1.0 + q
+        q1 *= q1
+        e = eps_n * (q * q1 * q1 + slope * xabs + abs(t_max))
+        if not e < inf:
+            return -inf, inf
+        t_bar = theta * ybar
+        w = 1.0 + t_bar
+        if not w > 0.0:
+            # the rounded centre crossed the endpoint: no expansion point
+            return -inf, inf
+        g = theta / w
+        g2 = g * g
+        t2 = 0.5 * g2 * m2
+        tt = theta * theta
+        t4 = 0.25 * tt * tt * m4
+        lo *= lo
+        r_lo = t4 / (lo * lo)
+        s = t_max + k * log1p(t_bar) - t2 + g2 * g * m3 / 3.0
+        hi *= hi
+        s_lo = s - r_lo - e
+        s_hi = s - t4 / (hi * hi) + e
+        c = 1.0 / xi + 1.0
+        if c >= 0.0:
+            return base - c * s_hi, base - c * s_lo
+        return base - c * s_lo, base - c * s_hi
+
+    return bounds, centre, float(rest.max())
 
 
 def _term_sum(t: np.ndarray) -> float:

@@ -548,12 +548,13 @@ def exact_chains(prior, pot, config, seed):
         rng = np.random.default_rng(streams[c])
         z = base + 0.1 * sd * rng.standard_normal(3)
         for _ in range(20):
-            if log_target(z) > -math.inf:
+            lt = log_target(z)
+            if lt > -math.inf:
                 break
             z = 0.5 * (z + base)
         else:
             z = base.copy()
-        lt = log_target(z)
+            lt = log_target(z)
         lm, ls, xi = z.tolist()
         mu, sigma = math.exp(lm), math.exp(ls)
         q0 = (lm - g0) * (lm - g0) / d0
@@ -786,6 +787,42 @@ def test_mcmc_passes_the_kernel_the_extremes_of_its_residuals(monkeypatch):
     assert chains.acceptance[:, 0].min() > 0.05
 
 
+def test_mcmc_carries_the_bounds_scalars_of_its_current_state(monkeypatch):
+    # a location proposal computes ybar = c - mu, y_sec = x_sec - mu and the
+    # residuals' extremes, a scale proposal base = -n log sigma, and an
+    # accepted move stores them: every call of the bounds must see the
+    # scalars of one location and of the scale it is given.  A tight
+    # location prior keeps each mu within a factor of two of the smallest
+    # peak, so xmin - mu is exact (Sterbenz) and xmin - y_min gives mu back
+    factory = bayes._loglik_bounds
+    seen = []
+
+    def spied(x):
+        bounds, centre, x_sec = factory(x)
+        n, xmin, xmax = x.size, float(x.min()), float(x.max())
+
+        def checked(base, ybar, y_min, y_sec, y_max, sigma, xi):
+            assert base == -n * math.log(sigma)
+            mu = xmin - y_min
+            assert xmin / 2.0 <= mu <= xmin
+            assert (ybar, y_sec, y_max) == (centre - mu, x_sec - mu, xmax - mu)
+            seen.append((mu, base))
+            return bounds(base, ybar, y_min, y_sec, y_max, sigma, xi)
+
+        return checked, centre, x_sec
+
+    monkeypatch.setattr(bayes, "_loglik_bounds", spied)
+    prior = replace(PRIOR, d=(0.0025,) + PRIOR.d[1:])
+    peaks = gp_sample(GpParams(5.0, 2.0, 0.1), 60, seed=10)
+    pot = make_pot(peaks, 5.0, 30.0)
+    chains = mcmc_sample(prior, pot, KERNEL_RUN, seed=21)
+    # many accepted location and scale moves, each carried into later calls
+    assert chains.acceptance[:, :2].min() > 0.2
+    assert len({mu for mu, _ in seen}) > 1000
+    assert len({base for _, base in seen}) > 1000
+    assert_exact(chains, prior, pot, KERNEL_RUN, seed=21)
+
+
 def _family(n, shape, seed):
     peaks = gp_sample(GpParams(5.0, 2.0, shape), n, seed=seed)
     prior = replace(PRIOR, gamma=(PRIOR.gamma[0], PRIOR.gamma[1], shape))
@@ -827,12 +864,13 @@ def test_mcmc_kernel_calls_fall_on_the_hard_record_families(case, before, monkey
         chains = mcmc_sample(prior, pot, FAMILY_RUN, seed=5)
     assert len(calls) < before
     # one DEBUG line per chain counts the moves' kernel calls; the rest are
-    # the start's: one check of the base state, two evaluations per chain
+    # the start's: one check of the base state, one evaluation per chain,
+    # whose value the chain keeps
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("mcmc chain")]
     assert len(lines) == FAMILY_RUN.chains
     counts = [re.search(r"(\d+) proposals, (\d+) kernel calls", line).groups() for line in lines]
     assert all(int(p) == 3 * FAMILY_RUN.iterations for p, _ in counts)
-    assert sum(int(k) for _, k in counts) + 1 + 2 * FAMILY_RUN.chains == len(calls)
+    assert sum(int(k) for _, k in counts) + 1 + FAMILY_RUN.chains == len(calls)
     assert_exact(chains, prior, pot, FAMILY_RUN, seed=5)
 
 

@@ -10,8 +10,7 @@ from regflood.distributions import (
     _PY_SUM_BELOW,
     SHAPE_EPS,
     _gp_loglik,
-    _gp_loglik_interval,
-    _record_moments,
+    _loglik_bounds,
     _term_sum,
     _kde_pdf,
     GpParams,
@@ -232,8 +231,7 @@ def test_residual_loglik_matches_gp_logpdf(params):
     empty = np.empty(0)
     assert _gp_loglik(empty, math.inf, -math.inf, sigma, xi) == 0.0
     assert float(gp_logpdf(GpParams(mu, sigma, xi), empty).sum()) == 0.0
-    moments = _record_moments(empty)
-    assert _gp_loglik_interval(moments, mu, math.inf, -math.inf, sigma, xi) == (0.0, 0.0)
+    assert loglik_bounds(empty, mu, math.inf, -math.inf, sigma, xi) == (0.0, 0.0)
 
 
 @settings(deadline=None, max_examples=300, derandomize=True)
@@ -319,6 +317,14 @@ def test_log1p_never_sees_minus_one_at_the_support_edges():
     assert exact > 0
 
 
+def loglik_bounds(peaks, mu, y_min, y_max, sigma, xi):
+    """The bounds of ``_loglik_bounds(peaks)`` at (mu, sigma, xi), given the
+    scalars of mu and sigma as the sampler computes them."""
+    bounds, centre, x_sec = _loglik_bounds(peaks)
+    base = -peaks.size * math.log(sigma)
+    return bounds(base, centre - mu, y_min, x_sec - mu, y_max, sigma, xi)
+
+
 def _ulp_beyond(edge_sigma):
     # the scale that puts the upper endpoint on a peak, or an ulp either side
     return st.sampled_from([-math.inf, 0.0, math.inf]).map(
@@ -397,7 +403,7 @@ def test_loglik_interval_encloses_the_kernel(case):
     y = peaks - mu
     y_min, y_max = float(y.min()), float(y.max())
     got = _gp_loglik(y, y_min, y_max, sigma, xi)
-    lo, hi = _gp_loglik_interval(_record_moments(peaks), mu, y_min, y_max, sigma, xi)
+    lo, hi = loglik_bounds(peaks, mu, y_min, y_max, sigma, xi)
     assert lo <= got <= hi
     # the interval makes the kernel's support decision
     assert (hi == -math.inf) == (got == -math.inf)
@@ -406,10 +412,9 @@ def test_loglik_interval_encloses_the_kernel(case):
 def test_loglik_interval_is_narrow_on_an_ordinary_record():
     # what lets the sampler decide most moves without the kernel
     x = EDGE_PEAKS
-    moments = _record_moments(x)
     mu = float(x.min()) - 0.1
     for xi, width in ((0.0, 1e-9), (0.1, 0.05)):
-        lo, hi = _gp_loglik_interval(moments, mu, x.min() - mu, x.max() - mu, 2.0, xi)
+        lo, hi = loglik_bounds(x, mu, x.min() - mu, x.max() - mu, 2.0, xi)
         assert 0.0 < hi - lo < width
     # near the upper endpoint: the largest peak, moved out to 25, lies at
     # nine tenths of the way to it.  With that peak inside the remainder
@@ -420,7 +425,7 @@ def test_loglik_interval_is_narrow_on_an_ordinary_record():
     y_min, y_max = float(x.min()) - mu, float(x.max()) - mu
     sigma = 8.0
     xi = -0.9 * sigma / y_max
-    lo, hi = _gp_loglik_interval(_record_moments(x), mu, y_min, y_max, sigma, xi)
+    lo, hi = loglik_bounds(x, mu, y_min, y_max, sigma, xi)
     assert lo <= _gp_loglik(x - mu, y_min, y_max, sigma, xi) <= hi
     assert 0.0 < hi - lo < 0.05
 
