@@ -39,7 +39,14 @@ from .bayes import (
 )
 from .distributions import _kde_pdf
 from .errors import ContractViolationError, InputError, NumericalError
-from .evaluation import EvalConfig, SynthSpec, run_experiment, synth_daily_series, synth_region
+from .evaluation import (
+    EvalConfig,
+    SynthSpec,
+    _reject_repeats,
+    run_experiment,
+    synth_daily_series,
+    synth_region,
+)
 from .fileio import (
     RegionConfig,
     SiteEntry,
@@ -357,6 +364,10 @@ def _mcmc_config(
 def cmd_bayes(args) -> list[str]:
     mc = _mcmc_config(args.chains, args.iters, args.burn_in, quantiles=True)
     periods = _levels_args(args)
+    donor_codes = None
+    if args.donors:  # the regression's sites are also the elicitation donors
+        donor_codes = tuple(c.strip() for c in args.donors.split(",") if c.strip())
+        _reject_repeats("donor", donor_codes)
     region = build_region(load_region_config(args.config))
     if args.target and args.target != region.target:
         region = dataclasses.replace(region, target=args.target)
@@ -366,8 +377,8 @@ def cmd_bayes(args) -> list[str]:
         _check_rate_period(pot.rate, period)
 
     donors = region.others()
-    if args.donors:  # the regression's sites are also the elicitation donors
-        donors = tuple(region.site(c.strip()) for c in args.donors.split(",") if c.strip())
+    if donor_codes is not None:
+        donors = tuple(region.site(c) for c in donor_codes)
     regression = _donor_regression(donors, region.index_method)
     prior = elicit_prior(region, regression)
     if args.flat_prior:

@@ -24,18 +24,16 @@ sampler, the MLE's certificate, the profile likelihood and the PWM fit call
 it.  It takes the unscaled residuals y = x - location and sums
 log1p(theta * y) with theta = shape / scale (Grimshaw 1993), so a caller
 never divides its residuals by the scale; ``gp_logpdf`` computes each term
-the same way and makes the same support decision.  Its sums go through
-``_term_sum``: the builtin ``sum`` on records of fewer than ``_PY_SUM_BELOW``
-terms, where numpy's per-call cost exceeds the loop's, and numpy's pairwise
-sum on longer ones.  ``_loglik_bounds`` bounds the float the kernel
-returns without reading the peaks: it computes the record's moments once
-and returns a closure that takes the largest peak's term exactly and
-bounds the others' from those moments.  The closure reads the scalars of
-a location (ybar, y_min, y_sec and y_max, the residuals of the other
-peaks' mean, of the smallest, second largest and largest peak) and of a
-scale (base = -n log sigma) as arguments, so the sampler carries them
-across the moves that keep them and reads the peaks only for the moves
-the bounds leave open.
+the same way and makes the same support decision.  It sums its terms with
+numpy's pairwise ``np.add.reduce`` at every record size.  ``_loglik_bounds``
+bounds the float the kernel returns without reading the peaks: it computes
+the record's moments once and returns a closure that takes the largest
+peak's term exactly and bounds the others' from those moments.  The
+closure reads the scalars of a location (ybar, y_min, y_sec and y_max, the
+residuals of the other peaks' mean, of the smallest, second largest and
+largest peak) and of a scale (base = -n log sigma) as arguments, so the
+sampler carries them across the moves that keep them and reads the peaks
+only for the moves the bounds leave open.
 
 A Gaussian kernel density estimate of a sample (``_kde_pdf``) serves the
 posterior density output.
@@ -80,23 +78,10 @@ _SLACK = 8.0 * _UNIT_ROUNDOFF
 # reused heap memory instead of fresh mmapped pages, whose page faults cost
 # more than the arithmetic; far smaller blocks pay numpy's per-call overhead.
 _BLOCK_VALUES = 15_000
-# Record size at which the builtin sum(t.tolist()) stops beating numpy's
-# add.reduce per call (_term_sum).  Interleaved timeit minima on a shared
-# 2-vCPU VM (py3.11.7, numpy 2.4.6): the builtin costs about 0.16 us + 16 ns
-# per term, add.reduce a flat 1.0-1.1 us, and the two cross at 52-58 terms
-# over four runs.
-_PY_SUM_BELOW = 56
 # a Gaussian kernel farther than this many bandwidths is exp(-760.5), which
 # underflows to exactly 0.0, so leaving such draws out changes no sum; it
 # also spares np.exp its slow path for underflowing arguments
 _KDE_REACH = 39.0
-
-
-def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
-    """Return a numpy Generator from a seed, passing Generators through."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _finite_array(values, name: str) -> np.ndarray:
@@ -221,9 +206,8 @@ def _gp_loglik(
     must be ``y.min()`` and ``y.max()``: rounding is monotone, so they
     decide exactly as the whole array would, and ``log1p`` never sees an
     argument of -1 or below.  The exponential law (|xi| < ``SHAPE_EPS``)
-    is -n log sigma - sum(y) / sigma.  Both sums are ``_term_sum``'s, so on
-    a record of fewer than ``_PY_SUM_BELOW`` peaks they are the builtin
-    ``sum``'s, which ``fit._profile_grid`` repeats row by row.
+    is -n log sigma - sum(y) / sigma.  Both sums are numpy's pairwise
+    ``np.add.reduce``, which ``fit._profile_grid`` repeats row by row.
     ``_loglik_bounds`` bounds the result from scalars only.
     """
     n = y.size
@@ -232,13 +216,13 @@ def _gp_loglik(
     if y_min < 0.0:
         return -math.inf
     if abs(xi) < SHAPE_EPS:
-        return -n * math.log(sigma) - _term_sum(y) / sigma
+        return -n * math.log(sigma) - float(np.add.reduce(y)) / sigma
     theta = xi / sigma
     if 1.0 + theta * y_max <= 0.0:
         return -math.inf
     t = theta * y
     np.log1p(t, out=t)
-    return -n * math.log(sigma) - (1.0 / xi + 1.0) * _term_sum(t)
+    return -n * math.log(sigma) - (1.0 / xi + 1.0) * float(np.add.reduce(t))
 
 
 def _loglik_bounds(x: np.ndarray) -> tuple[Callable[..., tuple[float, float]], float, float]:
@@ -258,9 +242,12 @@ def _loglik_bounds(x: np.ndarray) -> tuple[Callable[..., tuple[float, float]], f
     The record's constants are computed once: n - 1, the central sums m2,
     m3 and m4 of the other peaks about c, max |x| over all n, and
     ``eps_n`` = 2 n (n + 16) u (u the unit roundoff), the rounding
-    allowance of the margin.  The sums go through ``math.fsum``, so each
-    is within a few roundings of its value at c, and c is within 2u |c| of
-    their mean.  A single peak stands in for its own empty rest, which the
+    allowance of the margin.  It covers a left-to-right sum of the n
+    terms, whose error bound is no smaller than that of the pairwise
+    ``np.add.reduce`` the kernel sums with (Higham 1993).  m2, m3, m4 and
+    c go through ``math.fsum``, so each central sum is within a few
+    roundings of its value at c, and c is within 2u |c| of the other
+    peaks' mean.  A single peak stands in for its own empty rest, which the
     bounds weigh by n - 1 = 0.
 
     The kernel's support tests give (-inf, -inf) here too.  With theta =
@@ -371,24 +358,6 @@ def _loglik_bounds(x: np.ndarray) -> tuple[Callable[..., tuple[float, float]], f
     return bounds, centre, float(rest.max())
 
 
-def _term_sum(t: np.ndarray) -> float:
-    """Sum of the 1-D float array ``t``: the builtin ``sum`` of its Python
-    floats below ``_PY_SUM_BELOW`` terms, where numpy's fixed per-call cost
-    outweighs the interpreted loop, and numpy's pairwise ``np.add.reduce``
-    at or above it.  The two orders differ only at rounding level."""
-    if t.size < _PY_SUM_BELOW:
-        return sum(t.tolist())
-    return float(np.add.reduce(t))
-
-
-def _row_sums(t: np.ndarray) -> np.ndarray:
-    """Sums of the rows of the 2-D float array ``t``, each summed as
-    ``_term_sum`` sums a record of that many terms."""
-    if t.shape[1] < _PY_SUM_BELOW:
-        return np.array([sum(r) for r in t.tolist()])
-    return t.sum(axis=1)
-
-
 def gp_quantile(params: GpParams, p):
     """GP quantile for non-exceedance probability p in [0, 1).
 
@@ -413,7 +382,7 @@ def gp_sample(params: GpParams, n: int, seed: int | np.random.Generator | None =
     """Draw n variates by inverse-CDF applied to uniforms from the given seed."""
     if n < 0:
         raise InputError(f"sample size must be non-negative, got {n!r}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     return np.asarray(gp_quantile(params, rng.random(n)))
 
 
@@ -524,7 +493,7 @@ def kappa_sample(params: KappaParams, n: int, seed: int | np.random.Generator | 
     """Draw n variates by inverse-CDF applied to uniforms from the given seed."""
     if n < 0:
         raise InputError(f"sample size must be non-negative, got {n!r}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     u = rng.random(n)
     # keep u strictly inside (0, 1); random() can return exactly 0.0
     np.clip(u, 1e-15, 1.0 - 1e-16, out=u)

@@ -382,6 +382,12 @@ def synth_daily_series(
 # ------------------------------------------------------------- experiment
 
 
+def _reject_repeats(name: str, values: Sequence) -> None:
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise InputError(f"{name} {repeated[0]!r} is listed twice")
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     """Settings of one model-comparison experiment.
@@ -412,10 +418,8 @@ class EvalConfig:
         unknown = set(self.models) - {"MLE", "PWU", "PWB", "REG", "BAY"}
         if unknown:
             raise InputError(f"unknown models {sorted(unknown)!r}")
-        for name, values in (("length", self.lengths), ("model", self.models)):
-            repeated = [v for i, v in enumerate(values) if v in values[:i]]
-            if repeated:
-                raise InputError(f"{name} {repeated[0]!r} is listed twice")
+        _reject_repeats("length", self.lengths)
+        _reject_repeats("model", self.models)
 
 
 @dataclass(frozen=True)

@@ -523,6 +523,9 @@ class RegionConfig:
         if self.target not in codes:
             raise InputError(f"target {self.target!r} is not a listed site")
         explicit = [s.code for s in self.sites if s.threshold is not None]
+        for s in self.sites:
+            if s.threshold is not None and not math.isfinite(s.threshold):
+                raise InputError(f"site {s.code}: threshold must be finite, got {s.threshold!r}")
         if self.target_rate is None:
             if len(explicit) != len(codes):
                 missing = sorted(set(codes) - set(explicit))
@@ -624,14 +627,19 @@ def load_region_config(path) -> RegionConfig:
 
     method = doc.get("index_flood_method", "gp-fit")
     rescale = doc.get("rescale", "index")
-    return RegionConfig(
-        target=target,
-        sites=tuple(entries),
-        target_rate=None if target_rate is None else _cfg_float(thr, "target_rate", 0.0, path.name),
-        rule=rule,
-        index_method=method if isinstance(method, str) else str(method),
-        rescale=rescale if isinstance(rescale, str) else str(rescale),
-    )
+    if target_rate is not None:
+        target_rate = _cfg_float(thr, "target_rate", 0.0, path.name)
+    try:
+        return RegionConfig(
+            target=target,
+            sites=tuple(entries),
+            target_rate=target_rate,
+            rule=rule,
+            index_method=method if isinstance(method, str) else str(method),
+            rescale=rescale if isinstance(rescale, str) else str(rescale),
+        )
+    except InputError as exc:
+        raise InputError(f"{path.name}: {exc}") from exc
 
 
 def write_region_config(path, config: RegionConfig) -> None:

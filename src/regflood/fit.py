@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaincinv
 
-from .distributions import SHAPE_EPS, GpParams, _gp_loglik, _row_sums, gp_quantile
+from .distributions import SHAPE_EPS, GpParams, _gp_loglik, gp_quantile
 from .errors import FitError, InputError, InsufficientDataError
 from .lmoments import _pwm_float, gp_fit_lmom, sample_lmoments
 from .pot import PotSeries
@@ -537,8 +537,7 @@ def _profile_grid(d: np.ndarray, scales: list[float]) -> np.ndarray:
     ``_PROFILE_GRID`` shape and its scale: one (31, n) array of
     log1p(k * d), k = shape / scale, in ``_gp_loglik``'s arithmetic (no grid
     shape is within ``SHAPE_EPS`` of 0), so each row equals the kernel.
-    Each row is summed as ``distributions._term_sum`` sums it
-    (``distributions._row_sums``).
+    Each row is summed by numpy's pairwise sum, as the kernel sums.
     Rows are kept only where the kernel's own scalar test, 1 + k * max(d)
     > 0, puts every peak on the support, so ``log1p`` never sees -1.
     Off-support shapes and non-positive or non-finite scales score 1e12.
@@ -553,7 +552,7 @@ def _profile_grid(d: np.ndarray, scales: list[float]) -> np.ndarray:
     shape = _PROFILE_GRID[rows]
     log_s = np.array([math.log(v) for v in s])
     log_t = np.log1p((shape / s)[:, None] * d)
-    sums = -d.size * log_s - (1.0 / shape + 1.0) * _row_sums(log_t)
+    sums = -d.size * log_s - (1.0 / shape + 1.0) * log_t.sum(axis=1)
     values = np.full(_PROFILE_GRID.size, 1e12)
     values[rows] = np.where(np.isfinite(sums), -sums, 1e12)
     return values

@@ -33,7 +33,6 @@ from .distributions import (
     _BLOCK_VALUES,
     GpParams,
     KappaParams,
-    as_generator,
     gp_quantile,
     gp_sample,
     kappa_sample,
@@ -343,7 +342,7 @@ def heterogeneity(region: Region, nsim: int = 500, seed: int = 0) -> Heterogenei
     w = lengths / lengths.sum()
     v_obs = _v_statistics(ratios[None], w, reg_vec[None])[0]
     parent, kind = fit_simulation_parent(regional)
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     table = _sim_ratio_table(parent, kind, lengths, nsim, rng)
     v_sim = _v_statistics(table, w, np.einsum("s,rsk->rk", w, table))
     sim_mean = v_sim.mean(axis=0)

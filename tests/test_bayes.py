@@ -22,7 +22,6 @@ from regflood.bayes import (
     posterior_quantiles,
 )
 from regflood.distributions import (
-    _PY_SUM_BELOW,
     SHAPE_EPS,
     GpParams,
     _gp_loglik,
@@ -728,8 +727,8 @@ def test_mcmc_is_the_exact_sampler_on_the_intervals_hard_records(case):
 
 
 # (acceptance, last draw of each chain, fsum of each coordinate's draws) of
-# LIGHT at seed 0, as sampled before the kernel summed short records with the
-# builtin sum: 11 peaks fall below distributions._PY_SUM_BELOW, 65 above it
+# LIGHT at seed 0 on a short and a long record; the kernel sums both with
+# numpy's pairwise sum
 _PINNED_CHAINS = {
     11: (
         [[0.4168181818181818, 0.34454545454545454, 0.4168181818181818],
@@ -749,10 +748,9 @@ _PINNED_CHAINS = {
 
 
 @pytest.mark.parametrize("n, record_seed", [(11, 31), (65, 32)])
-def test_mcmc_draws_are_pinned_on_both_sides_of_the_sum_switch(n, record_seed):
+def test_mcmc_draws_are_pinned_on_a_short_and_a_long_record(n, record_seed):
     # the reference kernel above shares _gp_loglik, so only pinned values
     # see a change of the kernel's sum that flips an acceptance
-    assert (n < _PY_SUM_BELOW) == (n == 11)
     pot = make_pot(gp_sample(GpParams(5.0, 2.0, 0.1), n, seed=record_seed), 5.0, n / 2.2)
     chains = mcmc_sample(PRIOR, pot, LIGHT, seed=0)
     acceptance, last, sums = _PINNED_CHAINS[n]

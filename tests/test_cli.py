@@ -573,6 +573,15 @@ def test_bayes_donors_restrict_the_prior(sim_dir, tmp_path, capsys):
     assert read_prior_json(tmp_path / "prior.json").provenance.sites == ("S1", "S2", "S3")
 
 
+def test_bayes_repeated_donor_fails_before_reading(sim_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_region_config", must_not_run)
+    monkeypatch.setattr(cli, "build_region", must_not_run)
+    code, out, err = run(capsys, bayes_argv(sim_dir, tmp_path, "--donors", "S1,S2, S1,S3"))
+    assert code == 1
+    assert out == ""
+    assert "donor 'S1' is listed twice" in err
+
+
 def test_bayes_too_few_draws_fails_before_sampling(sim_dir, tmp_path, capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("called before the draw count was checked")

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from regflood.distributions import (
-    _PY_SUM_BELOW,
     SHAPE_EPS,
     _gp_loglik,
     _loglik_bounds,
-    _term_sum,
     _kde_pdf,
     GpParams,
     KappaParams,
@@ -258,40 +256,18 @@ def test_residual_loglik_is_the_scaled_form_at_rounding_level(params):
 
 # 2**53 absorbs every 1.0 added after it left to right, but not numpy's
 # pairwise sum: at these sizes the two orders give different sums
-_ORDER_SENSITIVE = [2.0**53] + [1.0] * (_PY_SUM_BELOW - 1)
+_ORDER_SENSITIVE = [2.0**53] + [1.0] * 55
 
 
-@settings(deadline=None, max_examples=300, derandomize=True)
-@given(
-    st.one_of(
-        st.integers(0, 2 * _PY_SUM_BELOW), st.sampled_from([_PY_SUM_BELOW - 1, _PY_SUM_BELOW])
-    ).flatmap(
-        lambda n: st.lists(
-            st.one_of(
-                st.floats(allow_nan=False, allow_infinity=False),
-                st.floats(-1e3, 1e3),
-                st.sampled_from([math.inf, -math.inf]),
-            ),
-            min_size=n,
-            max_size=n,
-        )
-    )
-)
-@example(_ORDER_SENSITIVE[:-1])
-@example(_ORDER_SENSITIVE)
-def test_term_sum_is_the_builtin_below_the_switch_and_numpy_at_it(values):
-    t = np.array(values, dtype=float)
-    # numpy warns where a sum overflows or meets inf - inf; the builtin does not
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = _term_sum(t)
-        want = sum(t.tolist()) if t.size < _PY_SUM_BELOW else float(np.add.reduce(t))
-    assert got == want or (math.isnan(got) and math.isnan(want))
-
-
-def test_term_sum_switch_examples_tell_the_two_orders_apart():
-    for n in (_PY_SUM_BELOW - 1, _PY_SUM_BELOW):
-        t = np.array(_ORDER_SENSITIVE[:n])
-        assert sum(t.tolist()) != float(np.add.reduce(t))
+@pytest.mark.parametrize("n", [55, 56])
+def test_kernel_sums_pairwise_at_every_record_size(n):
+    # the exponential law's terms are the residuals themselves
+    y = np.array(_ORDER_SENSITIVE[:n])
+    sigma = 2.0
+    pairwise = float(np.add.reduce(y))
+    assert sum(y.tolist()) != pairwise
+    want = -n * math.log(sigma) - pairwise / sigma
+    assert _gp_loglik(y, float(y.min()), float(y.max()), sigma, 0.0) == want
 
 
 def test_log1p_never_sees_minus_one_at_the_support_edges():

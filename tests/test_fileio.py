@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_pot, make_spike_series
+from regflood import fileio
 from regflood.bayes import PriorProvenance, PriorSpec, QuantileSummary
 from regflood.distributions import GpParams
 from regflood.errors import InputError
@@ -468,6 +469,23 @@ def test_region_config_per_site_thresholds(tmp_path):
     assert config.sites[2].threshold == 14.0
     region = build_region(config)
     assert region.site("S2").pot.threshold == 14.0
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_region_config_rejects_a_non_finite_site_threshold_before_reading(
+    tmp_path, monkeypatch, value
+):
+    mpath, entries = region_files(tmp_path)
+    block = "  per_site:\n" + "\n".join(
+        f"    S{i}: {value if i == 2 else 10.0 + 2.0 * i}" for i in range(4)
+    )
+    cpath = tmp_path / "region.yaml"
+    cpath.write_text(config_doc(mpath, entries, threshold_block=block))
+    opened = []
+    monkeypatch.setattr(fileio, "read_series_csv", lambda path, **kw: opened.append(path))
+    with pytest.raises(InputError, match=r"^region\.yaml: site S2: threshold must be finite"):
+        build_region(load_region_config(cpath))
+    assert opened == []
 
 
 def test_region_config_errors(tmp_path):
