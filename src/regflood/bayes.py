@@ -22,6 +22,12 @@ current state only when the proposal's exact value still leaves the
 step open.  The bounds are exact, so the draws are those of evaluating
 every proposal in full.  Each chain logs one DEBUG line with its
 proposals, kernel calls and acceptances.
+
+Nothing here calls BLAS: the sampler works on Python floats and short
+arrays, and the diagnostics and quantiles on numpy's own reductions and
+FFT.  Like a fit (see ``fit``), a Bayesian analysis never wakes OpenBLAS's
+thread pool, whose workers would otherwise spin on the other cores
+through the posterior summary after a threaded call.
 """
 
 from __future__ import annotations
@@ -520,11 +526,18 @@ def _split_psr(samples: np.ndarray) -> float:
 
 
 def _ess_single(x: np.ndarray) -> float:
-    """Effective sample size via paired autocorrelation sums."""
+    """Effective sample size via paired autocorrelation sums.
+
+    A chain whose centred squares sum to 0 has no autocorrelation to sum
+    and counts as n draws.  That sum is numpy's ``np.add.reduce``, not a
+    dot product: OpenBLAS runs a ``ddot`` of more than 10,000 terms on its
+    thread pool, whose workers then spin on the other cores through the
+    rest of the posterior summary.  A sum of non-negative rounded squares
+    is 0 exactly when every square is, so both make the same decision.
+    """
     n = x.size
     centered = x - x.mean()
-    var = float(centered @ centered)
-    if var == 0.0:
+    if float(np.add.reduce(centered * centered)) == 0.0:
         return float(n)
     nfft = 1 << (2 * n - 1).bit_length()
     f = np.fft.rfft(centered, nfft)

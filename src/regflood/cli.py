@@ -365,9 +365,13 @@ def cmd_bayes(args) -> list[str]:
     mc = _mcmc_config(args.chains, args.iters, args.burn_in, quantiles=True)
     periods = _levels_args(args)
     donor_codes = None
-    if args.donors:  # the regression's sites are also the elicitation donors
+    if args.donors is not None:  # regression sites, also the elicitation donors
         donor_codes = tuple(c.strip() for c in args.donors.split(",") if c.strip())
         _reject_repeats("donor", donor_codes)
+        if len(donor_codes) < 3:
+            raise InputError(
+                f"need at least 3 sites for the regression, got {len(donor_codes)}"
+            )
     region = build_region(load_region_config(args.config))
     if args.target and args.target != region.target:
         region = dataclasses.replace(region, target=args.target)

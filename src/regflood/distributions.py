@@ -80,7 +80,8 @@ _SLACK = 8.0 * _UNIT_ROUNDOFF
 _BLOCK_VALUES = 15_000
 # a Gaussian kernel farther than this many bandwidths is exp(-760.5), which
 # underflows to exactly 0.0, so leaving such draws out changes no sum; it
-# also spares np.exp its slow path for underflowing arguments
+# also spares np.exp its slow path for underflowing arguments.  It caps
+# _kde_pdf's reach per point, which leaves out less than 2**-64 of the sum
 _KDE_REACH = 39.0
 
 
@@ -454,10 +455,19 @@ def _kde_pdf(sample: np.ndarray, points) -> np.ndarray:
 
     The bandwidth is Scott's rule: the ``ddof=1`` standard deviation times
     n ** (-1/5), as in ``scipy.stats.gaussian_kde``, with which it agrees at
-    rounding level.  The kernel sums run over blocks of at most
-    ``_BLOCK_VALUES`` (point, draw) pairs in one reused buffer, so no
-    (points, n) matrix is ever built.  A sample without spread has no
-    bandwidth and raises DegenerateSampleError.
+    rounding level.  A point sums the draws within its own reach R of it,
+    in bandwidths: R = sqrt(r**2 + 2 (64 ln 2 + ln n)), r the distance to
+    its nearest draw, capped at ``_KDE_REACH``.  Each of the at most n
+    draws left out has a term below exp(-R**2 / 2), and the nearest draw's
+    term exp(-r**2 / 2) is in the sum, so together they are less than
+    2**-64 of it, below the sum's rounding: the result differs from the
+    full sum only by the order of summation.  R is about 10.5 near 60,000
+    draws, so on a padded 201-point grid over a normal sample a point sums
+    a fifth of the draws, where the whole reach took three quarters.  The
+    kernel sums run over blocks of at most ``_BLOCK_VALUES`` (point, draw)
+    pairs in one reused buffer, so no (points, n) matrix is ever built.  A
+    sample without spread has no bandwidth and raises
+    DegenerateSampleError.
     """
     x = np.asarray(sample, dtype=float)
     n = x.size
@@ -466,11 +476,15 @@ def _kde_pdf(sample: np.ndarray, points) -> np.ndarray:
         raise DegenerateSampleError("sample has no spread; no kernel density estimate")
     h = math.sqrt(var) * n**-0.2
     # in bandwidth units, as gaussian_kde whitens both sides; sorted, so the
-    # draws within _KDE_REACH of a point are one slice
+    # draws within reach of a point are one slice
     xw = np.sort(x) / h
     pw = np.atleast_1d(np.asarray(points, dtype=float)) / h
-    first = np.searchsorted(xw, pw - _KDE_REACH)
-    stop = np.searchsorted(xw, pw + _KDE_REACH, side="right")
+    near = np.searchsorted(xw, pw).clip(1, n - 1)
+    r = np.minimum(np.abs(pw - xw[near - 1]), np.abs(xw[near] - pw))
+    reach = np.hypot(r, math.sqrt(2.0 * (64.0 * math.log(2.0) + math.log(n))))
+    reach = reach.clip(None, _KDE_REACH)
+    first = np.searchsorted(xw, pw - reach)
+    stop = np.searchsorted(xw, pw + reach, side="right")
     cols = min(n, _BLOCK_VALUES)
     rows = min(pw.size, max(1, _BLOCK_VALUES // cols))
     buf = np.empty((rows, cols))

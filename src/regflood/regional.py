@@ -270,7 +270,7 @@ class HeterogeneityReport:
     parent: str
     parent_params: KappaParams | GpParams
     nsim: int
-    seed: int
+    seed: int | None  # None when seeded with a Generator
     classification: str
     correlation_note: bool
 
@@ -329,11 +329,15 @@ def _check_nsim(nsim: int) -> None:
         raise InputError(f"nsim must be at least 50, got {nsim!r}")
 
 
-def heterogeneity(region: Region, nsim: int = 500, seed: int = 0) -> HeterogeneityReport:
+def heterogeneity(
+    region: Region, nsim: int = 500, seed: int | np.random.Generator = 0
+) -> HeterogeneityReport:
     """Hosking-Wallis style heterogeneity screening of the region.
 
     The observed site ratios and the simulated ones come from one
-    L-moment estimator, and one ``_v_statistics`` scores both.
+    L-moment estimator, and one ``_v_statistics`` scores both.  The report
+    keeps an int seed; a Generator is drawn from as given and leaves the
+    report's ``seed`` None.
     """
     _check_nsim(nsim)
     lmoms, ratios, lengths = _site_ratios(region)
@@ -360,7 +364,7 @@ def heterogeneity(region: Region, nsim: int = 500, seed: int = 0) -> Heterogenei
         parent=kind,
         parent_params=parent,
         nsim=nsim,
-        seed=seed,
+        seed=None if isinstance(seed, np.random.Generator) else seed,
         classification=classify_h1(float(h[0])),
         correlation_note=bool(h[0] <= 0.0),
     )

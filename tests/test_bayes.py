@@ -1,7 +1,11 @@
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -904,6 +908,54 @@ def test_diagnostics_single_chain():
     diag = chain_diagnostics(iid_chains(n_chains=1, kept=1500))
     assert diag.psr is None
     assert 0.8 * 1500 < diag.ess[0] < 1.2 * 1500
+
+
+@pytest.mark.parametrize("level", [0.0, 1e-170])
+def test_ess_of_a_chain_without_spread_is_its_length(level):
+    # draws at 1e-170 spread, but their centred squares underflow to 0
+    spread = np.random.default_rng(3).normal(1.0, 0.5, 1000)
+    for x in (np.full(1000, 7.25), level * spread):
+        assert bayes._ess_single(x) == 1000.0
+
+
+_THREAD_TICKS = """
+import os, time
+import numpy as np
+from regflood.bayes import PosteriorChains, chain_diagnostics
+
+def other_threads_ticks():
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+            total += int(fields[11]) + int(fields[12])  # utime, stime
+    return total
+
+draws = np.random.default_rng(0).normal(size=(4, 15_000, 3))
+chains = PosteriorChains(draws=draws, acceptance=np.full((4, 3), 0.3))
+before = other_threads_ticks()
+chain_diagnostics(chains)
+end = time.perf_counter() + 0.2
+while time.perf_counter() < end:
+    pass
+print(other_threads_ticks() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+def test_chain_diagnostics_leaves_the_blas_thread_pool_asleep():
+    # a threaded BLAS call (OpenBLAS runs a ddot of more than 10,000 terms
+    # on its pool) leaves worker threads spinning on the other cores through
+    # what runs next, here a 0.2 s busy wait; the child runs with the
+    # library's default BLAS threads
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(bayes.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", _THREAD_TICKS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 2
 
 
 # ---------------------------------------------------------------- quantiles

@@ -582,6 +582,18 @@ def test_bayes_repeated_donor_fails_before_reading(sim_dir, tmp_path, capsys, mo
     assert "donor 'S1' is listed twice" in err
 
 
+@pytest.mark.parametrize("donors, count", [("", 0), (",", 0), (" , ,", 0), ("S1,S2", 2)])
+def test_bayes_too_few_donors_fails_before_reading(
+    sim_dir, tmp_path, capsys, monkeypatch, donors, count
+):
+    monkeypatch.setattr(cli, "load_region_config", must_not_run)
+    monkeypatch.setattr(cli, "build_region", must_not_run)
+    code, out, err = run(capsys, bayes_argv(sim_dir, tmp_path, "--donors", donors))
+    assert code == 1
+    assert out == ""
+    assert f"need at least 3 sites for the regression, got {count}" in err
+
+
 def test_bayes_too_few_draws_fails_before_sampling(sim_dir, tmp_path, capsys, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("called before the draw count was checked")

@@ -8,6 +8,7 @@ from scipy import integrate, stats
 
 from regflood.distributions import (
     SHAPE_EPS,
+    _KDE_REACH,
     _gp_loglik,
     _loglik_bounds,
     _kde_pdf,
@@ -428,6 +429,59 @@ def test_kde_pdf_matches_gaussian_kde(n):
         np.testing.assert_allclose(_kde_pdf(x, grid), kde(grid), rtol=1e-11, atol=0.0)
         point = float(np.median(x))
         np.testing.assert_allclose(_kde_pdf(x, point), kde(point), rtol=1e-11, atol=0.0)
+
+
+def test_kde_pdf_matches_gaussian_kde_across_a_gap_wider_than_the_reach():
+    # 0.5 % of the draws 1000 away: Scott's bandwidth is about 9.8, so the
+    # gap spans some 100 bandwidths and its middle lies beyond _KDE_REACH of
+    # every draw, where both estimates underflow to 0
+    rng = np.random.default_rng(29)
+    x = np.concatenate([rng.normal(0.0, 1.0, 19_900), rng.normal(1000.0, 1.0, 100)])
+    h = float(np.std(x, ddof=1)) * x.size**-0.2
+    gap = float(x[19_900:].min() - x[:19_900].max())
+    assert gap > 2.0 * _KDE_REACH * h
+    near = np.concatenate([np.linspace(-6.0, 6.0, 25), np.linspace(994.0, 1006.0, 25)])
+    tails = x[:19_900].max() + h * np.array([5.0, 20.0, 30.0])
+    beyond = x[:19_900].max() + h * np.array([39.5, 45.0, 50.0])
+    kde = stats.gaussian_kde(x)
+    for points in (near, tails):
+        got = _kde_pdf(x, points)
+        assert np.all(got > 0.0)
+        np.testing.assert_allclose(got, kde(points), rtol=1e-11, atol=0.0)
+    assert np.all(_kde_pdf(x, beyond) == 0.0)
+    assert np.all(kde(beyond) == 0.0)
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance between non-negative doubles in units in the last place."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(
+    n=st.integers(2, 60_000),
+    family=st.sampled_from(["normal", "lognormal", "t3"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, family="normal", seed=0)
+@example(n=60_000, family="normal", seed=1)
+@example(n=60_000, family="t3", seed=2)
+def test_kde_pdf_is_the_full_kernel_sum_to_rounding(n, family, seed):
+    # a point sums only the draws within its reach; the draws left out must
+    # not move its value beyond the summation order's few ulps
+    rng = np.random.default_rng(seed)
+    x = {
+        "normal": lambda: rng.normal(120.0, 5.0, n),
+        "lognormal": lambda: rng.lognormal(0.0, 1.0, n),
+        "t3": lambda: rng.standard_t(3, n),
+    }[family]()
+    lo, hi = x.min(), x.max()
+    pad = 0.1 * (hi - lo)
+    points = np.append(np.linspace(lo - pad, hi + pad, 21), np.median(x))
+    h = math.sqrt(float(np.var(x, ddof=1))) * n**-0.2
+    full = np.array([np.exp(-0.5 * (p / h - x / h) ** 2).sum() for p in points])
+    reference = full / (n * h * math.sqrt(2.0 * math.pi))
+    assert _ulps(_kde_pdf(x, points), reference).max() <= 4
 
 
 def test_kde_pdf_needs_spread():

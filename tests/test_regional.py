@@ -232,6 +232,15 @@ def test_heterogeneity_deterministic_in_seed():
         heterogeneity(region, nsim=10, seed=0)
 
 
+def test_heterogeneity_report_keeps_an_int_seed_and_no_generator():
+    region = homogeneous_region(6, seed=13)
+    a = heterogeneity(region, nsim=100, seed=np.random.default_rng(5))
+    b = heterogeneity(region, nsim=100, seed=np.random.default_rng(5))
+    assert a.seed is None
+    assert repr(a) == repr(b)
+    assert heterogeneity(region, nsim=100, seed=5) == replace(a, seed=5)
+
+
 def test_heterogeneity_takes_each_sites_lmoments_once(lmoment_calls):
     region = homogeneous_region(6, seed=13)
     heterogeneity(region, nsim=60, seed=0)
