@@ -605,6 +605,9 @@ def posterior_quantiles(
         _check_rate_period(rate, period)
         y = -math.log1p(-(1.0 - 1.0 / (rate * period)))
         levels = mu + sigma * np.where(small, y, np.expm1(safe * y) / safe)
+        # np.quantile partitions at several kth, which costs more than this
+        # sort; a sorted array gives it the same order statistics
+        levels.sort()
         point, lo, hi = np.quantile(levels, [0.5, lo_p, 1.0 - lo_p])
         out.append(QuantileSummary(float(period), float(point), float(lo), float(hi)))
     return tuple(out)

@@ -4,7 +4,10 @@ Maximum likelihood fixes the GP location at the POT threshold and uses
 Grimshaw's (1993) reduction: at fixed theta = shape / scale the best shape
 is mean log(1 + theta * y), so the likelihood is profiled over theta on a
 grid and refined by bounded Brent, and the best interior stationary point
-is the MLE (Smith 1985).  A certificate checks that the closed-form
+is the MLE (Smith 1985).  The grid is scored as one array; each Brent step
+scores one float with Python's branches around numpy's own scalar
+ufuncs, so it pays for no array machinery and returns the array form's
+floats bit for bit.  A certificate checks that the closed-form
 score there is zero to rounding, after at most one Newton step.  One
 pass, ``_derivatives``, gives the score and the closed-form observed
 information of (scale, shape) at a point: the information takes the
@@ -23,6 +26,11 @@ fitted as one array.
 Profile-likelihood intervals cut the deviance at the chi^2(1) quantile,
 taken from ``scipy.special.gammaincinv`` in the closed form that
 ``scipy.stats.chi2.ppf`` uses; the package does not import ``scipy.stats``.
+An interval builds its record's profile once (the exceedances, their
+extremes, log1p(-p) and the 31 grid shapes' scale denominators); each
+deviance then scores the grid as numpy ops and refines it by Brent, which
+stops at its first step inside the cutoff, since only that decision
+counts.
 """
 
 from __future__ import annotations
@@ -61,8 +69,10 @@ _MIN_EVENTS = 5
 # for the fixed location's in the prior variances
 THRESHOLD_CV = 0.1
 _BOOTSTRAP_SIZE = 500
-# shapes on which _profile_loglik starts its search
+# shapes on which _profile_loglik starts its search, and the weight
+# 1 / shape + 1 of each one's log1p sum
 _PROFILE_GRID = np.linspace(_XI_MIN, 2.0, 31)
+_PROFILE_WEIGHT = 1.0 / _PROFILE_GRID + 1.0
 # log(1 + t), t = max(y) * shape / scale, at which _profile_search scores
 # Grimshaw's profile on t in (-1, 1e4): even steps in log(1 + t) are dense
 # near the support edge t = -1 and across the exponential law t = 0
@@ -130,7 +140,11 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 
 
 def _brent_bounded(
-    f: Callable[[float], float], lo: float, hi: float, xatol: float
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    xatol: float,
+    stop: Callable[[float], bool] | None = None,
 ) -> tuple[float, float]:
     """Minimum of f on [lo, hi] by bounded Brent (Brent 1973, ch. 5).
 
@@ -139,12 +153,16 @@ def _brent_bounded(
     500 evaluations, so it visits the same points and returns the same
     best point and f there.  Where f returns inf or nan, or a product
     overflows, the parabola's tests fail or its step is 0, so every step
-    stays finite and sign and max need none of numpy's nan rules.
+    stays finite and sign and max need none of numpy's nan rules.  The
+    returned f is the least value evaluated; when ``stop`` holds at an
+    evaluated value, that point and value are returned at once.
     """
     a, b = lo, hi
     xf = nfc = fulc = a + _GOLDEN * (b - a)
     rat = e = 0.0
     fx = ffulc = fnfc = f(xf)
+    if stop is not None and stop(fx):
+        return xf, fx
     calls = 1
     xm = 0.5 * (a + b)
     tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
@@ -172,6 +190,8 @@ def _brent_bounded(
         step = max(abs(rat), tol1)
         x = xf - step if rat < 0.0 else xf + step
         fu = f(x)
+        if stop is not None and stop(fu):
+            return x, fu
         calls += 1
         if fu <= fx:
             if x >= xf:
@@ -207,10 +227,32 @@ def _profile_nll(v, y: np.ndarray, y_max: float, y_sum: float):
     clipped to the search bounds, and the scale is shape / theta.
     ``y_max`` and ``y_sum`` are y's largest value and sum.  Returns the
     profile, the scale and the clipped shape, each shaped like v.
+
+    A float v, each step of Brent's refinement, is scored with Python's
+    branches and float arithmetic around numpy's own ``expm1``, ``log1p``,
+    ``log`` and pairwise ``np.add.reduce``, so it returns the floats the
+    array form gives at ``[v]`` bit for bit; numpy's SIMD loops and libm
+    round differently, so no ``math`` function stands in.  Where the scale
+    is not positive, log scale is -inf or nan, and the float is handed to
+    the array form, which gives those without a warning.
     """
+    n = y.size
+    if isinstance(v, float):
+        theta = float(np.expm1(v)) / y_max
+        t = theta * y
+        np.log1p(t, out=t)
+        s = float(np.add.reduce(t))
+        # a nan mean stays nan, as np.maximum and np.minimum keep it
+        xi = min(max(s / n, _XI_MIN), _XI_MAX)
+        sigma = xi / theta if theta != 0.0 else y_sum / n
+        if not sigma > 0.0:
+            return tuple(float(a[0]) for a in _profile_nll(np.array([v]), y, y_max, y_sum))
+        log_s = float(np.log(sigma))
+        if abs(xi) < SHAPE_EPS:
+            return n * log_s + y_sum / sigma, sigma, xi
+        return n * log_s + (1.0 + 1.0 / xi) * s, sigma, xi
     theta = np.expm1(v) / y_max
     s = np.add.reduce(np.log1p(np.multiply.outer(theta, y)), axis=-1)
-    n = y.size
     xi = np.minimum(np.maximum(s / n, _XI_MIN), _XI_MAX)
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma = np.where(theta != 0.0, xi / theta, y_sum / n)
@@ -233,7 +275,7 @@ def _profile_search(x: np.ndarray, u: float) -> np.ndarray:
     profile, a fit on a shape bound, stand in.
     """
     y = x - u
-    y_max, y_sum = y.max(), y.sum()
+    y_max, y_sum = float(y.max()), float(y.sum())
     grid = _GRIMSHAW_GRID
     nll, _, xi = _profile_nll(grid, y, y_max, y_sum)
     # a profile still falling at the grid's end is followed further out, up
@@ -252,7 +294,7 @@ def _profile_search(x: np.ndarray, u: float) -> np.ndarray:
         # Brent's tolerance grows with |v|: search the offset from v[i]
         v0 = v[i]
         dv, f = _brent_bounded(
-            lambda dv: float(_profile_nll(v0 + dv, y, y_max, y_sum)[0]),
+            lambda dv: _profile_nll(v0 + dv, y, y_max, y_sum)[0],
             v[max(i - 1, 0)] - v0,
             v[min(i + 1, len(v) - 1)] - v0,
             1e-12,
@@ -309,7 +351,7 @@ def _polish(z: np.ndarray, x: np.ndarray, u: float) -> tuple[np.ndarray, float, 
             step *= 10.0 / norm
         z_try = z.copy()
         z_try[work] += step
-        z_try[1] = float(np.clip(z_try[1], _XI_MIN, _XI_MAX))
+        z_try[1] = min(max(float(z_try[1]), _XI_MIN), _XI_MAX)
         f_try = nll(z_try)
         # off the support f_try is inf, so the step is refused here
         if f_try <= f_val + 1e-12 * max(1.0, abs(f_val)):
@@ -368,7 +410,7 @@ def gp_fit_mle(pot: PotSeries) -> GpFit:
     delta = max(0.2 * abs(xi0), 0.1)
     starts = []
     for fs, fx in ((1.0, 0.0), (0.8, -delta), (1.2, delta), (0.8, delta), (1.2, -delta)):
-        xi = float(np.clip(xi0 + fx, _XI_MIN + 0.01, _XI_MAX - 0.01))
+        xi = min(max(float(xi0 + fx), _XI_MIN + 0.01), _XI_MAX - 0.01)
         starts.append(np.array([math.log(s0) + math.log(fs), xi]))
     y_max = float(np.max(x)) - u
     if all(z[1] <= -SHAPE_EPS and 1.0 + z[1] * (y_max / math.exp(z[0])) <= 0.0 for z in starts):
@@ -532,70 +574,81 @@ class ProfileCi(NamedTuple):
     upper_unbounded: bool
 
 
-def _profile_grid(d: np.ndarray, scales: list[float]) -> np.ndarray:
+def _profile_grid(d: np.ndarray, d_max: float, dq: float, den: np.ndarray) -> np.ndarray:
     """Negative log likelihood of the exceedances ``d`` at each
-    ``_PROFILE_GRID`` shape and its scale: one (31, n) array of
-    log1p(k * d), k = shape / scale, in ``_gp_loglik``'s arithmetic (no grid
-    shape is within ``SHAPE_EPS`` of 0), so each row equals the kernel.
-    Each row is summed by numpy's pairwise sum, as the kernel sums.
-    Rows are kept only where the kernel's own scalar test, 1 + k * max(d)
-    > 0, puts every peak on the support, so ``log1p`` never sees -1.
+    ``_PROFILE_GRID`` shape xi and its scale dq * xi / den, where ``den``
+    holds expm1(-xi * log1p(-p)) per shape and dq = q - u: one (31, n)
+    array of log1p(k * d), k = xi / scale, in ``_gp_loglik``'s arithmetic
+    (no grid shape is within ``SHAPE_EPS`` of 0), so each row equals the
+    kernel.  Each row is summed by numpy's pairwise sum and its log scale
+    is ``math.log``'s, as the kernel computes them.  Rows are kept only
+    where the kernel's own scalar test, 1 + k * max(d) > 0, puts every
+    peak on the support, so ``log1p`` never sees -1.  The scales, k and
+    that test are the scalar IEEE operations taken as numpy ops on all 31
+    shapes at once, with no warning where a scale overflows or is 0.
     Off-support shapes and non-positive or non-finite scales score 1e12.
     """
-    d_max = float(d.max())
-    rows = [
-        i
-        for i, (xi, s) in enumerate(zip(_PROFILE_GRID.tolist(), scales))
-        if s > 0 and math.isfinite(s) and 1.0 + xi / s * d_max > 0.0
-    ]
-    s = np.array([scales[i] for i in rows])
-    shape = _PROFILE_GRID[rows]
-    log_s = np.array([math.log(v) for v in s])
-    log_t = np.log1p((shape / s)[:, None] * d)
-    sums = -d.size * log_s - (1.0 / shape + 1.0) * log_t.sum(axis=1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = dq * _PROFILE_GRID / den
+        k = _PROFILE_GRID / s
+        rows = np.flatnonzero((s > 0.0) & (s < math.inf) & (1.0 + k * d_max > 0.0))
+    log_s = np.array([math.log(v) for v in s[rows].tolist()])
+    log_t = np.log1p(k[rows, None] * d)
+    sums = -d.size * log_s - _PROFILE_WEIGHT[rows] * log_t.sum(axis=1)
     values = np.full(_PROFILE_GRID.size, 1e12)
     values[rows] = np.where(np.isfinite(sums), -sums, 1e12)
     return values
 
 
-def _profile_loglik(
-    pot: PotSeries, p: float, q: float, settled: Callable[[float], bool] | None = None
-) -> float:
-    """Profile log likelihood over shape at fixed quantile q.
+def _profile_loglik(pot: PotSeries, p: float) -> Callable[..., float]:
+    """Profile log likelihood over shape at a fixed p-quantile, as a
+    function ``loglik(q, settled=None)`` of the quantile q.
 
-    Each shape fixes the scale that puts the p-quantile at q.  The shape is
-    scored on the 31-point ``_PROFILE_GRID`` (``_profile_grid``) and refined
-    by ``_brent_bounded`` between the grid neighbours of the best point,
-    each Brent step one ``_gp_loglik`` call.  Off-support shapes and
-    non-positive or non-finite scales score 1e12.  When ``settled`` holds
-    at the grid's best value, that value, never above the profile, is
-    returned without Brent.
+    The record's profile is built once: the exceedances d and their
+    extremes, log1p(-p) and each ``_PROFILE_GRID`` shape's denominator
+    expm1(-xi * log1p(-p)).  Each shape fixes the scale that puts the
+    p-quantile at q.  ``loglik`` scores the shape on the 31-point grid
+    (``_profile_grid``) and refines it by ``_brent_bounded`` between the
+    grid neighbours of the best point, each Brent step one ``_gp_loglik``
+    call.  Off-support shapes and non-positive or non-finite scales score
+    1e12.  ``settled`` is a test on a negative log likelihood that holds at
+    every value below one where it holds.  When it holds at the grid's
+    best value, that value is returned without Brent, and Brent stops at
+    the first step where it holds.  Brent's result is the least value it
+    evaluated, so the value returned then, never above the profile,
+    settles exactly when the profile does.
     """
     u = pot.threshold
     d = pot.peaks - u
     d_min, d_max = float(d.min()), float(d.max())
-
-    def scale_for(xi: float) -> float:
-        if abs(xi) < SHAPE_EPS:
-            return (q - u) / (-math.log1p(-p))
-        return (q - u) * xi / (math.expm1(-xi * math.log1p(-p)))
-
-    def neg_ll(xi: float) -> float:
-        # Python floats overflow to an infinite scale without a warning
-        s = scale_for(xi)
-        if s <= 0 or not math.isfinite(s):
-            return 1e12
-        val = _gp_loglik(d, d_min, d_max, s, xi)
-        return -val if math.isfinite(val) else 1e12
-
+    log_p = math.log1p(-p)
     grid = _PROFILE_GRID.tolist()
-    values = _profile_grid(d, [scale_for(xi) for xi in grid])
-    i = int(np.argmin(values))
-    grid_best = float(values[i])
-    if settled is not None and settled(-grid_best):
-        return -grid_best
-    _, f = _brent_bounded(neg_ll, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], 1e-8)
-    return -min(f, grid_best)
+    den = np.array([math.expm1(-xi * log_p) for xi in grid])
+
+    def loglik(q: float, settled: Callable[[float], bool] | None = None) -> float:
+        dq = q - u
+
+        def neg_ll(xi: float) -> float:
+            # Python floats overflow to an infinite scale without a warning
+            if abs(xi) < SHAPE_EPS:
+                s = dq / -log_p
+            else:
+                s = dq * xi / math.expm1(-xi * log_p)
+            if s <= 0 or not math.isfinite(s):
+                return 1e12
+            val = _gp_loglik(d, d_min, d_max, s, xi)
+            return -val if math.isfinite(val) else 1e12
+
+        values = _profile_grid(d, d_max, dq, den)
+        i = int(np.argmin(values))
+        grid_best = float(values[i])
+        if settled is not None and settled(grid_best):
+            return -grid_best
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        _, f = _brent_bounded(neg_ll, lo, hi, 1e-8, settled)
+        return -min(f, grid_best)
+
+    return loglik
 
 
 def profile_ci(
@@ -610,12 +663,15 @@ def profile_ci(
     Reparameterizes (scale, shape) -> (quantile, shape), profiles out the
     shape, and bisects the deviance 2 * (max - profile) against the chi^2(1)
     cutoff. Search is limited to [q_hat / 10, 10 * q_hat]; not crossing the
-    cutoff in there sets the matching unbounded flag.  Each deviance costs
-    one ``_profile_loglik``: a vectorized 31-shape grid plus bounded Brent
-    on ``_gp_loglik``.  Brent can only raise the profile above the grid's
-    best row, so where that row alone puts the deviance within the cutoff
-    the grid decides the step and Brent is skipped; the interval is the
-    one the full deviance gives.  Bisection stops within 1e-4 * q_hat.
+    cutoff in there sets the matching unbounded flag.  The profile is
+    built once per call (``_profile_loglik``), and each deviance costs one
+    call of it: a vectorized 31-shape grid plus bounded Brent on
+    ``_gp_loglik``.  Brent can only raise the profile above the grid's
+    best row and its own steps, so where that row alone puts the deviance
+    within the cutoff the grid decides the step and Brent is skipped, and
+    Brent stops at its first step within the cutoff; steps that end
+    outside run Brent to its end.  The interval is the one the full
+    deviance gives.  Bisection stops within 1e-4 * q_hat.
 
     ``fit`` is ``gp_fit_mle(pot)`` when the caller
     already has it; without it the record is fitted here.  A fit of
@@ -640,10 +696,15 @@ def profile_ci(
     def deviance(ll: float) -> float:
         return 2.0 * (ll_max - ll)
 
+    profile = _profile_loglik(pot, p)
+
+    def settles(f: float) -> bool:
+        return deviance(-f) <= cutoff
+
     def beyond_cutoff(q: float) -> bool:
-        # Brent can only raise the profile above the grid's best row, so a
-        # row within the cutoff puts q inside without it
-        return deviance(_profile_loglik(pot, p, q, lambda ll: deviance(ll) <= cutoff)) > cutoff
+        # the profile is never below the grid's best row or a Brent step,
+        # so the first of them within the cutoff puts q inside
+        return deviance(profile(q, settles)) > cutoff
 
     def bisect(inside: float, outside: float) -> float:
         for _ in range(200):

@@ -183,6 +183,73 @@ def test_mle_at_the_shape_bound_has_no_covariance():
     assert fit.covariance is None
 
 
+# gp_fit_mle of seeded records as float.hex: scale, shape, log likelihood,
+# boundary and the covariance's entries row by row (None without one)
+_MLE_PINS = [
+    pytest.param(
+        lambda: sample_pot(GpParams(0.0, 2.0, 0.1), 5, 3.0, seed=3),
+        ("0x1.234072f176be0p+0", "0x1.8265062519d72p-4", "-0x1.8778707cde11fp+2", False,
+         ["0x1.670c6c6a99988p+0", "-0x1.f7b0f19601489p-1",
+          "-0x1.f7b0f19601489p-1", "0x1.c54c41bc69b11p-1"]),
+        id="5-peaks",
+    ),
+    pytest.param(
+        lambda: sample_pot(GpParams(2.0, 1.0, 0.5), 8, 4.0, seed=11),
+        ("0x1.fa5eca712664ap-3", "0x1.09ff0dfeed5f2p+0", "-0x1.488c8b2a9c876p+2", False,
+         ["0x1.e9341b4e4c1a8p-6", "-0x1.d9073427263b1p-5",
+          "-0x1.d9073427263b1p-5", "0x1.fe554d48a5ed6p-2"]),
+        id="8-peaks",
+    ),
+    pytest.param(
+        lambda: sample_pot(GpParams(5.0, 3.0, 0.1), 74, 37.0, seed=51),
+        ("0x1.53e0b5a2acdd2p+1", "0x1.6087074bb5847p-2", "-0x1.577b4301b5024p+7", False,
+         ["0x1.ed8e32f7de4e9p-3", "-0x1.5c5bf8547d637p-5",
+          "-0x1.5c5bf8547d637p-5", "0x1.6cd9e42ee2df1p-6"]),
+        id="74-peaks",
+    ),
+    pytest.param(
+        lambda: make_pot(
+            [100, 100, 110.3, 107.7, 113.0, 103.1, 130.0, 102.0, 113.5, 200.4, 121.0, 104.4],
+            100.0,
+            6.0,
+        ),
+        ("0x1.083f3e9236778p+3", "0x1.2f6d5df9fc879p-1", "-0x1.639017d93e450p+5", False,
+         ["0x1.5db99ced295aap+4", "-0x1.8d0e1c95bf0e0p+0",
+          "-0x1.8d0e1c95bf0e0p+0", "0x1.10df748eaad0ap-2"]),
+        id="peaks-on-the-threshold",
+    ),
+    pytest.param(
+        lambda: make_pot(np.linspace(1.0, 10.0, 12), 0.0, 6.0),
+        ("0x1.3d129424e745ap+3", "-0x1.fae147ae147aep-1", "-0x1.bb17338cbcf18p+4", True, None),
+        id="shape-bound",
+    ),
+    pytest.param(
+        lambda: sample_pot(GpParams(0.0, 1.0, 0.7), 30, 15.0, seed=4),
+        ("0x1.b789fb6cb4815p+0", "0x1.815862ea34583p-1", "-0x1.132e61691395dp+6", False,
+         ["0x1.8da1dd36f482ap-2", "-0x1.01c22e4b1c0a4p-3",
+          "-0x1.01c22e4b1c0a4p-3", "0x1.e0597c65dd6acp-4"]),
+        id="heavy-tailed",
+    ),
+]
+
+
+@pytest.mark.parametrize("record, expected", _MLE_PINS)
+def test_mle_is_pinned(record, expected):
+    # every float of these fits, bit for bit: the profile search's float
+    # path and the certificate must not move them by an ulp
+    fit = gp_fit_mle(record())
+    scale, shape, loglik, boundary, covariance = expected
+    assert fit.params.scale.hex() == scale
+    assert float(fit.params.shape).hex() == shape
+    assert float(fit.loglik).hex() == loglik
+    assert fit.boundary is boundary
+    if covariance is None:
+        assert fit.covariance is None
+    else:
+        want = np.array([float.fromhex(h) for h in covariance]).reshape(2, 2)
+        assert np.array_equal(fit.covariance, want)
+
+
 @pytest.fixture(scope="module")
 def seed17_pot(tmp_path_factory):
     """S0's record of the README session with simulate --seed 17."""
@@ -628,13 +695,27 @@ def test_mle_names_peaks_on_the_threshold_when_the_likelihood_is_unbounded():
     )
 
 
+def _grimshaw_extension():
+    """The points _profile_search adds while a profile still falls at the
+    grid's end, round by round until 36.8."""
+    grid = fit_module._GRIMSHAW_GRID
+    while grid[-1] < 36.8:
+        grid = np.append(grid, grid[-1] + 0.25 * np.arange(1, 41))
+    return grid[fit_module._GRIMSHAW_GRID.size:].tolist()
+
+
 @st.composite
 def grimshaw_points(draw):
     """Peaks above 0 and a v = log(1 + max(y) * shape / scale) of Grimshaw's
     search: 0 (theta = 0, the exponential law), -30 (the largest peak
     pulls the mean log below -0.99 on 25 peaks or fewer, so the shape is
-    clipped there), 36.8 (the grid's far end, clipped at 5) or anywhere
-    between, a grid point included."""
+    clipped there), 36.8 (the grid's far end, clipped at 5), a point of the
+    grid or of its extension, a v within 1e-9 of 0 (theta != 0, but the
+    shape within SHAPE_EPS of 0), or anywhere between.  A v that Brent
+    steps to, a grid point plus an offset, is 0 or at least 2**-57 in size
+    (the ulp of -0.037, the grid point nearest 0), so none is drawn below
+    that: the array form computes 1 / shape on every point, which
+    overflows with a warning for a shape below about 1e-308."""
     y = gp_sample(
         GpParams(0.0, draw(st.floats(0.1, 50.0)), draw(st.floats(-0.45, 0.7))),
         draw(st.integers(5, 25)),
@@ -644,7 +725,10 @@ def grimshaw_points(draw):
         st.one_of(
             st.sampled_from(["exponential", "lower", "upper"]),
             st.sampled_from(fit_module._GRIMSHAW_GRID.tolist()),
-            st.floats(-30.0, 36.8),
+            st.sampled_from(_grimshaw_extension()),
+            st.floats(2.0**-57, 1e-9),
+            st.floats(-1e-9, -(2.0**-57)),
+            st.floats(-30.0, 39.25).filter(lambda v: v == 0.0 or abs(v) >= 2.0**-57),
         )
     )
     return y, v
@@ -657,7 +741,7 @@ def test_profile_nll_takes_a_float_as_a_one_element_array(point):
     # Grimshaw profile with the same arithmetic
     y, v = point
     value = {"exponential": 0.0, "lower": -30.0, "upper": 36.8}.get(v, v)
-    y_max, y_sum = y.max(), y.sum()
+    y_max, y_sum = float(y.max()), float(y.sum())
     got = _profile_nll(value, y, y_max, y_sum)
     want = _profile_nll(np.array([value]), y, y_max, y_sum)
     assert all(np.shape(a) == () for a in got)
@@ -670,6 +754,24 @@ def test_profile_nll_takes_a_float_as_a_one_element_array(point):
     elif v == "upper":
         assert xi == _XI_MAX
     assert math.isfinite(nll) and sigma > 0.0
+
+
+@settings(deadline=None, max_examples=600, derandomize=True)
+@given(grimshaw_points())
+# five peaks, four on the threshold: the mean log underflows to a shape of
+# 0 while theta is 5e-324, so the scale is 0 and the profile nan
+@example((np.array([0.0, 0.0, 0.0, 0.0, 1.0]), 5e-324))
+@example((np.array([0.0, 0.0, 0.0, 0.0, 0.5]), -5e-324))
+def test_profile_nll_float_path_is_the_array_path_bit_for_bit(point):
+    # the float path branches in Python where the array form branches in
+    # numpy; every float it returns is the array form's, nan matching nan
+    y, v = point
+    value = {"exponential": 0.0, "lower": -30.0, "upper": 36.8}.get(v, v)
+    y_max, y_sum = float(y.max()), float(y.sum())
+    got = _profile_nll(value, y, y_max, y_sum)
+    want = _profile_nll(np.array([value]), y, y_max, y_sum)
+    assert [type(a) for a in got] == [float] * 3
+    assert [a.hex() for a in got] == [float(b[0]).hex() for b in want]
 
 
 def test_pwm_fit_matches_direct_formula():
@@ -983,23 +1085,31 @@ def _profile_point(n):
 @example(_profile_point(56))
 def test_profile_loglik_equals_the_gp_logpdf_profile(point):
     pot, p, q, xi = point
-    brent = []
-    brent_bounded = fit_module._brent_bounded
+    brent, grids = [], []
+    brent_bounded, profile_grid = fit_module._brent_bounded, fit_module._profile_grid
 
-    def spy(fun, *args):
+    def brent_spy(fun, *args):
         brent.append(fun)
         return brent_bounded(fun, *args)
 
-    with mock.patch.object(fit_module, "_brent_bounded", spy):
-        got = _profile_loglik(pot, p, q)
+    def grid_spy(*args):
+        grids.append(profile_grid(*args))
+        return grids[-1]
+
+    with (
+        mock.patch.object(fit_module, "_brent_bounded", brent_spy),
+        mock.patch.object(fit_module, "_profile_grid", grid_spy),
+    ):
+        got = _profile_loglik(pot, p)(q)
     # the kernel's value exactly: the scalar Brent step at shapes Brent
     # rarely visits (the grid, the exponential branch and anywhere on
-    # [-0.99, 2]) and every row of the vectorized grid
+    # [-0.99, 2]) and every row of the vectorized grid, whose scales come
+    # from the denominators built once per profile
     (neg_ll,) = brent
     grid = fit_module._PROFILE_GRID.tolist()
     for shape in grid + [xi]:
         assert neg_ll(shape) == _kernel_neg_ll(pot, p, q, shape)
-    rows = _profile_grid(pot.peaks - pot.threshold, [_oracle_scale(pot, p, q, g) for g in grid])
+    (rows,) = grids
     assert rows.tolist() == [_kernel_neg_ll(pot, p, q, g) for g in grid]
     # gp_logpdf's sum, at rounding level
     assert got == pytest.approx(_oracle_profile_loglik(pot, p, q), rel=1e-12)
@@ -1019,6 +1129,7 @@ def test_profile_grid_hands_log1p_no_off_support_row():
     d = pot.peaks - pot.threshold
     d_max = float(d.max())
     grid = fit_module._PROFILE_GRID.tolist()
+    den = np.array([math.expm1(-g * math.log1p(-p)) for g in grid])
     exact = 0
     for xi in grid[:10]:
         edge = pot.threshold - d_max * math.expm1(-xi * math.log1p(-p))
@@ -1026,7 +1137,7 @@ def test_profile_grid_hands_log1p_no_off_support_row():
             scales = [_oracle_scale(pot, p, q, g) for g in grid]
             exact += sum(1.0 + g / s * d_max == 0.0 for g, s in zip(grid, scales))
             with np.errstate(all="raise"):
-                rows = _profile_grid(d, scales)
+                rows = _profile_grid(d, d_max, q - pot.threshold, den)
             assert rows.tolist() == [_kernel_neg_ll(pot, p, q, g) for g in grid]
     # some rows put the largest peak exactly on the endpoint
     assert exact > 0
@@ -1108,19 +1219,34 @@ def _full_deviance_profile_ci(pot, period, fit, level=0.90):
 
 
 def _counted_profile_ci(pot, period, fit):
-    """profile_ci, with its deviance evaluations and Brent runs counted."""
-    counts = {"deviances": 0, "brent": 0}
+    """profile_ci, with its deviance evaluations, Brent runs and Brent runs
+    stopped early counted.  Each run is also made to its end: one that
+    stopped early must settle its step as the full run's least value does."""
+    counts = {"deviances": 0, "brent": 0, "stopped": 0}
     profile_loglik, brent_bounded = fit_module._profile_loglik, fit_module._brent_bounded
 
-    def count(key, fn):
-        def counted(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
+    def counted_profile(*args):
+        loglik = profile_loglik(*args)
+
+        def counted(*a):
+            counts["deviances"] += 1
+            return loglik(*a)
+
         return counted
 
+    def checked_brent(f, lo, hi, xatol, stop=None):
+        counts["brent"] += 1
+        got = brent_bounded(f, lo, hi, xatol, stop)
+        full = brent_bounded(f, lo, hi, xatol)
+        if got != full:
+            counts["stopped"] += 1
+            assert stop(got[1]) and full[1] <= got[1]
+        assert stop is None or stop(got[1]) == stop(full[1])
+        return got
+
     with (
-        mock.patch.object(fit_module, "_profile_loglik", count("deviances", profile_loglik)),
-        mock.patch.object(fit_module, "_brent_bounded", count("brent", brent_bounded)),
+        mock.patch.object(fit_module, "_profile_loglik", counted_profile),
+        mock.patch.object(fit_module, "_brent_bounded", checked_brent),
     ):
         ci = profile_ci(pot, period, fit=fit)
     return ci, counts
@@ -1152,7 +1278,8 @@ def test_profile_ci_is_the_full_deviance_walk(pot, period):
 def test_profile_ci_skips_brent_where_the_grid_decides(seed17_pot):
     # the pinned 74-peak record; a record whose upper side is unbounded;
     # the seed-17 fit off the support, whose penalty log likelihood puts
-    # every deviance far inside the cutoff
+    # every deviance far inside the cutoff.  On the first two, some Brent
+    # runs stop at a step inside the cutoff, each deciding as its full run
     cases = [
         (sample_pot(GpParams(5.0, 3.0, 0.1), 74, 37.0, seed=51), 10.0),
         (sample_pot(GpParams(2.0, 1.0, 0.5), 8, 4.0, seed=11), 100.0),
@@ -1163,6 +1290,7 @@ def test_profile_ci_skips_brent_where_the_grid_decides(seed17_pot):
         fit = gp_fit_mle(pot)
         ci, counts = _counted_profile_ci(pot, period, fit)
         assert ci == _full_deviance_profile_ci(pot, period, fit)
-        runs.append((counts["brent"], counts["deviances"]))
-    assert all(brent < deviances for brent, deviances in runs)
+        runs.append((counts["brent"], counts["deviances"], counts["stopped"]))
+    assert all(brent < deviances for brent, deviances, _ in runs)
+    assert runs[0][2] > 0 and runs[1][2] > 0
     assert runs[2][0] == 0
