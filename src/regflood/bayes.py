@@ -602,8 +602,7 @@ def posterior_quantiles(
     small = np.abs(xi) < SHAPE_EPS
     safe = np.where(small, 1.0, xi)
     for period in periods:
-        _check_rate_period(rate, period)
-        y = -math.log1p(-(1.0 - 1.0 / (rate * period)))
+        y = -math.log1p(-_check_rate_period(rate, period))
         levels = mu + sigma * np.where(small, y, np.expm1(safe * y) / safe)
         # np.quantile partitions at several kth, which costs more than this
         # sort; a sorted array gives it the same order statistics

@@ -92,6 +92,12 @@ def _finite_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _points(values) -> tuple[np.ndarray, bool]:
+    """``values`` as a 1-d float array, and whether they were one scalar."""
+    arr = np.asarray(values, dtype=float)
+    return np.atleast_1d(arr), arr.ndim == 0
+
+
 def _maybe_scalar(result: np.ndarray, scalar: bool):
     return float(result[0]) if scalar else result
 
@@ -155,9 +161,7 @@ def gp_cdf(params: GpParams, x):
     Values below the location map to 0; values at or beyond the upper
     endpoint (negative shape) map to 1.
     """
-    arr = _finite_array(x, "x")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr, scalar = _points(_finite_array(x, "x"))
     y = (arr - params.location) / params.scale
     xi = params.shape
     if abs(xi) < SHAPE_EPS:
@@ -176,9 +180,7 @@ def gp_logpdf(params: GpParams, x):
     The hard -inf (rather than an exception) is what the posterior samplers
     rely on to reject proposals that leave the support.
     """
-    arr = _finite_array(x, "x")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr, scalar = _points(_finite_array(x, "x"))
     y = arr - params.location
     xi = params.shape
     log_sigma = math.log(params.scale)
@@ -284,7 +286,7 @@ def _loglik_bounds(x: np.ndarray) -> tuple[Callable[..., tuple[float, float]], f
     The kernel ends in fl(base - fl(C S)), C = 1/xi + 1, which rounding
     keeps monotone in its sum S, so bounds on S bound its result.  When
     1 + theta y may reach 0 within rounding below the largest peak, or
-    the margin overflows, the bounds are (-inf, inf).
+    the margin or theta^4 overflows, the bounds are (-inf, inf).
     """
     n = x.size
     if n == 0:
@@ -333,7 +335,9 @@ def _loglik_bounds(x: np.ndarray) -> tuple[Callable[..., tuple[float, float]], f
         q1 = 1.0 + q
         q1 *= q1
         e = eps_n * (q * q1 * q1 + slope * xabs + abs(t_max))
-        if not e < inf:
+        tt = theta * theta
+        # an overflowed theta^4 leaves the remainder inf or inf * 0 = nan
+        if not (e < inf and tt * tt < inf):
             return -inf, inf
         t_bar = theta * ybar
         w = 1.0 + t_bar
@@ -343,7 +347,6 @@ def _loglik_bounds(x: np.ndarray) -> tuple[Callable[..., tuple[float, float]], f
         g = theta / w
         g2 = g * g
         t2 = 0.5 * g2 * m2
-        tt = theta * theta
         t4 = 0.25 * tt * tt * m4
         lo *= lo
         r_lo = t4 / (lo * lo)
@@ -365,9 +368,7 @@ def gp_quantile(params: GpParams, p):
     x(p) = location + scale / shape * ((1 - p) ** -shape - 1), with the
     limit location - scale * log(1 - p) for shape -> 0.
     """
-    arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr, scalar = _points(p)
     # NaN and infinities fail a comparison, so no isfinite pass is needed
     if not np.all((arr >= 0.0) & (arr < 1.0)):
         raise InputError("probabilities must lie in [0, 1)")
@@ -408,9 +409,7 @@ def kappa_quantile(params: KappaParams, p):
     Uses the analytic k -> 0 and h -> 0 limit branches so the surface is
     continuous where the family degenerates (h=1 is GP, h=0=k is Gumbel).
     """
-    arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr, scalar = _points(p)
     # NaN and infinities fail a comparison, so no isfinite pass is needed
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise InputError("probabilities must lie in (0, 1)")
@@ -425,9 +424,7 @@ def kappa_quantile(params: KappaParams, p):
 
 def kappa_cdf(params: KappaParams, x):
     """Kappa distribution function, clamped to [0, 1] outside the support."""
-    arr = _finite_array(x, "x")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr, scalar = _points(_finite_array(x, "x"))
     k = params.shape_k
     h = params.shape_h
     z = (arr - params.location) / params.scale

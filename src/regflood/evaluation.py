@@ -472,11 +472,7 @@ def _model_estimates(
             c = window.index_flood(index_method)
         else:
             c = float(sample_lmoments(tpot.peaks).l1)
-        out = {}
-        for T in periods:
-            _check_rate_period(tpot.rate, T)
-            out[T] = index_flood_quantile(curve, c, 1.0 - 1.0 / (tpot.rate * T))
-        return out
+        return {T: index_flood_quantile(curve, c, _check_rate_period(tpot.rate, T)) for T in periods}
     if name == "BAY":
         chains = mcmc_sample(prior, tpot, mcmc, seed=mcmc_seed)
         summaries = posterior_quantiles(chains, tpot.rate, periods)
@@ -512,6 +508,10 @@ def run_experiment(
     missing: list[str] = []
     bench0: tuple[BenchmarkEntry, ...] = ()
 
+    def lose(msg: str) -> None:
+        missing.append(msg)
+        log.warning("%s", msg)
+
     for r in range(config.replicates):
         synth_stream, model_stream = rep_streams[r].spawn(2)
         if synth is not None:
@@ -538,9 +538,7 @@ def run_experiment(
                 regression = _donor_regression(the_region.others(), the_region.index_method)
                 prior = elicit_prior(the_region, regression)
         except (InputError, NumericalError) as exc:
-            msg = f"replicate {r}: regional preparation failed: {exc}"
-            missing.append(msg)
-            log.warning("%s", msg)
+            lose(f"replicate {r}: regional preparation failed: {exc}")
 
         m_streams = model_stream.spawn(len(config.lengths))
         for im, m in enumerate(config.lengths):
@@ -554,9 +552,7 @@ def run_experiment(
                 try:
                     tpot = truncate_pot(full, m, config.anchor, offset_years=offset)
                 except InputError as exc:
-                    msg = f"replicate {r} m={m} offset {offset}: {exc}"
-                    missing.append(msg)
-                    log.warning("%s", msg)
+                    lose(f"replicate {r} m={m} offset {offset}: {exc}")
                     continue
                 window = RegionSite(target_site.meta, tpot)
                 for name in config.models:
@@ -576,9 +572,7 @@ def run_experiment(
                             the_region.index_method,
                         )
                     except (InputError, NumericalError) as exc:
-                        msg = f"replicate {r} m={m} offset {offset} {name}: {exc}"
-                        missing.append(msg)
-                        log.warning("%s", msg)
+                        lose(f"replicate {r} m={m} offset {offset} {name}: {exc}")
                         continue
                     for T in _RETURN_PERIODS:
                         rels[(name, T)].append((est[T] - bench_q[T]) / bench_q[T])

@@ -157,44 +157,56 @@ def _series_columns(path: Path) -> tuple[np.ndarray, np.ndarray] | None:
     return times, values
 
 
+def _csv_rows(path: Path, header: list[str]):
+    """The numbered data rows of a CSV file that must start with ``header``.
+
+    The file is read and closed first; then a wrong header, and each row
+    without one field per header column, raise InputError naming the file
+    and the row, in order.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    got = rows[0] if rows else None
+    if got != header:
+        raise InputError(f"{path.name}: expected header {','.join(header)!r}, got {got!r}")
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise InputError(
+                f"{path.name} row {i}: expected {len(header)} fields, got {len(row)}"
+            )
+        yield i, row
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and then ``rows`` with the csv module's quoting."""
+    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _series_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Times and discharges parsed row by row, raising on the first bad row."""
     times: list[np.datetime64] = []
     values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _SERIES_HEADER:
+    for i, row in _csv_rows(path, _SERIES_HEADER):
+        try:
+            t = np.datetime64(row[0], "s")
+        except ValueError as exc:
+            raise InputError(f"{path.name} row {i}: bad datetime {row[0]!r}") from exc
+        if np.isnat(t):
+            raise InputError(f"{path.name} row {i}: bad datetime {row[0]!r}")
+        try:
+            q = float(row[1])
+        except ValueError as exc:
+            raise InputError(f"{path.name} row {i}: bad discharge {row[1]!r}") from exc
+        if not math.isfinite(q) or q < 0:
             raise InputError(
-                f"{path.name}: expected header {','.join(_SERIES_HEADER)!r}, "
-                f"got {header!r}"
+                f"{path.name} row {i}: discharge must be finite and "
+                f"non-negative, got {row[1]}"
             )
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 2:
-                raise InputError(
-                    f"{path.name} row {i}: expected 2 fields, got {len(row)}"
-                )
-            try:
-                t = np.datetime64(row[0], "s")
-            except ValueError as exc:
-                raise InputError(
-                    f"{path.name} row {i}: bad datetime {row[0]!r}"
-                ) from exc
-            if np.isnat(t):
-                raise InputError(f"{path.name} row {i}: bad datetime {row[0]!r}")
-            try:
-                q = float(row[1])
-            except ValueError as exc:
-                raise InputError(
-                    f"{path.name} row {i}: bad discharge {row[1]!r}"
-                ) from exc
-            if not math.isfinite(q) or q < 0:
-                raise InputError(
-                    f"{path.name} row {i}: discharge must be finite and "
-                    f"non-negative, got {row[1]}"
-                )
-            times.append(t)
-            values.append(q)
+        times.append(t)
+        values.append(q)
     if not times:
         raise InputError(f"{path.name}: no data rows")
     return np.array(times, dtype="datetime64[s]"), np.array(values)
@@ -202,54 +214,35 @@ def _series_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_metadata_csv(path, metas: Sequence[StationMeta]) -> None:
     """Write station metadata, one row per station, floats in round-trip form."""
-    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_META_HEADER)
-        for m in metas:
-            w.writerow(
-                [
-                    m.code,
-                    m.name,
-                    repr(float(m.area_km2)),
-                    repr(float(m.x_km)),
-                    repr(float(m.y_km)),
-                    m.record_start,
-                    m.record_end,
-                ]
-            )
+    _write_csv(
+        path,
+        _META_HEADER,
+        (
+            [m.code, m.name, repr(float(m.area_km2)), repr(float(m.x_km)),
+             repr(float(m.y_km)), m.record_start, m.record_end]
+            for m in metas
+        ),
+    )
 
 
 def read_metadata_csv(path) -> tuple[StationMeta, ...]:
     """Read station metadata; errors name the file and the data row."""
     path = Path(path)
     out: list[StationMeta] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _META_HEADER:
-            raise InputError(
-                f"{path.name}: expected header {','.join(_META_HEADER)!r}, "
-                f"got {header!r}"
+    for i, row in _csv_rows(path, _META_HEADER):
+        try:
+            meta = StationMeta(
+                code=row[0],
+                name=row[1],
+                area_km2=float(row[2]),
+                x_km=float(row[3]),
+                y_km=float(row[4]),
+                record_start=int(row[5]),
+                record_end=int(row[6]),
             )
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(_META_HEADER):
-                raise InputError(
-                    f"{path.name} row {i}: expected {len(_META_HEADER)} fields, "
-                    f"got {len(row)}"
-                )
-            try:
-                meta = StationMeta(
-                    code=row[0],
-                    name=row[1],
-                    area_km2=float(row[2]),
-                    x_km=float(row[3]),
-                    y_km=float(row[4]),
-                    record_start=int(row[5]),
-                    record_end=int(row[6]),
-                )
-            except (ValueError, InputError) as exc:
-                raise InputError(f"{path.name} row {i}: {exc}") from exc
-            out.append(meta)
+        except (ValueError, InputError) as exc:
+            raise InputError(f"{path.name} row {i}: {exc}") from exc
+        out.append(meta)
     if not out:
         raise InputError(f"{path.name}: no stations")
     codes = [m.code for m in out]
@@ -462,28 +455,28 @@ def eval_report_payload(report: EvalReport) -> dict:
 
 def write_density_csv(path, grids: Sequence[tuple[str, np.ndarray, np.ndarray, np.ndarray]]) -> None:
     """Marginal density grids: (parameter, values, prior pdf, posterior pdf)."""
-    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["parameter", "value", "prior_density", "posterior_density"])
-        for name, values, prior_pdf, posterior_pdf in grids:
-            for v, fp, fq in zip(values, prior_pdf, posterior_pdf):
-                w.writerow([name, repr(float(v)), repr(float(fp)), repr(float(fq))])
+    _write_csv(
+        path,
+        ["parameter", "value", "prior_density", "posterior_density"],
+        (
+            [name, repr(float(v)), repr(float(fp)), repr(float(fq))]
+            for name, values, prior_pdf, posterior_pdf in grids
+            for v, fp, fq in zip(values, prior_pdf, posterior_pdf)
+        ),
+    )
 
 
 def write_curve_csv(path, summaries: Sequence[QuantileSummary]) -> None:
     """Frequency-curve points: return period vs level with credible band."""
-    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["period_years", "q_median", "q_lower", "q_upper"])
-        for s in summaries:
-            w.writerow(
-                [
-                    repr(float(s.period_years)),
-                    repr(float(s.point)),
-                    repr(float(s.lower)),
-                    repr(float(s.upper)),
-                ]
-            )
+    _write_csv(
+        path,
+        ["period_years", "q_median", "q_lower", "q_upper"],
+        (
+            [repr(float(s.period_years)), repr(float(s.point)), repr(float(s.lower)),
+             repr(float(s.upper))]
+            for s in summaries
+        ),
+    )
 
 
 # ---------------------------------------------------------------- region config

@@ -511,13 +511,19 @@ def gp_fit_pwm(pot: PotSeries, variant: str = "unbiased") -> GpFit:
     )
 
 
-def _check_rate_period(rate: float, period_years: float) -> None:
+def _check_rate_period(rate: float, period_years: float) -> float:
+    """The non-exceedance probability p = 1 - 1/(rate * T) of the T-year level.
+
+    Raises InputError unless ``rate`` is finite and positive and
+    rate * T > 1, so that p lies in (0, 1).
+    """
     if not math.isfinite(rate) or rate <= 0:
         raise InputError(f"event rate must be positive, got {rate!r}")
     if not math.isfinite(period_years) or rate * period_years <= 1.0:
         raise InputError(
             f"return period {period_years!r} needs rate * T > 1 (rate {rate!r})"
         )
+    return 1.0 - 1.0 / (rate * period_years)
 
 
 def return_level(params: GpParams, rate: float, period_years: float) -> float:
@@ -526,8 +532,7 @@ def return_level(params: GpParams, rate: float, period_years: float) -> float:
     With ``rate`` events per year, the T-year level is the GP quantile at
     non-exceedance probability 1 - 1/(rate * T); requires rate * T > 1.
     """
-    _check_rate_period(rate, period_years)
-    return float(gp_quantile(params, 1.0 - 1.0 / (rate * period_years)))
+    return float(gp_quantile(params, _check_rate_period(rate, period_years)))
 
 
 def quantile_variance(fit: GpFit, rate: float, period_years: float) -> float:
@@ -686,9 +691,8 @@ def profile_ci(
             "profile_ci needs the MLE of the same record, got a "
             f"{fit.method} fit of {fit.n} events"
         )
-    rate = pot.rate
-    q_hat = return_level(fit.params, rate, period_years)
-    p = 1.0 - 1.0 / (rate * period_years)
+    p = _check_rate_period(pot.rate, period_years)
+    q_hat = float(gp_quantile(fit.params, p))
     # the chi^2(1) quantile, in scipy.stats.chi2.ppf's own closed form
     cutoff = float(2.0 * gammaincinv(0.5, level))
     ll_max = fit.loglik

@@ -102,6 +102,14 @@ def _pwm_exact(values: list, r: int, variant: str) -> Fraction:
     return total / n
 
 
+def _sorted_finite(sample) -> np.ndarray:
+    """A float sample in ascending order; a non-finite value raises InputError."""
+    xs = np.sort(np.asarray(sample, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise InputError("sample values must be finite")
+    return xs
+
+
 def _pwm_float(xs: np.ndarray, r_max: int, variant: str) -> np.ndarray:
     """PWMs b_0 ... b_r_max of sorted samples along the last axis.
 
@@ -151,10 +159,7 @@ def sample_pwm(sample, r: int, variant: str = "unbiased"):
         )
     if _is_exact_sequence(sample):
         return _pwm_exact(list(sample), r, variant)
-    xs = np.sort(np.asarray(sample, dtype=float))
-    if not np.all(np.isfinite(xs)):
-        raise InputError("sample values must be finite")
-    return float(_pwm_float(xs, r, variant)[r])
+    return float(_pwm_float(_sorted_finite(sample), r, variant)[r])
 
 
 def sample_lmoments(sample, variant: str = "unbiased") -> LmomentSet:
@@ -174,9 +179,7 @@ def sample_lmoments(sample, variant: str = "unbiased") -> LmomentSet:
             raise DegenerateSampleError("constant sample has no L-moment ratios")
         b = [_pwm_exact(values, r, variant) for r in range(4)]
     else:
-        xs = np.sort(np.asarray(sample, dtype=float))
-        if not np.all(np.isfinite(xs)):
-            raise InputError("sample values must be finite")
+        xs = _sorted_finite(sample)
         if xs[-1] == xs[0]:
             raise DegenerateSampleError("constant sample has no L-moment ratios")
         b = _pwm_float(xs, 3, variant).tolist()

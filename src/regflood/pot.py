@@ -67,6 +67,11 @@ def _as_times(times) -> np.ndarray:
     return arr
 
 
+def _increasing(times: np.ndarray) -> bool:
+    """Whether the 1-d ``times`` increase strictly."""
+    return not np.any(np.diff(times).astype("timedelta64[s]").astype(np.int64) <= 0)
+
+
 @dataclass(frozen=True)
 class DischargeSeries:
     """A station's discharge record: strictly increasing times, values >= 0."""
@@ -84,7 +89,7 @@ class DischargeSeries:
             raise InputError("times and discharge must be 1-D arrays of equal length")
         if times.size < 2:
             raise InputError("a discharge series needs at least two samples")
-        if np.any(np.diff(times).astype("timedelta64[s]").astype(np.int64) <= 0):
+        if not _increasing(times):
             raise InputError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(q)) or np.any(q < 0):
             raise InputError("discharge values must be finite and non-negative")
@@ -135,9 +140,7 @@ class PotSeries:
         peaks = np.asarray(self.peaks, dtype=float)
         if times.ndim != 1 or peaks.ndim != 1 or times.size != peaks.size:
             raise InputError("times and peaks must be 1-D arrays of equal length")
-        if times.size > 1 and np.any(
-            np.diff(times).astype("timedelta64[s]").astype(np.int64) <= 0
-        ):
+        if not _increasing(times):
             raise InputError("event times must be strictly increasing")
         if not np.all(np.isfinite(peaks)) or np.any(peaks < self.threshold):
             raise InputError("all peaks must be finite and at least the threshold")

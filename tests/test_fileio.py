@@ -161,6 +161,16 @@ def test_series_csv_reader_matches_the_row_loop(tmp_path, case, text, bulk):
     assert (_series_columns(path) is not None) == bulk
 
 
+def _csv_writer_bytes(header, rows) -> bytes:
+    """The file a ``csv.writer`` row loop writes: the oracle of every CSV writer."""
+    oracle = io.StringIO(newline="")
+    w = csv.writer(oracle, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow(row)
+    return oracle.getvalue().encode("utf-8")
+
+
 def test_series_csv_writer_matches_csv_writer(tmp_path):
     times = np.array(
         ["1850-03-01T06:00:00", "1969-12-31T23:59:59", "1970-01-01T00:00:00",
@@ -170,12 +180,8 @@ def test_series_csv_writer_matches_csv_writer(tmp_path):
     series = DischargeSeries("S1", times, np.array([1e-300, 0.1, 1e16, 0.0, 123.456789]))
     path = tmp_path / "S1.csv"
     write_series_csv(path, series)
-    oracle = io.StringIO(newline="")
-    w = csv.writer(oracle, lineterminator="\n")
-    w.writerow(["datetime", "discharge_m3s"])
-    for t, q in zip(series.times, series.discharge):
-        w.writerow([str(t), repr(float(q))])
-    assert path.read_bytes() == oracle.getvalue().encode("utf-8")
+    rows = [[str(t), repr(float(q))] for t, q in zip(series.times, series.discharge)]
+    assert path.read_bytes() == _csv_writer_bytes(["datetime", "discharge_m3s"], rows)
 
 
 def test_series_csv_rejects_wrong_header_and_empty(tmp_path):
@@ -195,6 +201,13 @@ def test_metadata_csv_round_trip(tmp_path):
     )
     path = tmp_path / "meta.csv"
     write_metadata_csv(path, metas)
+    header = ["code", "name", "area_km2", "x_km", "y_km", "record_start", "record_end"]
+    rows = [
+        [m.code, m.name, repr(m.area_km2), repr(m.x_km), repr(m.y_km), m.record_start, m.record_end]
+        for m in metas
+    ]
+    assert path.read_bytes() == _csv_writer_bytes(header, rows)
+    assert b'"Mill, Lower"' in path.read_bytes()
     back = read_metadata_csv(path)
     assert back == metas
     # the comma inside a name survives csv quoting
@@ -206,6 +219,21 @@ def test_metadata_csv_errors(tmp_path):
     path.write_text("code,name,area_km2,x_km,y_km,record_start,record_end\n")
     with pytest.raises(InputError, match="no stations"):
         read_metadata_csv(path)
+    path.write_text("code,name,area,x_km,y_km,record_start,record_end\nS0,A,1,0,0,1970,1980\n")
+    with pytest.raises(InputError) as err:
+        read_metadata_csv(path)
+    assert str(err.value) == (
+        "meta.csv: expected header 'code,name,area_km2,x_km,y_km,record_start,record_end', "
+        "got ['code', 'name', 'area', 'x_km', 'y_km', 'record_start', 'record_end']"
+    )
+    path.write_text(
+        "code,name,area_km2,x_km,y_km,record_start,record_end\n"
+        "S0,A,10.0,0,0,1970,1980\n"
+        "S1,B,20.0,0,0,1970\n"
+    )
+    with pytest.raises(InputError) as err:
+        read_metadata_csv(path)
+    assert str(err.value) == "meta.csv row 2: expected 7 fields, got 6"
     path.write_text(
         "code,name,area_km2,x_km,y_km,record_start,record_end\n"
         "S0,A,abc,0,0,1970,1980\n"
@@ -373,12 +401,20 @@ def test_eval_report_payload_nan_becomes_null(tmp_path):
 
 def test_plot_csv_shapes(tmp_path):
     grid = np.linspace(1.0, 2.0, 5)
-    dens = [("mu", grid, grid * 0.1, grid * 0.2)]
+    # a name with a comma is quoted
+    dens = [("mu", grid, grid * 0.1, grid * 0.2), ("Mill, Lower", grid[:2], grid[:2], grid[:2] / 3)]
     dpath = tmp_path / "density.csv"
     write_density_csv(dpath, dens)
     lines = dpath.read_text().splitlines()
     assert lines[0] == "parameter,value,prior_density,posterior_density"
-    assert len(lines) == 6
+    assert len(lines) == 8
+    assert lines[-1].startswith('"Mill, Lower",')
+    rows = [
+        [name, repr(float(v)), repr(float(fp)), repr(float(fq))]
+        for name, values, prior_pdf, posterior_pdf in dens
+        for v, fp, fq in zip(values, prior_pdf, posterior_pdf)
+    ]
+    assert dpath.read_bytes() == _csv_writer_bytes(lines[0].split(","), rows)
     summaries = [
         QuantileSummary(2.0, 10.0, 8.0, 13.0),
         QuantileSummary(10.0, 20.0, 15.0, 28.0),
@@ -388,6 +424,8 @@ def test_plot_csv_shapes(tmp_path):
     lines = cpath.read_text().splitlines()
     assert lines[0] == "period_years,q_median,q_lower,q_upper"
     assert lines[1].startswith("2.0,10.0,")
+    rows = [[repr(s.period_years), repr(s.point), repr(s.lower), repr(s.upper)] for s in summaries]
+    assert cpath.read_bytes() == _csv_writer_bytes(lines[0].split(","), rows)
 
 
 def region_files(tmp_path, n_sites=4, years=12.0, rate=2.0):
