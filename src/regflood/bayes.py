@@ -7,27 +7,36 @@ transported to the target through the predicted target index flood, and
 the hyper-parameters are moment summaries of those pseudo-parameters.
 The target site's own sample never enters the elicitation; that contract
 is enforced, not just documented.  Posterior sampling is a component-wise
-random-walk Metropolis in (log mu, log sigma, xi).  Each chain owns a
-generator stream spawned from the seed and draws its random numbers in
-blocks, one step normal and one acceptance uniform per proposal.  A
-proposal recomputes its coordinate's prior term and bounds its likelihood
-from the record's moments and its largest peak's exact term (the closure
-of ``distributions._loglik_bounds``); most Metropolis steps are decided
-on those bounds.  A chain carries the bounds' scalars of its state: per
-location the residuals of the other peaks' mean and of the smallest,
-second largest and largest peak, and per scale -n log sigma, so a scale
-move computes only the last and a shape move none.  The rest read the
-peaks through ``distributions._gp_loglik``: the proposal first, and the
-current state only when the proposal's exact value still leaves the
-step open.  The bounds are exact, so the draws are those of evaluating
-every proposal in full.  Each chain logs one DEBUG line with its
-proposals, kernel calls and acceptances.
+random-walk Metropolis in (log mu, log sigma, xi) through burn-in, then a
+Metropolis-Hastings independence step from a multivariate t fitted to the
+late burn-in states.  Each chain owns a generator stream spawned from the
+seed and draws its random numbers in blocks: through burn-in one step
+normal and one acceptance uniform per proposal.  A walk proposal
+recomputes its coordinate's prior term and bounds its likelihood from the
+record's moments and its largest peak's exact term (the closure of
+``distributions._loglik_bounds``); most walk steps are decided on those
+bounds.  A chain carries the bounds' scalars of its state: per location
+the residuals of the other peaks' mean and of the smallest, second
+largest and largest peak, and per scale -n log sigma, so a scale move
+computes only the last and a shape move none.  The rest read the peaks
+through ``distributions._gp_loglik``: the proposal first, and the current
+state only when the proposal's exact value still leaves the step open.
+The bounds are exact, so the walk's draws are those of evaluating every
+proposal in full.  After burn-in each iteration makes one joint proposal;
+a block of them is drawn and evaluated as numpy arrays, its likelihoods
+as one array of residuals (``_loglik_rows``) whose rows are the kernel's
+floats, and only the acceptance tests run one by one.  A chain whose late
+burn-in the t would fit badly walks on instead.  Each chain logs one
+DEBUG line with its proposals, kernel calls and rows, acceptances and
+post-burn-in kernel.
 
 Nothing here calls BLAS: the sampler works on Python floats and short
-arrays, and the diagnostics and quantiles on numpy's own reductions and
-FFT.  Like a fit (see ``fit``), a Bayesian analysis never wakes OpenBLAS's
-thread pool, whose workers would otherwise spin on the other cores
-through the posterior summary after a threaded call.
+arrays, the t's covariance is ``np.add.reduce`` of products and its 3 x 3
+Cholesky factor Python arithmetic, and the diagnostics and quantiles run
+on numpy's own reductions and FFT.  Like a fit (see ``fit``), a Bayesian
+analysis never wakes OpenBLAS's thread pool, whose workers would otherwise
+spin on the other cores through the posterior summary after a threaded
+call.
 """
 
 from __future__ import annotations
@@ -66,6 +75,26 @@ MIN_RETAINED_DRAWS = 500
 _BLOCK = 500
 # burn-in iterations per step-size adaptation
 _ADAPT_WINDOW = 50
+# After burn-in a chain proposes from a multivariate t with _T_DF degrees of
+# freedom, fitted to the states of burn-in from the share _LATE_FROM of it
+# on, its covariance scaled by _T_SCALE squared: heavier tails and a wider
+# spread than the posterior's
+_T_DF = 5
+_T_SCALE = 1.3
+_LATE_FROM = 0.5
+# A chain walks on after burn-in with fewer late burn-in states than
+# _MIN_LATE, when the walk moved a coordinate in fewer than _MIN_MOVES of
+# them (the acceptance floor the sampler warns at), or when log pi - log q
+# spreads over them (max - median) by more than _MAX_SPREAD: a t fitted to
+# a stalled walk is too narrow, one that misses part of the posterior is
+# rarely accepted there, and either chain would stick
+_MIN_LATE = 200
+_MIN_MOVES = 0.05
+_MAX_SPREAD = 3.0
+# values per (rows, n) block of residuals: 8192 float64 values are 64 KiB,
+# under glibc's default 128 KiB mmap threshold, so blocks reuse heap memory
+# (see distributions._BLOCK_VALUES)
+_ROW_VALUES = 8192
 
 
 @dataclass(frozen=True)
@@ -236,7 +265,9 @@ class PosteriorChains:
     """Retained draws of (mu, sigma, xi) per chain; settings and seed stay with the caller."""
 
     draws: np.ndarray  # (chains, kept, 3)
-    acceptance: np.ndarray  # (chains, 3), post-burn-in rates per coordinate
+    # (chains, 3), the share of post-burn-in iterations that moved each
+    # coordinate: three equal values under the independence step
+    acceptance: np.ndarray
     warnings: tuple[str, ...] = ()
 
     def pooled(self) -> np.ndarray:
@@ -262,27 +293,99 @@ def _initial_state(prior: PriorSpec, x: np.ndarray) -> np.ndarray:
     return z
 
 
+def _loglik_rows(
+    x: np.ndarray, xmin: float, xmax: float, mu: np.ndarray, sigma: np.ndarray, xi: np.ndarray
+) -> np.ndarray:
+    """``_gp_loglik(x - mu[i], xmin - mu[i], xmax - mu[i], sigma[i], xi[i])``
+    for every i, float for float; ``xmin`` and ``xmax`` are the extremes of
+    the peaks ``x`` and every scale is positive and finite.
+
+    The residuals of at most ``_ROW_VALUES`` values form one (rows, n)
+    array, multiplied by theta = xi / sigma and taken through ``np.log1p``
+    in place, and each row is summed by ``np.add.reduce`` along it, numpy's
+    pairwise sum as the kernel's.  -n log sigma is ``math.log``'s, as the
+    kernel computes it.  The support tests are the kernel's, on the
+    extremes; a row off the support is zeroed before ``log1p`` and gives
+    -inf.  Rows of the exponential law (|xi| < ``SHAPE_EPS``) sum their
+    residuals instead.
+    """
+    n = x.size
+    out = np.zeros(mu.size)
+    if n == 0:
+        return out
+    step = max(_ROW_VALUES // n, 1)
+    for lo in range(0, mu.size, step):
+        m, s, k = mu[lo : lo + step], sigma[lo : lo + step], xi[lo : lo + step]
+        theta = k / s
+        expo = np.abs(k) < SHAPE_EPS
+        has_expo = bool(expo.any())
+        off = (xmin - m < 0.0) | (~expo & (1.0 + theta * (xmax - m) <= 0.0))
+        has_off = bool(off.any())
+        base = -n * np.array(list(map(math.log, s.tolist())))
+        y = x - m[:, None]
+        if has_expo:
+            y_sum = np.add.reduce(y[expo], axis=1)
+        y *= theta[:, None]
+        if has_off:
+            y[off] = 0.0
+        np.log1p(y, out=y)
+        rows = base - (1.0 / np.where(expo, 1.0, k) + 1.0) * np.add.reduce(y, axis=1)
+        if has_expo:
+            rows[expo] = base[expo] - y_sum / s[expo]
+        if has_off:
+            rows[off] = -math.inf
+        out[lo : lo + step] = rows
+    return out
+
+
 def mcmc_sample(
     prior: PriorSpec,
     pot: PotSeries,
     config: McmcConfig = McmcConfig(),
     seed: int = 0,
 ) -> PosteriorChains:
-    """Sample the posterior by component-wise random-walk Metropolis.
+    """Sample the posterior by a component-wise random walk through burn-in,
+    then by a Metropolis-Hastings independence step fitted to burn-in.
 
     The walk lives in (log mu, log sigma, xi), where the prior is an
     independent normal and the location/scale positivity constraints
     vanish.  Each coordinate gets a Gaussian step with its own scale,
     adapted in windows during burn-in toward acceptance rates in
-    [0.2, 0.5] and frozen afterwards.  Chains own independent generator
-    streams spawned from the seed, so results are reproducible and a
-    chain's draws do not depend on how many chains run beside it.  After
-    the three normals of its start, a chain draws its step normals and
-    acceptance uniforms in blocks of ``_BLOCK`` iterations and spends one
-    normal and one uniform on every proposal, off-support ones included.
+    [0.2, 0.5] and frozen afterwards where a chain walks on.  Chains own
+    independent generator streams spawned from the seed, so results are
+    reproducible and a chain's draws do not depend on how many chains run
+    beside it.  After the three normals of its start, a walking chain
+    draws its step normals and acceptance uniforms in blocks of ``_BLOCK``
+    iterations and spends one normal and one uniform on every proposal,
+    off-support ones included.
     A chain's start keeps the log target its support test evaluated.
 
-    A proposal recomputes one prior term, then bounds its log likelihood
+    At the end of burn-in each chain fits a t with ``_T_DF`` degrees of
+    freedom to its burn-in states from ``_LATE_FROM`` of burn-in on, in
+    w = (nu, log sigma, xi) with nu = log(x_min - mu) (log mu for an empty
+    record): their mean, and their covariance, summed by ``np.add.reduce``,
+    times ``_T_SCALE`` squared, with its 3 x 3 Cholesky factor taken by
+    hand.  After burn-in every iteration proposes one w from that fixed t
+    (Tierney 1994); its tails are heavier than the posterior's, which keeps
+    the chain uniformly ergodic (Mengersen & Tweedie 1996).  The log target
+    in w gains the Jacobian nu - log mu, and a proposal with mu <= 0, or a
+    mu or sigma that is 0 or overflows, is rejected.  A block of
+    ``_ROW_VALUES // max(n, 3)`` iterations draws three normals per
+    proposal, one chi-square and one uniform: the proposals, their log
+    density, their prior terms and their log likelihoods (``_loglik_rows``)
+    are numpy arrays, and the step accepts when the uniform's log is below
+    log pi / q of the proposal minus that of the current state.  The chain
+    walks on instead, for the rest of its run, when it has fewer than
+    ``_MIN_LATE`` of those burn-in states, when the walk moved one of the
+    coordinates in fewer than ``_MIN_MOVES`` of them, when their covariance
+    is not positive definite, or when log pi / q over them spreads
+    (max - median) by more than ``_MAX_SPREAD``.  Each decision reads
+    burn-in only, so every chain is a homogeneous Metropolis-Hastings chain
+    on the posterior after burn-in.  ``PosteriorChains.acceptance`` is the share of
+    post-burn-in iterations that moved each coordinate, the same three
+    values under the independence step.
+
+    A walk proposal recomputes one prior term, then bounds its log likelihood
     by the closure of ``_loglik_bounds``, scalar arithmetic on the
     record's moments, the residuals' extremes and the largest peak's
     exact term.  The chain carries the closure's scalars of its current
@@ -300,7 +403,7 @@ def mcmc_sample(
     move would have stored, and the step is decided on lp against lt's
     bounds the same way.  Only if that still leaves it open, which needs
     a current state accepted on bounds, does the kernel evaluate lt as
-    well, and the step is decided on both floats.  So the draws and
+    well, and the step is decided on both floats.  So the walk's draws and
     acceptance are bit for bit those of evaluating every proposal: this
     is early rejection (Solonen et al. 2012) and delayed acceptance
     (Christen & Fox 2005) with exact bounds in place of a surrogate.
@@ -308,10 +411,12 @@ def mcmc_sample(
     a location move's current state only when that state is evaluated,
     and kept until a location move is accepted.
 
-    Each chain logs one DEBUG line: its proposals (three per iteration),
-    the kernel calls its moves made and its post-burn-in acceptances per
-    coordinate.  The calls are counted where the kernel runs, never per
-    proposal.
+    Each chain logs one DEBUG line: its proposals (three per walk
+    iteration, one per independence step), the kernel calls its walk moves
+    made, the rows of ``_loglik_rows`` it evaluated (its late burn-in states
+    and its proposals), its post-burn-in acceptances per coordinate and
+    its post-burn-in kernel.  The calls are counted where the kernel runs,
+    never per proposal.
     """
     x = np.asarray(pot.peaks, dtype=float)
     n = x.size
@@ -333,6 +438,54 @@ def mcmc_sample(
         q1 = (ls - g1) * (ls - g1) / d1
         q2 = (xi - g2) * (xi - g2) / d2
         return target(x - mu, xmin - mu, xmax - mu, math.exp(ls), xi, q0, q1, q2)
+
+    def target_rows(lm, ls, xi, mu, sigma, nu):
+        # the log target in w = (nu, log sigma, xi) of each row, as the walk
+        # sums it, plus the Jacobian nu - log mu
+        q0 = (lm - g0) * (lm - g0) / d0
+        q1 = (ls - g1) * (ls - g1) / d1
+        q2 = (xi - g2) * (xi - g2) / d2
+        return -0.5 * (q0 + q1 + q2) + _loglik_rows(x, xmin, xmax, mu, sigma, xi) + (nu - lm)
+
+    def fit_proposal(late):
+        # the t fitted to the late burn-in states (lm, ls, xi, mu, sigma),
+        # as its mean, Cholesky factor and the current state's log pi / q,
+        # or None when the chain walks on
+        k = len(late)
+        if k < _MIN_LATE:
+            return None
+        lm, ls, xi, mu, sigma = (np.array(col) for col in zip(*late))
+        if min(np.count_nonzero(np.diff(col)) for col in (lm, ls, xi)) < _MIN_MOVES * k:
+            return None
+        w = (np.log(xmin - mu) if n else lm, ls, xi)
+        mean = [float(np.add.reduce(col)) / k for col in w]
+        dev = [col - m for col, m in zip(w, mean)]
+        f = _T_SCALE * _T_SCALE / (k - 1)
+        (c00,), (c10, c11), (c20, c21, c22) = (
+            [float(np.add.reduce(dev[i] * dev[j])) * f for j in range(i + 1)] for i in range(3)
+        )
+        if not c00 > 0.0:
+            return None
+        l00 = math.sqrt(c00)
+        l10, l20 = c10 / l00, c20 / l00
+        p11 = c11 - l10 * l10
+        if not p11 > 0.0:
+            return None
+        l11 = math.sqrt(p11)
+        l21 = (c21 - l20 * l10) / l11
+        p22 = c22 - l20 * l20 - l21 * l21
+        if not p22 > 0.0:
+            return None
+        chol = (l00, l10, l11, l20, l21, math.sqrt(p22))
+        # the states' t log density, up to its constant, by forward substitution
+        e0 = dev[0] / l00
+        e1 = (dev[1] - l10 * e0) / l11
+        e2 = (dev[2] - l20 * e0 - l21 * e1) / chol[5]
+        log_q = -0.5 * (_T_DF + 3) * np.log1p((e0 * e0 + e1 * e1 + e2 * e2) / _T_DF)
+        a = target_rows(lm, ls, xi, mu, sigma, w[0]) - log_q
+        if float(a.max()) - float(np.median(a)) > _MAX_SPREAD:
+            return None
+        return mean, chol, float(a[-1])
 
     sd = np.sqrt(np.asarray(prior.d))
     start = _initial_state(prior, x)
@@ -377,6 +530,8 @@ def mcmc_sample(
         acc0 = acc1 = acc2 = post0 = post1 = post2 = 0
         kernel_calls = 0  # of the moves, counted only where the kernel runs
         kept = []
+        # the states after each burn-in iteration from late_from on
+        late_from, late, joint = int(_LATE_FROM * burn_in), [], None
         for it in range(config.iterations):
             row = it % _BLOCK
             if row == 0:
@@ -480,15 +635,62 @@ def mcmc_sample(
                     scales = np.clip(scales, 1e-6, 100.0)
                     s0, s1, s2 = scales.tolist()
                     acc0 = acc1 = acc2 = 0
+                if it >= late_from:
+                    late.append((lm, ls, xi, mu, sigma))
+                    if it + 1 == burn_in:
+                        joint = fit_proposal(late)
+                        if joint is not None:
+                            break
             elif (it - burn_in) % thinning == 0:
                 kept.append((mu, sigma, xi))
+        if joint is None:
+            kind, proposals, rows_done = "walk", 3 * config.iterations, 0
+        else:
+            kind = "independence step"
+            proposals = 3 * burn_in + config.iterations - burn_in
+            rows_done = len(late) + config.iterations - burn_in
+            # one joint proposal per iteration from the fixed t, drawn and
+            # evaluated a block at a time; visited holds the state after
+            # each iteration
+            (m0, m1, m2), (l00, l10, l11, l20, l21, l22), a_cur = joint
+            cur, visited = (mu, sigma, xi), []
+            size = _ROW_VALUES // max(n, 3)
+            for first in range(burn_in, config.iterations, size):
+                rows = min(size, config.iterations - first)
+                z0, z1, z2 = rng.standard_normal((3, rows))
+                g = rng.chisquare(_T_DF, rows)
+                log_u = np.log(rng.random(rows)).tolist()
+                r = np.sqrt(_T_DF / g)
+                nu = m0 + r * (l00 * z0)
+                ls_p = m1 + r * (l10 * z0 + l11 * z1)
+                xi_p = m2 + r * (l20 * z0 + l21 * z1 + l22 * z2)
+                log_q = -0.5 * (_T_DF + 3) * np.log1p((z0 * z0 + z1 * z1 + z2 * z2) / g)
+                with np.errstate(over="ignore"):
+                    sigma_p = np.exp(ls_p)
+                    mu_p = xmin - np.exp(nu) if n else np.exp(nu)
+                ok = np.flatnonzero(
+                    (mu_p > 0.0) & (mu_p < math.inf) & (sigma_p > 0.0) & (sigma_p < math.inf)
+                )
+                a = np.full(rows, -math.inf)
+                mu_ok, nu_ok = mu_p[ok], nu[ok]
+                lm_ok = np.log(mu_ok) if n else nu_ok
+                lp = target_rows(lm_ok, ls_p[ok], xi_p[ok], mu_ok, sigma_p[ok], nu_ok)
+                a[ok] = lp - log_q[ok]
+                states = zip(mu_p.tolist(), sigma_p.tolist(), xi_p.tolist())
+                for lu, a_p, state in zip(log_u, a.tolist(), states):
+                    if lu < a_p - a_cur:
+                        a_cur, cur = a_p, state
+                        post0 += 1
+                    visited.append(cur)
+            kept = visited[::thinning]
+            post1 = post2 = post0
         draws[c] = kept
         acceptance[c] = np.array([post0, post1, post2], dtype=float) / (config.iterations - burn_in)
         log.debug(
-            "mcmc chain %d: %d proposals, %d kernel calls, "
-            "accepted %d/%d/%d of %d post-burn-in per coordinate",
-            c, 3 * config.iterations, kernel_calls, post0, post1, post2,
-            config.iterations - burn_in,
+            "mcmc chain %d: %d proposals, %d kernel calls, %d kernel rows, "
+            "accepted %d/%d/%d of %d post-burn-in per coordinate by the %s",
+            c, proposals, kernel_calls, rows_done, post0, post1, post2,
+            config.iterations - burn_in, kind,
         )
 
     warnings = []

@@ -298,7 +298,14 @@ def _loglik_bounds(x: np.ndarray) -> tuple[Callable[..., tuple[float, float]], f
     d2 = d * d
     m2 = math.fsum(d2.tolist())
     m3 = math.fsum((d2 * d).tolist())
-    m4 = math.fsum((d2 * d2).tolist())
+    # fourth powers or their sum beyond the float range make m4 inf, and
+    # the closure's remainder test then widens the bounds
+    with np.errstate(over="ignore"):
+        d4 = (d2 * d2).tolist()
+    try:
+        m4 = math.fsum(d4)
+    except OverflowError:
+        m4 = math.inf
     xabs = float(np.abs(x).max())
     eps_n = 2.0 * n * (n + 16) * _UNIT_ROUNDOFF
     k = n - 1
@@ -336,8 +343,9 @@ def _loglik_bounds(x: np.ndarray) -> tuple[Callable[..., tuple[float, float]], f
         q1 *= q1
         e = eps_n * (q * q1 * q1 + slope * xabs + abs(t_max))
         tt = theta * theta
-        # an overflowed theta^4 leaves the remainder inf or inf * 0 = nan
-        if not (e < inf and tt * tt < inf):
+        t4 = 0.25 * tt * tt * m4
+        # an overflowed theta^4 or m4 leaves the remainder inf or inf * 0 = nan
+        if not (e < inf and t4 < inf):
             return -inf, inf
         t_bar = theta * ybar
         w = 1.0 + t_bar
@@ -347,7 +355,6 @@ def _loglik_bounds(x: np.ndarray) -> tuple[Callable[..., tuple[float, float]], f
         g = theta / w
         g2 = g * g
         t2 = 0.5 * g2 * m2
-        t4 = 0.25 * tt * tt * m4
         lo *= lo
         r_lo = t4 / (lo * lo)
         s = t_max + k * log1p(t_bar) - t2 + g2 * g * m3 / 3.0

@@ -271,8 +271,9 @@ def _profile_search(x: np.ndarray, u: float) -> np.ndarray:
     Every grid minimum of the profile with an unclipped shape is refined by
     ``_brent_bounded`` between its neighbours, each step one float call of
     ``_profile_nll``, and the best of these interior stationary points is
-    the MLE.  Only without one does the best minimum of the clipped
-    profile, a fit on a shape bound, stand in.
+    the MLE, with the scale and shape of the step that scored it.  Only
+    without one does the best minimum of the clipped profile, a fit on a
+    shape bound, stand in.
     """
     y = x - u
     y_max, y_sum = float(y.max()), float(y.sum())
@@ -293,15 +294,18 @@ def _profile_search(x: np.ndarray, u: float) -> np.ndarray:
     for i in candidates:
         # Brent's tolerance grows with |v|: search the offset from v[i]
         v0 = v[i]
-        dv, f = _brent_bounded(
-            lambda dv: _profile_nll(v0 + dv, y, y_max, y_sum)[0],
-            v[max(i - 1, 0)] - v0,
-            v[min(i + 1, len(v) - 1)] - v0,
-            1e-12,
-        )
-        if best is None or f < best[1]:
-            best = v0 + dv, f
-    _, sigma, xi = _profile_nll(best[0], y, y_max, y_sum)
+        # the scale and shape at each offset scored; Brent returns one of them
+        scored = {}
+
+        def nll(dv: float) -> float:
+            f, sigma, xi = _profile_nll(v0 + dv, y, y_max, y_sum)
+            scored[dv] = sigma, xi
+            return f
+
+        dv, f = _brent_bounded(nll, v[max(i - 1, 0)] - v0, v[min(i + 1, len(v) - 1)] - v0, 1e-12)
+        if best is None or f < best[0]:
+            best = f, scored[dv]
+    sigma, xi = best[1]
     return np.array([math.log(sigma), xi])
 
 

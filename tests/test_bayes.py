@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regflood import bayes, regional
+from regflood import bayes, evaluation, regional
 from regflood.bayes import (
     ChainDiagnostics,
     McmcConfig,
@@ -469,17 +469,71 @@ def test_mcmc_chain_draws_do_not_depend_on_the_chain_count():
     assert np.array_equal(two.acceptance, four.acceptance[:2])
 
 
+@st.composite
+def loglik_row_cases(draw):
+    """A record of 1-200 peaks, some of them on the threshold, and rows of
+    (mu, sigma, xi) around it: locations above the smallest peak, shapes
+    on the exponential branch and at +-SHAPE_EPS, and negative shapes whose
+    endpoint may fall below the largest peak; up to three blocks' worth."""
+    n = draw(st.integers(1, 200))
+    u, spread = draw(st.floats(0.5, 50.0)), draw(st.floats(0.1, 20.0))
+    params = GpParams(u, spread, draw(st.floats(-0.5, 0.8)))
+    peaks = gp_sample(params, n, seed=draw(st.integers(0, 2**20)))
+    peaks[: draw(st.integers(0, min(n, 4)))] = u
+    rows = draw(st.integers(1, min(3 * (bayes._ROW_VALUES // n) + 1, 2500)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**20)))
+    mu = float(peaks.min()) - spread * rng.normal(0.3, 0.3, rows)
+    sigma = spread * np.exp(rng.normal(0.0, 0.7, rows))
+    edge = [0.0, 1e-9, -1e-9, SHAPE_EPS, -SHAPE_EPS, math.nextafter(SHAPE_EPS, 0.0)]
+    xi = np.where(rng.random(rows) < 0.2, rng.choice(edge, rows), rng.normal(0.0, 0.6, rows))
+    return peaks, mu, sigma, xi
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(loglik_row_cases())
+def test_loglik_rows_are_the_kernel_row_by_row(case):
+    # each row's residuals, log1p and pairwise sum are the kernel's own
+    # floats, in blocks of at most _ROW_VALUES values
+    x, mu, sigma, xi = case
+    xmin, xmax = float(x.min()), float(x.max())
+    rows = bayes._loglik_rows(x, xmin, xmax, mu, sigma, xi)
+    kernel = [
+        _gp_loglik(x - m, xmin - m, xmax - m, s, k)
+        for m, s, k in zip(mu.tolist(), sigma.tolist(), xi.tolist())
+    ]
+    assert [v.hex() for v in rows.tolist()] == [float(v).hex() for v in kernel]
+
+
+def late_states_from(config):
+    """The first burn-in iteration whose state enters the independence fit."""
+    return int(bayes._LATE_FROM * config.burn_in)
+
+
 def reference_chains(prior, pot, config, seed):
-    """Plain component-wise Metropolis on the full log target.
+    """Plain component-wise Metropolis on the full log target through
+    burn-in, then the independence step, written apart from the sampler.
 
     Every proposal evaluates ``log_posterior`` plus the log-space Jacobian
     log mu + log sigma afresh; the random numbers are drawn as the sampler
     draws them: three start normals, then blocks of step normals and
-    acceptance uniforms.
+    acceptance uniforms, and after burn-in blocks of t normals,
+    chi-squares and uniforms.  The t is fitted by ``np.cov`` and
+    ``np.linalg.cholesky``, and its log density is taken by
+    ``np.linalg.solve``.
     """
+    x = np.asarray(pot.peaks, dtype=float)
+    xmin = float(x.min()) if x.size else math.inf
+
     def log_target(z):
         params = GpParams(math.exp(z[0]), math.exp(z[1]), float(z[2]))
         return log_posterior(prior, pot, params) + z[0] + z[1]
+
+    def to_w(z):
+        # (nu, log sigma, xi) and the log Jacobian of z -> w
+        if not x.size:
+            return np.array(z, dtype=float), 0.0
+        nu = math.log(xmin - math.exp(z[0]))
+        return np.array([nu, z[1], z[2]]), nu - z[0]
 
     sd = np.sqrt(np.asarray(prior.d))
     base = bayes._initial_state(prior, pot.peaks)
@@ -500,8 +554,13 @@ def reference_chains(prior, pot, config, seed):
         scales = 2.4 * sd
         window_acc = np.zeros(3)
         post_acc = np.zeros(3)
+        late, t = [], None
         k = 0
         for it in range(config.iterations):
+            if it == config.burn_in:
+                t = _reference_t(late, to_w, log_target)
+                if t is not None:
+                    break
             row = it % bayes._BLOCK
             if row == 0:
                 steps = rng.standard_normal((bayes._BLOCK, 3))
@@ -519,27 +578,126 @@ def reference_chains(prior, pot, config, seed):
                 factor = np.exp(1.2 * (window_acc / bayes._ADAPT_WINDOW - 0.35))
                 scales = np.clip(scales * np.clip(factor, 0.5, 2.0), 1e-6, 100.0)
                 window_acc[:] = 0.0
+            if late_states_from(config) <= it < config.burn_in:
+                late.append(z.copy())
             if it >= config.burn_in and (it - config.burn_in) % config.thinning == 0:
                 draws[c, k] = math.exp(z[0]), math.exp(z[1]), z[2]
                 k += 1
+        if t is not None:
+            mean, chol, a_cur = t
+            size = bayes._ROW_VALUES // max(x.size, 3)
+            cur = (math.exp(z[0]), math.exp(z[1]), z[2])
+            for first in range(config.burn_in, config.iterations, size):
+                rows = min(size, config.iterations - first)
+                normals = rng.standard_normal((3, rows))
+                g = rng.chisquare(bayes._T_DF, rows)
+                uniforms = rng.random(rows)
+                props = mean + (chol @ normals * np.sqrt(bayes._T_DF / g)).T
+                log_q = _reference_t_logpdf(props, mean, chol)
+                for i, w in enumerate(props):
+                    mu = xmin - math.exp(w[0]) if x.size else math.exp(w[0])
+                    if mu > 0.0:
+                        zp = np.array([math.log(mu), w[1], w[2]])
+                        a = log_target(zp) + (w[0] - zp[0]) - log_q[i]
+                        if math.log(uniforms[i]) < a - a_cur:
+                            a_cur, cur = a, (mu, math.exp(w[1]), w[2])
+                            post_acc += 1
+                    if (first + i - config.burn_in) % config.thinning == 0:
+                        draws[c, k] = cur
+                        k += 1
         acceptance[c] = post_acc / (config.iterations - config.burn_in)
     return draws, acceptance
 
 
+def _reference_t_logpdf(w, mean, chol):
+    """The t's log density at the rows of w, up to its constant."""
+    delta = np.linalg.solve(chol, (w - mean).T)
+    return -0.5 * (bayes._T_DF + 3) * np.log1p((delta * delta).sum(axis=0) / bayes._T_DF)
+
+
+def _reference_t(late, to_w, log_target):
+    """The t fitted to the late burn-in states: its mean, its Cholesky
+    factor and the last state's log pi / q, or None where the chain walks
+    on."""
+    if len(late) < bayes._MIN_LATE:
+        return None
+    # a coordinate the walk moved too rarely
+    if (np.diff(np.array(late), axis=0) != 0.0).sum(axis=0).min() < bayes._MIN_MOVES * len(late):
+        return None
+    w = np.array([to_w(z)[0] for z in late])
+    cov = np.cov(w, rowvar=False) * bayes._T_SCALE**2
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return None
+    mean = w.mean(axis=0)
+    a = np.array([log_target(z) + to_w(z)[1] for z in late]) - _reference_t_logpdf(w, mean, chol)
+    if a.max() - np.median(a) > bayes._MAX_SPREAD:
+        return None
+    return mean, chol, float(a[-1])
+
+
 def exact_chains(prior, pot, config, seed):
-    """The sampler as it was before it decided moves on the likelihood's
-    interval: every proposal evaluates the kernel, in the same order of
-    operations, so its draws and acceptance are the sampler's bit for bit."""
+    """The sampler with the kernel on every proposal: the walk as it was
+    before it decided moves on the likelihood's interval, and after burn-in
+    the independence step one proposal at a time on ``_gp_loglik``, in the
+    same order of operations, so its draws and acceptance are the
+    sampler's bit for bit.  Its scalars go through numpy's own ``exp``,
+    ``log`` and ``log1p``, as the sampler's blocks do."""
     x = np.asarray(pot.peaks, dtype=float)
+    n = x.size
     g0, g1, g2 = prior.gamma
     d0, d1, d2 = prior.d
     xmin, xmax = (float(x.min()), float(x.max())) if x.size else (math.inf, -math.inf)
+    df = bayes._T_DF
 
     def log_target(z):
         mu, sigma = math.exp(z[0]), math.exp(z[1])
         dz = z - np.asarray(prior.gamma)
         quad = -0.5 * float((dz * dz / np.asarray(prior.d)).sum())
         return quad + _gp_loglik(x - mu, xmin - mu, xmax - mu, sigma, z[2])
+
+    def w_target(lm, ls, xi, mu, sigma, nu):
+        q0 = (lm - g0) * (lm - g0) / d0
+        q1 = (ls - g1) * (ls - g1) / d1
+        q2 = (xi - g2) * (xi - g2) / d2
+        ll = _gp_loglik(x - mu, xmin - mu, xmax - mu, sigma, xi)
+        return -0.5 * (q0 + q1 + q2) + ll + (nu - lm)
+
+    def fit(late):
+        k = len(late)
+        if k < bayes._MIN_LATE:
+            return None
+        cols = [np.array(col) for col in zip(*late)]
+        if min(int((np.diff(col) != 0.0).sum()) for col in cols[:3]) < bayes._MIN_MOVES * k:
+            return None
+        w = [np.log(xmin - cols[3]) if n else cols[0], cols[1], cols[2]]
+        mean = [float(np.add.reduce(col)) / k for col in w]
+        dev = [(col - m).tolist() for col, m in zip(w, mean)]
+        f = bayes._T_SCALE * bayes._T_SCALE / (k - 1)
+        chol = [[0.0] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i + 1):
+                s = float(np.add.reduce(np.array(dev[i]) * np.array(dev[j]))) * f
+                for m in range(j):
+                    s -= chol[i][m] * chol[j][m]
+                if i > j:
+                    chol[i][j] = s / chol[j][j]
+                elif s > 0.0:
+                    chol[i][i] = math.sqrt(s)
+                else:
+                    return None
+        a = []
+        for s, (lm, ls, xi, mu, sigma) in enumerate(late):
+            e0 = dev[0][s] / chol[0][0]
+            e1 = (dev[1][s] - chol[1][0] * e0) / chol[1][1]
+            e2 = (dev[2][s] - chol[2][0] * e0 - chol[2][1] * e1) / chol[2][2]
+            log_q = -0.5 * (df + 3) * float(np.log1p((e0 * e0 + e1 * e1 + e2 * e2) / df))
+            nu = float(np.log(xmin - mu)) if n else lm
+            a.append(w_target(lm, ls, xi, mu, sigma, nu) - log_q)
+        if max(a) - float(np.median(a)) > bayes._MAX_SPREAD:
+            return None
+        return mean, chol, a[-1]
 
     sd = np.sqrt(np.asarray(prior.d))
     base = bayes._initial_state(prior, x)
@@ -569,7 +727,12 @@ def exact_chains(prior, pot, config, seed):
         acc = [0, 0, 0]
         post_acc = [0, 0, 0]
         kept = []
+        late, t = [], None
         for it in range(config.iterations):
+            if it == burn_in:
+                t = fit(late)
+                if t is not None:
+                    break
             row = it % bayes._BLOCK
             if row == 0:
                 steps = rng.standard_normal((bayes._BLOCK, 3)).tolist()
@@ -618,8 +781,37 @@ def exact_chains(prior, pot, config, seed):
                     scales = np.clip(scales, 1e-6, 100.0)
                     s0, s1, s2 = scales.tolist()
                     acc = [0, 0, 0]
+                if it >= late_states_from(config):
+                    late.append((lm, ls, xi, mu, sigma))
             elif (it - burn_in) % thinning == 0:
                 kept.append((mu, sigma, xi))
+        if t is not None:
+            (m0, m1, m2), chol, a_cur = t
+            (l00, _, _), (l10, l11, _), (l20, l21, l22) = chol
+            cur = (mu, sigma, xi)
+            size = bayes._ROW_VALUES // max(n, 3)
+            for first in range(burn_in, config.iterations, size):
+                rows = min(size, config.iterations - first)
+                normals = rng.standard_normal((3, rows)).T.tolist()
+                chi2s = rng.chisquare(df, rows).tolist()
+                log_u = np.log(rng.random(rows)).tolist()
+                for i, ((z0, z1, z2), g) in enumerate(zip(normals, chi2s)):
+                    r = math.sqrt(df / g)
+                    nu = m0 + r * (l00 * z0)
+                    ls = m1 + r * (l10 * z0 + l11 * z1)
+                    xi = m2 + r * (l20 * z0 + l21 * z1 + l22 * z2)
+                    log_q = -0.5 * (df + 3) * float(np.log1p((z0 * z0 + z1 * z1 + z2 * z2) / g))
+                    with np.errstate(over="ignore"):
+                        sigma = float(np.exp(ls))
+                        mu = xmin - float(np.exp(nu)) if n else float(np.exp(nu))
+                    if 0.0 < mu < math.inf and 0.0 < sigma < math.inf:
+                        lm = float(np.log(mu)) if n else nu
+                        a = w_target(lm, ls, xi, mu, sigma, nu) - log_q
+                        if log_u[i] < a - a_cur:
+                            a_cur, cur = a, (mu, sigma, xi)
+                            post_acc = [v + 1 for v in post_acc]
+                    if (first + i - burn_in) % thinning == 0:
+                        kept.append(cur)
         draws[c] = kept
         acceptance[c] = np.asarray(post_acc, dtype=float) / (config.iterations - burn_in)
     return draws, acceptance
@@ -633,6 +825,8 @@ def assert_exact(chains, prior, pot, config, seed):
 
 
 KERNEL_RUN = McmcConfig(chains=2, iterations=1200, burn_in=400)
+# a run whose burn-in walk is as long as KERNEL_RUN's whole run
+BURN_IN_RUN = McmcConfig(chains=2, iterations=1600, burn_in=1200)
 
 
 @pytest.mark.parametrize(
@@ -653,7 +847,7 @@ def test_mcmc_matches_the_reference_kernel(pot, config):
     chains = mcmc_sample(PRIOR, pot, config, seed=21)
     draws, acceptance = reference_chains(PRIOR, pot, config, seed=21)
     assert np.array_equal(chains.acceptance, acceptance)
-    np.testing.assert_allclose(chains.draws, draws, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(chains.draws, draws, rtol=1e-12, atol=1e-14)
     assert_exact(chains, PRIOR, pot, config, seed=21)
 
 
@@ -687,7 +881,7 @@ def test_mcmc_matches_the_reference_kernel_on_drawn_records(case):
     chains = mcmc_sample(prior, pot, KERNEL_RUN, seed=seed)
     draws, acceptance = reference_chains(prior, pot, KERNEL_RUN, seed=seed)
     assert np.array_equal(chains.acceptance, acceptance)
-    np.testing.assert_allclose(chains.draws, draws, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(chains.draws, draws, rtol=1e-12, atol=1e-14)
     assert_exact(chains, prior, pot, KERNEL_RUN, seed=seed)
 
 
@@ -731,22 +925,23 @@ def test_mcmc_is_the_exact_sampler_on_the_intervals_hard_records(case):
 
 
 # (acceptance, last draw of each chain, fsum of each coordinate's draws) of
-# LIGHT at seed 0 on a short and a long record; the kernel sums both with
-# numpy's pairwise sum
+# LIGHT at seed 0 on a short and a long record, both drawn by the
+# independence step after burn-in; the kernel and its rows sum with numpy's
+# pairwise sum
 _PINNED_CHAINS = {
     11: (
-        [[0.4168181818181818, 0.34454545454545454, 0.4168181818181818],
-         [0.33636363636363636, 0.32227272727272727, 0.3431818181818182]],
-        [[4.8358965109232726, 2.613019346024654, 0.046973422878545834],
-         [5.051347483434837, 1.498866544423098, 0.06787535760241684]],
-        [21561.97107170033, 9087.221429034058, 342.04776530332566],
+        [[0.44681818181818184, 0.44681818181818184, 0.44681818181818184],
+         [0.5686363636363636, 0.5686363636363636, 0.5686363636363636]],
+        [[4.918327488358709, 1.4715746843382143, 0.06040056126584804],
+         [4.841778199943855, 2.1352064283544565, 0.06896812492757211]],
+        [21518.84547582807, 9052.846076270243, 343.4505278457076],
     ),
     65: (
-        [[0.39454545454545453, 0.4040909090909091, 0.3986363636363636],
-         [0.3331818181818182, 0.3618181818181818, 0.3577272727272727]],
-        [[4.974321393352351, 2.694650676091554, -0.015560223212656502],
-         [5.014441898351083, 1.9830150335701398, 0.07266024305574503]],
-        [21923.699391720198, 9906.378474626785, 382.9880124070656],
+        [[0.4677272727272727, 0.4677272727272727, 0.4677272727272727],
+         [0.5322727272727272, 0.5322727272727272, 0.5322727272727272]],
+        [[5.002143957403326, 2.2022850061103236, 0.11910042850819805],
+         [5.004194915958217, 2.023476025370136, 0.117431814592276]],
+        [21923.59217108371, 9988.011353229595, 345.44803153208255],
     ),
 }
 
@@ -781,12 +976,11 @@ def test_mcmc_passes_the_kernel_the_extremes_of_its_residuals(monkeypatch):
     monkeypatch.setattr(bayes, "_gp_loglik", checked)
     peaks = gp_sample(GpParams(5.0, 2.0, -0.2), 60, seed=10)
     peaks[:3] = 5.0
-    chains = mcmc_sample(PRIOR, make_pot(peaks, 5.0, 30.0), KERNEL_RUN, seed=21)
-    # the likelihood's interval decides most moves, the kernel the rest;
-    # location moves did move y
-    assert 0 < len(calls) < KERNEL_RUN.chains * KERNEL_RUN.iterations
+    mcmc_sample(PRIOR, make_pot(peaks, 5.0, 30.0), BURN_IN_RUN, seed=21)
+    # the walk calls the kernel; the likelihood's interval decides most of
+    # its moves, the kernel the rest, and location moves did move y
+    assert 0 < len(calls) < BURN_IN_RUN.chains * BURN_IN_RUN.burn_in
     assert len(set(calls)) > 100
-    assert chains.acceptance[:, 0].min() > 0.05
 
 
 def test_mcmc_carries_the_bounds_scalars_of_its_current_state(monkeypatch):
@@ -817,12 +1011,11 @@ def test_mcmc_carries_the_bounds_scalars_of_its_current_state(monkeypatch):
     prior = replace(PRIOR, d=(0.0025,) + PRIOR.d[1:])
     peaks = gp_sample(GpParams(5.0, 2.0, 0.1), 60, seed=10)
     pot = make_pot(peaks, 5.0, 30.0)
-    chains = mcmc_sample(prior, pot, KERNEL_RUN, seed=21)
-    # many accepted location and scale moves, each carried into later calls
-    assert chains.acceptance[:, :2].min() > 0.2
+    chains = mcmc_sample(prior, pot, BURN_IN_RUN, seed=21)
+    # the walk's location and scale moves, each carried into later calls
     assert len({mu for mu, _ in seen}) > 1000
     assert len({base for _, base in seen}) > 1000
-    assert_exact(chains, prior, pot, KERNEL_RUN, seed=21)
+    assert_exact(chains, prior, pot, BURN_IN_RUN, seed=21)
 
 
 def _family(n, shape, seed):
@@ -843,8 +1036,9 @@ FAMILY_RUN = McmcConfig(chains=2, iterations=2000, burn_in=500)
 @pytest.mark.parametrize(
     "case, before",
     [
-        # kernel calls when the sampler evaluated the current state before
-        # the proposal and bounded every peak's term by the remainder
+        # kernel calls over 2 x 2000 walk iterations when the sampler
+        # evaluated the current state before the proposal and bounded every
+        # peak's term by the remainder
         (lambda: _family(30, 0.3, 40), 6401),
         (lambda: _family(65, 0.5, 41), 10077),
         (lambda: _family(65, -0.4, 42), 4384),
@@ -864,16 +1058,111 @@ def test_mcmc_kernel_calls_fall_on_the_hard_record_families(case, before, monkey
     monkeypatch.setattr(bayes, "_gp_loglik", counted)
     with caplog.at_level(logging.DEBUG, logger="regflood"):
         chains = mcmc_sample(prior, pot, FAMILY_RUN, seed=5)
-    assert len(calls) < before
-    # one DEBUG line per chain counts the moves' kernel calls; the rest are
-    # the start's: one check of the base state, one evaluation per chain,
-    # whose value the chain keeps
+    # the walk runs through burn-in only: its calls stay below that count's
+    # share of the burn-in iterations
+    assert len(calls) < before * FAMILY_RUN.burn_in / 2000
+    # one DEBUG line per chain counts the walk moves' kernel calls; the rest
+    # are the start's: one check of the base state, one evaluation per
+    # chain, whose value the chain keeps.  The independence step evaluates
+    # its late burn-in states and its proposals as kernel rows
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("mcmc chain")]
     assert len(lines) == FAMILY_RUN.chains
-    counts = [re.search(r"(\d+) proposals, (\d+) kernel calls", line).groups() for line in lines]
-    assert all(int(p) == 3 * FAMILY_RUN.iterations for p, _ in counts)
-    assert sum(int(k) for _, k in counts) + 1 + FAMILY_RUN.chains == len(calls)
+    assert all(line.endswith("by the independence step") for line in lines)
+    pattern = r"(\d+) proposals, (\d+) kernel calls, (\d+) kernel rows"
+    counts = [[int(v) for v in re.search(pattern, line).groups()] for line in lines]
+    burn_in, post = FAMILY_RUN.burn_in, FAMILY_RUN.iterations - FAMILY_RUN.burn_in
+    assert all(p == 3 * burn_in + post for p, _, _ in counts)
+    assert all(r == burn_in - late_states_from(FAMILY_RUN) + post for _, _, r in counts)
+    assert sum(k for _, k, _ in counts) + 1 + FAMILY_RUN.chains == len(calls)
     assert_exact(chains, prior, pot, FAMILY_RUN, seed=5)
+
+
+def _experiment_target(seed):
+    """An experiment-spec region's target record and its regional prior."""
+    spec = evaluation.SynthSpec(n_sites=14, years=37.0, rate=2.0)
+    region, _ = evaluation.synth_region(spec, seed=seed)
+    regression = bayes._donor_regression(list(region.others()), region.index_method)
+    return elicit_prior(region, regression), region.target_site.pot
+
+
+EXPERIMENT_RUN = McmcConfig(chains=2, iterations=4000, burn_in=1000)
+
+
+def _joint(acceptance):
+    # the independence step moves all three coordinates at once; the walk
+    # moves each on its own
+    return len(set(acceptance.tolist())) == 1
+
+
+def test_mcmc_takes_the_independence_step_on_regional_records():
+    # twelve experiment-spec targets, full records of 74 peaks and 5-year
+    # windows of 11, under their regional priors: log pi / q spreads by
+    # less than the cut over every chain's late burn-in
+    for seed in range(12):
+        prior, pot = _experiment_target(seed)
+        for record in (pot, evaluation.truncate_pot(pot, 5.0)):
+            chains = mcmc_sample(prior, record, EXPERIMENT_RUN, seed=seed)
+            assert all(_joint(rates) for rates in chains.acceptance), (seed, record.peaks.size)
+            assert chains.warnings == ()
+    # a burn-in of 250 leaves 125 late states, too few to fit the t
+    short = mcmc_sample(prior, record, McmcConfig(chains=2, iterations=1000, burn_in=250), seed=0)
+    assert not any(_joint(rates) for rates in short.acceptance)
+
+
+def test_mcmc_keeps_walking_where_the_t_misses_the_flat_posterior(monkeypatch):
+    # under d = 1000 one chain's late burn-in on this 11-peak window runs out
+    # towards mu = 0, where the posterior in nu piles up against log x_min:
+    # the t fitted to it spreads log pi / q far beyond the cut, and that
+    # chain walks on while its sibling takes the independence step
+    prior, pot = _experiment_target(4)
+    flat = prior.with_variances((1000.0, 1000.0, 1000.0))
+    window = evaluation.truncate_pot(pot, 5.0)
+    chains = mcmc_sample(flat, window, EXPERIMENT_RUN, seed=4)
+    assert [_joint(rates) for rates in chains.acceptance] == [False, True]
+    assert chains.warnings == ()
+    # without the guard the walking chain's t almost never accepts
+    monkeypatch.setattr(bayes, "_MAX_SPREAD", math.inf)
+    unguarded = mcmc_sample(flat, window, EXPERIMENT_RUN, seed=4)
+    assert unguarded.acceptance[0, 0] < 0.01
+    assert np.array_equal(unguarded.draws[1], chains.draws[1])
+
+
+# ----------------------------------------------------- calibration (SBC)
+
+
+# Simulation-based calibration (Cook, Gelman & Rubin 2006; Talts et al.
+# 2018): draw (mu, sigma, xi) from the prior, n peaks from that GP and 99
+# retained draws of one chain; each true parameter's rank among the draws is
+# uniform on 0..99 exactly when the sampler targets the posterior.  A rank
+# chi-square over 10 bins below p = 0.001, a threshold fixed before the
+# runs, fails.  Criterion 5's prior and a heavy-tailed one (shape mean 0.4)
+SBC_PRIORS = {
+    "criterion-5": PriorSpec((math.log(15.0), math.log(6.0), 0.1), (0.3, 0.2, 0.05)),
+    "heavy-tailed": PriorSpec((math.log(15.0), math.log(6.0), 0.4), (0.3, 0.2, 0.05)),
+}
+SBC_RUN = McmcConfig(chains=1, iterations=500 + 99 * 10, burn_in=500, thinning=10)
+SBC_REPLICATES = 1000
+
+
+@pytest.mark.parametrize("n", [11, 40, 74])
+@pytest.mark.parametrize("prior_name", list(SBC_PRIORS))
+def test_mcmc_ranks_of_prior_draws_are_uniform(prior_name, n):
+    from scipy.stats import chi2
+
+    prior = SBC_PRIORS[prior_name]
+    rng = np.random.default_rng([n, len(prior_name)])
+    ranks = np.empty((SBC_REPLICATES, 3), dtype=int)
+    for r in range(SBC_REPLICATES):
+        z = np.asarray(prior.gamma) + np.sqrt(prior.d) * rng.standard_normal(3)
+        truth = GpParams(math.exp(z[0]), math.exp(z[1]), float(z[2]))
+        pot = make_pot(gp_sample(truth, n, rng), truth.location, n / 2.0)
+        draws = mcmc_sample(prior, pot, SBC_RUN, seed=r).draws[0]
+        ranks[r] = (draws < np.array([truth.location, truth.scale, truth.shape])).sum(axis=0)
+    expected = SBC_REPLICATES / 10.0
+    for j in range(3):
+        counts = np.bincount(ranks[:, j] // 10, minlength=10)
+        p = float(chi2.sf(((counts - expected) ** 2 / expected).sum(), 9))
+        assert p >= 0.001, (j, counts.tolist(), p)
 
 
 # -------------------------------------------------------------- diagnostics
@@ -919,9 +1208,11 @@ def test_ess_of_a_chain_without_spread_is_its_length(level):
 
 
 _THREAD_TICKS = """
-import os, time
+import math, os, time
 import numpy as np
-from regflood.bayes import PosteriorChains, chain_diagnostics
+from regflood.bayes import McmcConfig, PriorSpec, chain_diagnostics, mcmc_sample
+from regflood.distributions import GpParams, gp_sample
+from regflood.pot import PotSeries
 
 def other_threads_ticks():
     total = 0
@@ -932,9 +1223,13 @@ def other_threads_ticks():
             total += int(fields[11]) + int(fields[12])  # utime, stime
     return total
 
-draws = np.random.default_rng(0).normal(size=(4, 15_000, 3))
-chains = PosteriorChains(draws=draws, acceptance=np.full((4, 3), 0.3))
+# a 65-peak record sampled at the CLI defaults: 4 chains of 20,000
+# iterations, a quarter of them burn-in
+times = np.datetime64("1970-01-01", "s") + np.arange(1, 66) * np.timedelta64(165 * 86400, "s")
+pot = PotSeries("T", 5.0, times, gp_sample(GpParams(5.0, 2.0, 0.1), 65, seed=32), 29.5)
+prior = PriorSpec((math.log(5.0), math.log(2.0), 0.05), (0.09, 0.04, 0.01))
 before = other_threads_ticks()
+chains = mcmc_sample(prior, pot, McmcConfig(chains=4, iterations=20_000, burn_in=5_000), seed=0)
 chain_diagnostics(chains)
 end = time.perf_counter() + 0.2
 while time.perf_counter() < end:
@@ -947,8 +1242,10 @@ print(other_threads_ticks() - before)
 def test_chain_diagnostics_leaves_the_blas_thread_pool_asleep():
     # a threaded BLAS call (OpenBLAS runs a ddot of more than 10,000 terms
     # on its pool) leaves worker threads spinning on the other cores through
-    # what runs next, here a 0.2 s busy wait; the child runs with the
-    # library's default BLAS threads
+    # what runs next, here a 0.2 s busy wait; the child samples a record at
+    # the CLI defaults, fits the independence step's t on the way, and
+    # summarizes its 60,000 retained draws, with the library's default BLAS
+    # threads
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["PYTHONPATH"] = str(Path(bayes.__file__).parents[1])

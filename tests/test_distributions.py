@@ -373,6 +373,10 @@ _TIED_AT_THE_ENDPOINT = (
 # other peak tied (m4 = 0) the remainder was inf * 0 = nan, and so were
 # both bounds
 _THETA4_OVERFLOWS = (np.zeros(2), -3.7079901280822674e-133, 3.7079901317902575e-133, -1.0)
+# peaks near 1e80, whose central fourth powers overflow: m4 was inf, which
+# theta^4 * m4 carried into both bounds as (inf, inf) around a kernel value
+# of -746.92
+_M4_OVERFLOWS = (np.array([1e80, 2e80, 3e80, 5e80]), 0.0, 1e80, 0.2)
 
 
 @settings(deadline=None, max_examples=1500, derandomize=True)
@@ -380,6 +384,7 @@ _THETA4_OVERFLOWS = (np.zeros(2), -3.7079901280822674e-133, 3.7079901317902575e-
 @example(_TIED_AT_THE_ENDPOINT)
 @example((np.full(3, 378442.5888156333),) + _TIED_AT_THE_ENDPOINT[1:])
 @example(_THETA4_OVERFLOWS)
+@example(_M4_OVERFLOWS)
 def test_loglik_interval_encloses_the_kernel(case):
     peaks, mu, sigma, xi = case
     y = peaks - mu
